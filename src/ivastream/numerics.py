@@ -103,15 +103,37 @@ def _sq_sum(x: np.ndarray, n_axes: int) -> np.ndarray:
 
 
 def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str) -> None:
-    """Reject solves whose residual betrays a numerically singular system."""
+    """Reject solves whose residual betrays a numerically singular system.
+
+    ``a`` is (..., K, K); ``x`` and ``b`` are (..., K, R) right-hand sides.
+    """
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(f"{context}: non-finite solution")
-    resid_sq = _sq_sum(np.matmul(a, x[..., None])[..., 0] - b, 1)
-    scale = np.sqrt(_sq_sum(a, 2) * _sq_sum(x, 1)) + np.sqrt(_sq_sum(b, 1))
+    resid_sq = _sq_sum(np.matmul(a, x) - b, 2)
+    scale = np.sqrt(_sq_sum(a, 2) * _sq_sum(x, 2)) + np.sqrt(_sq_sum(b, 2))
     bad = resid_sq > (_SOLVE_RTOL * np.maximum(scale, np.finfo(float).tiny)) ** 2
     if np.any(bad):
         idx = np.argwhere(bad)
         raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx[0]}")
+
+
+def _checked_solve(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
+    """LU solve of ``A X = B`` for (..., K, R) ``B``, residual-checked."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{context}: {exc}") from exc
+    _check_solution(a, x, b, context)
+    return x
+
+
+def _frobenius_load(a: np.ndarray, loading: float) -> np.ndarray:
+    """``A + loading * (||A||_F / sqrt(K)) * I``: the trace of a general
+    complex matrix is not a usable scale, so the Frobenius norm stands in."""
+    if loading <= 0:
+        return a
+    m = a.shape[-1]
+    return a + (loading * (np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(m)))[..., None, None] * np.eye(m)
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.ndarray:
@@ -138,70 +160,26 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     if loading > 0:
         tr = np.trace(a, axis1=-2, axis2=-1).real
         a = a + (loading * tr / k)[..., None, None] * np.eye(k)
-    try:
-        x = np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"hermitian_solve: {exc}") from exc
-    _check_solution(a, x, b, "hermitian_solve")
-    return x
+    return _checked_solve(a, b[..., None], "hermitian_solve")[..., 0]
 
 
 def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:
-    """Column ``n`` (0-based) of ``W^{-1}`` via a linear solve.
-
-    ``loading`` adds ``loading * (||W||_F / sqrt(M)) * I`` before solving;
-    unlike :func:`hermitian_solve` the trace of a general complex matrix is
-    not a usable scale, so the Frobenius norm stands in.
-    """
+    """Column ``n`` (0-based) of ``W^{-1}`` via a linear solve, with
+    Frobenius-scaled loading ``loading * (||W||_F / sqrt(M)) * I``."""
     w = np.asarray(w, dtype=np.complex128)
     m = w.shape[-1]
     if w.shape[-2] != m:
         raise ValueError("solve_column: W must be square")
     if not 0 <= n < m:
         raise ValueError(f"solve_column: column {n} out of range for {m}x{m} matrix")
-    if loading > 0:
-        scale = np.linalg.norm(w, axis=(-2, -1)) / np.sqrt(m)
-        w = w + (loading * scale)[..., None, None] * np.eye(m)
-    e = np.zeros(m, dtype=np.complex128)
+    e = np.zeros((m, 1), dtype=np.complex128)
     e[n] = 1.0
-    b = np.broadcast_to(e, w.shape[:-2] + (m,))
-    try:
-        x = np.linalg.solve(w, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"solve_column: {exc}") from exc
-    _check_solution(w, x, b, "solve_column")
-    return x
+    b = np.broadcast_to(e, w.shape[:-2] + (m, 1))
+    return _checked_solve(_frobenius_load(w, loading), b, "solve_column")[..., 0]
 
 
 def solve_general(a: np.ndarray, b: np.ndarray, loading: float = 0.0, context: str = "solve") -> np.ndarray:
     """Solve ``A X = B`` for general square ``A`` with Frobenius-scaled loading."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    m = a.shape[-1]
-    if loading > 0:
-        scale = np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(m)
-        a = a + (loading * scale)[..., None, None] * np.eye(m)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{context}: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError(f"{context}: non-finite solution")
-    resid_sq = _sq_sum(np.matmul(a, x) - b, 2)
-    scale = np.sqrt(_sq_sum(a, 2) * _sq_sum(x, 2)) + np.sqrt(_sq_sum(b, 2))
-    if np.any(resid_sq > (_SOLVE_RTOL * np.maximum(scale, np.finfo(float).tiny)) ** 2):
-        raise SingularMatrixError(f"{context}: unreliable solution")
-    return x
-
-
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """Average a matrix stack with its conjugate transpose."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
-def is_hermitian(a: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True if ``A`` equals ``A^H`` to within ``rtol`` relative."""
-    a = np.asarray(a)
-    dev = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max()
-    scale = max(np.abs(a).max(), np.finfo(float).tiny)
-    return bool(dev <= rtol * scale)
+    return _checked_solve(_frobenius_load(a, loading), b, context)

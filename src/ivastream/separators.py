@@ -8,6 +8,12 @@ noise block.  The bilinear engine additionally factors each source
 extraction filter of length ``M`` into a Kronecker product of two
 sub-filters of lengths ``M1 * M2 == M`` and updates them alternately.
 
+Every filter update starts from ``u = W^{-1} e_n``, solved once per source
+and pass.  :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
+to 1; the two bilinear updates are the same IP step on the covariance and
+on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
+``Delta^H u``), and both read the same ``u``.
+
 State layout per frequency bin ``i`` (states store all bins stacked):
 
 * ``W[i]`` is the full demixing matrix; row ``n < N`` equals the conjugate
@@ -23,7 +29,7 @@ states for different streams are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -120,7 +126,6 @@ class SourceEstimate:
 
     y: np.ndarray  # (N, I) complex
     frame_index: int
-    y_scaled: np.ndarray | None = None  # filled by projection_back when requested
 
 
 def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
@@ -176,29 +181,24 @@ def contrast_weight(state: SeparatorState, x: np.ndarray, n: int) -> float:
     return 1.0 / max(power, state.config.weight_floor)
 
 
-def update_weighted_cov(v_prev: np.ndarray, x: np.ndarray, phi: float, alpha: float) -> np.ndarray:
-    """One step of the weighted covariance recursion
-    ``V <- alpha V + (1 - alpha) phi x x^H`` (batched over bins)."""
-    xxh = x[..., :, None] * x[..., None, :].conj()
-    return alpha * v_prev + (1.0 - alpha) * phi * xxh
+def update_weighted_cov(v: np.ndarray, xxh: np.ndarray, weight: float, alpha: float) -> None:
+    """One in-place step of the covariance recursion
+    ``V <- alpha V + (1 - alpha) weight x x^H`` (batched over bins); the
+    spatial covariance ``C`` is the ``weight == 1`` case."""
+    v *= alpha
+    v += ((1.0 - alpha) * weight) * xxh
 
 
-def update_spatial_cov(c_prev: np.ndarray, x: np.ndarray, alpha: float) -> np.ndarray:
-    """Spatial covariance recursion: the phi == 1 case of update_weighted_cov."""
-    return update_weighted_cov(c_prev, x, 1.0, alpha)
+def ip_update(u: np.ndarray, v: np.ndarray, loading: float = 0.0) -> np.ndarray:
+    """Iterative-projection update of one extraction filter.
 
-
-def ip_update(w_mat: np.ndarray, v: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:
-    """Iterative-projection update of source ``n``'s extraction filter.
-
-    Solves ``(W V) w = e_n`` as two smaller solves and normalizes so that
+    Given ``u = W^{-1} e_n``, solves ``V w = u`` and normalizes so that
     ``w^H V w == 1``.  Batched over leading axes.
     """
-    u = numerics.solve_column(w_mat, n, loading)
     w = numerics.hermitian_solve(v, u, loading)
     q = _quadratic_form(w, v)
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        raise SingularMatrixError(f"ip_update: non-positive quadratic form for source {n}")
+        raise SingularMatrixError("ip_update: non-positive quadratic form")
     return w / np.sqrt(q)[..., None]
 
 
@@ -219,47 +219,25 @@ def oc_update(c: np.ndarray, w_src: np.ndarray, loading: float = 0.0) -> np.ndar
     return np.swapaxes(jt, -1, -2)
 
 
-def _bilinear_core(
-    v: np.ndarray, delta: np.ndarray, u: np.ndarray, n: int, loading: float, label: str
-) -> np.ndarray:
-    """Reduced IP step shared by both sub-filter updates.
-
-    Projects the covariance through the lifting map ``delta``, solves the
-    reduced system against ``u = W^{-1} e_n`` and normalizes against the
-    lifted covariance.
-    """
-    v_sub = numerics.congruence(delta, v)
-    rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
-    w = numerics.hermitian_solve(v_sub, rhs, loading)
-    q = _quadratic_form(w, v_sub)
-    if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        raise SingularMatrixError(f"{label}: non-positive quadratic form for source {n}")
-    return w / np.sqrt(q)[..., None]
-
-
 def bilinear_update_1(
-    w_mat: np.ndarray, v: np.ndarray, w2: np.ndarray, n: int, loading: float = 0.0
+    u: np.ndarray, v: np.ndarray, w2: np.ndarray, loading: float = 0.0
 ) -> np.ndarray:
-    """Alternating IP update of the first sub-filter, second one held fixed.
-
-    Lifts the covariance through ``I (x) w2``, solves the reduced system
-    against ``W^{-1} e_n`` and normalizes the result against the lifted
-    covariance.
-    """
-    m1 = v.shape[-1] // w2.shape[-1]
-    delta = numerics.lift_left(w2, m1)  # (..., M, M1)
-    u = numerics.solve_column(w_mat, n, loading)
-    return _bilinear_core(v, delta, u, n, loading, "bilinear_update_1")
+    """Alternating IP update of the first sub-filter, second one held fixed:
+    the IP step on ``V`` and ``u = W^{-1} e_n`` lifted through
+    ``Delta = I (x) w2``."""
+    delta = numerics.lift_left(w2, v.shape[-1] // w2.shape[-1])  # (..., M, M1)
+    rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
+    return ip_update(rhs, numerics.congruence(delta, v), loading)
 
 
 def bilinear_update_2(
-    w_mat: np.ndarray, v: np.ndarray, w1: np.ndarray, n: int, loading: float = 0.0
+    u: np.ndarray, v: np.ndarray, w1: np.ndarray, loading: float = 0.0
 ) -> np.ndarray:
-    """Mirror of bilinear_update_1 for the second sub-filter (first fixed)."""
-    m2 = v.shape[-1] // w1.shape[-1]
-    delta = numerics.lift_right(w1, m2)  # (..., M, M2)
-    u = numerics.solve_column(w_mat, n, loading)
-    return _bilinear_core(v, delta, u, n, loading, "bilinear_update_2")
+    """Mirror of bilinear_update_1 for the second sub-filter (first fixed),
+    lifted through ``Delta = w1 (x) I``."""
+    delta = numerics.lift_right(w1, v.shape[-1] // w1.shape[-1])  # (..., M, M2)
+    rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
+    return ip_update(rhs, numerics.congruence(delta, v), loading)
 
 
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
@@ -285,33 +263,24 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     alpha = cfg.forgetting
     n_src = cfg.n_sources
     xxh = x[:, :, None] * x[:, None, :].conj()
-    state.C *= alpha
-    state.C += (1.0 - alpha) * xxh
+    update_weighted_cov(state.C, xxh, 1.0, alpha)
 
     for n in range(n_src):
-        phi = contrast_weight(state, x, n)
-        state.V[n] *= alpha
-        state.V[n] += ((1.0 - alpha) * phi) * xxh
+        update_weighted_cov(state.V[n], xxh, contrast_weight(state, x, n), alpha)
         try:
             for _ in range(cfg.inner_iters):
+                u = numerics.solve_column(state.W, n, cfg.loading)
                 if cfg.algorithm is Algorithm.BIIVA:
-                    # both sub-updates read the same pre-update W, so the
-                    # W^{-1} e_n solve is shared rather than repeated
-                    u = numerics.solve_column(state.W, n, cfg.loading)
-                    m = cfg.n_channels
-                    d1 = numerics.lift_left(state.w2[n], m // state.w2[n].shape[-1])
-                    w1 = _bilinear_core(state.V[n], d1, u, n, cfg.loading, "bilinear_update_1")
-                    d2 = numerics.lift_right(w1, m // w1.shape[-1])
-                    w2 = _bilinear_core(state.V[n], d2, u, n, cfg.loading, "bilinear_update_2")
-                    scale = np.linalg.norm(w1, axis=-1)
-                    w1 = w1 / scale[..., None]
-                    w2 = w2 * scale[..., None]
-                    state.w1[n] = w1
-                    state.w2[n] = w2
-                    state.W[:, n, :] = numerics.kron(w1, w2).conj()
+                    # both sub-updates read the same pre-update W, hence one u
+                    w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
+                    w2 = bilinear_update_2(u, state.V[n], w1, cfg.loading)
+                    # move the scale into w2 so w1 stays unit-norm
+                    scale = np.linalg.norm(w1, axis=-1)[..., None]
+                    state.w1[n] = w1 / scale
+                    state.w2[n] = w2 * scale
+                    state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
                 else:
-                    w = ip_update(state.W, state.V[n], n, cfg.loading)
-                    state.W[:, n, :] = w.conj()
+                    state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading).conj()
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"frame {state.frame_index}, source {n}: {exc}"

@@ -71,14 +71,6 @@ def synthesis_window(cfg: StftConfig) -> np.ndarray:
     return w / np.tile(denom, overlap)
 
 
-def cola_ripple(cfg: StftConfig) -> float:
-    """Max relative deviation of the overlap-added window product from 1."""
-    wa = analysis_window(cfg)
-    ws = synthesis_window(cfg)
-    prod = (wa * ws).reshape(cfg.fft_size // cfg.hop, cfg.hop).sum(axis=0)
-    return float(np.abs(prod - 1.0).max())
-
-
 def n_frames(n_samples: int, cfg: StftConfig) -> int:
     """Number of complete frames in a signal of the given length."""
     if n_samples < cfg.fft_size:
@@ -111,11 +103,6 @@ def analyze(signal: np.ndarray, cfg: StftConfig) -> list[SpectralFrame]:
         spec = np.fft.rfft(seg * win, axis=1).T  # (n_bins, n_channels)
         frames.append(SpectralFrame(bins=spec, index=j, config=cfg))
     return frames
-
-
-def stack_frames(frames: list[SpectralFrame]) -> np.ndarray:
-    """Stack spectral frames into a (n_frames, n_bins, n_channels) array."""
-    return np.stack([f.bins for f in frames])
 
 
 def synthesize(frames: list[SpectralFrame], cfg: StftConfig, n_samples: int | None = None) -> np.ndarray:
