@@ -129,26 +129,23 @@ class SourceEstimate:
 
 
 def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
-    """Fresh state: unit-vector sub-filters / identity source rows, noise
-    block ``[0, -I]``, identity covariances."""
+    """Fresh state: identity source rows (source ``n`` on channel ``n``),
+    noise block ``[0, -I]``, identity covariances.  The bilinear engine's
+    sub-filters are the unit vectors ``e_{n // M2}`` and ``e_{n % M2}``,
+    whose Kronecker product is that same row ``e_n``."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     m, n_src = config.n_channels, config.n_sources
     w_mat = np.zeros((n_bins, m, m), dtype=np.complex128)
+    w_mat[:, :n_src, :n_src] = np.eye(n_src)
     w1 = w2 = None
     if config.algorithm is Algorithm.BIIVA:
-        m1, m2 = config.sub_len_1, config.sub_len_2
-        w1 = np.zeros((n_src, n_bins, m1), dtype=np.complex128)
+        m2 = config.sub_len_2
+        w1 = np.zeros((n_src, n_bins, config.sub_len_1), dtype=np.complex128)
         w2 = np.zeros((n_src, n_bins, m2), dtype=np.complex128)
         for n in range(n_src):
-            # unit-vector pair; for n < M1 this is (e_n, e_1), beyond that the
-            # index wraps so every source still starts on a distinct channel
-            w1[n, :, n % m1] = 1.0
-            w2[n, :, n // m1] = 1.0
-            w_mat[:, n, :] = numerics.kron(w1[n], w2[n]).conj()
-    else:
-        for n in range(n_src):
-            w_mat[:, n, n] = 1.0
+            w1[n, :, n // m2] = 1.0
+            w2[n, :, n % m2] = 1.0
     j = None
     if m > n_src:
         j = np.zeros((n_bins, m - n_src, n_src), dtype=np.complex128)

@@ -1,6 +1,7 @@
 """Online engine tests: recursions, updates, invariants, smoke separation."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -117,8 +118,8 @@ class TestInitState:
             np.testing.assert_array_equal(
                 st.W[:, n, :], nx.kron(st.w1[n], st.w2[n]).conj()
             )
-            # source n starts on channel n * M2: distinct unit rows
-            np.testing.assert_array_equal(st.W[0, n, :], np.eye(6)[2 * n])
+            # source n starts on channel n, as in the other engines
+            np.testing.assert_array_equal(st.W[0, n, :], np.eye(6)[n])
 
     def test_auxiva_has_no_noise_block(self):
         st = sep.init_state(SeparatorConfig(3, 3, "auxiva"), 2)
@@ -391,6 +392,39 @@ class TestProcessFrame:
         frame = SpectralFrame(bins=np.ones((3, 2), complex), index=0, config=StftConfig())
         with pytest.raises(nx.SingularMatrixError, match=r"frame 0, source 0"):
             sep.process_frame(st, frame)
+
+
+def _degenerate_frames(case, n_channels):
+    rng = np.random.default_rng(22)
+    x = _cplx(rng, 12, 9, n_channels)
+    if case == "leading_silence":
+        x[:4] = 0.0
+    elif case == "all_zero":
+        x[:] = 0.0
+    elif case == "quiet":
+        x *= 1e-6
+    return [SpectralFrame(bins=x[t], index=t, config=StftConfig()) for t in range(len(x))]
+
+
+@pytest.mark.parametrize("case", ["leading_silence", "all_zero", "quiet", "unloaded"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        SeparatorConfig(2, 2, "auxiva"),
+        SeparatorConfig(9, 2, "overiva"),
+        SeparatorConfig(9, 2, "biiva", 3, 3),
+    ],
+    ids=["auxiva", "overiva", "biiva"],
+)
+def test_degenerate_input_gives_finite_output(config, case):
+    # digital silence, a silent stream, very quiet input and zero diagonal
+    # loading must all stream through from the initial state
+    if case == "unloaded":
+        config = dataclasses.replace(config, loading=0.0)
+    frames = _degenerate_frames(case, config.n_channels)
+    for reference_channel in (None, 0):
+        y = sep.separate_stream(frames, config, reference_channel)
+        assert np.all(np.isfinite(y))
 
 
 class TestDegeneracy:
