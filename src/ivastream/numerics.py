@@ -133,7 +133,8 @@ def _frobenius_load(a: np.ndarray, loading: float) -> np.ndarray:
     if loading <= 0:
         return a
     m = a.shape[-1]
-    return a + (loading * (np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(m)))[..., None, None] * np.eye(m)
+    scale = np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(m)
+    return a + (loading * scale)[..., None, None] * np.eye(m)
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.ndarray:

@@ -208,4 +208,3 @@ class TestSolveGeneral:
         b = np.ones((2, 1), dtype=complex)
         with pytest.raises(nx.SingularMatrixError, match="noise block"):
             nx.solve_general(a, b, context="noise block")
-

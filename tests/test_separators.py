@@ -208,11 +208,6 @@ class TestIpUpdate:
         with pytest.raises(nx.SingularMatrixError):
             sep.ip_update(nx.solve_column(w_mat, 0), v)
 
-    def test_singular_covariance_raises(self):
-        u = np.ones((2, 3), dtype=complex)
-        with pytest.raises(nx.SingularMatrixError):
-            sep.ip_update(u, np.zeros((2, 3, 3), dtype=complex))
-
 
 class TestOcUpdate:
     def test_orthogonality_residual(self):
