@@ -25,6 +25,7 @@ from . import roomsim
 from .io import (
     AudioBuffer,
     ConfigError,
+    load_manifest,
     load_scenario,
     load_separator_config,
     read_wav,
@@ -59,16 +60,16 @@ def _out_dir(path_like) -> Path:
     return p
 
 
-def speechlike_signal(seed, n_samples: int, sample_rate: int, modulation_hz: float = 4.0):
+def speechlike_signal(seed, n_samples: int, sample_rate: int):
     """Pink noise under a slowly varying random envelope, unit variance.
 
     A stand-in for speech with similar coarse spectro-temporal texture:
-    1/f spectrum plus syllable-rate amplitude modulation.  ``seed`` may be
-    any value ``numpy.random.default_rng`` accepts, including tuples.
+    1/f spectrum plus syllable-rate (4 Hz) amplitude modulation.  ``seed``
+    may be any value ``numpy.random.default_rng`` accepts, including tuples.
     """
     rng = np.random.default_rng(seed)
     x = roomsim.pink_noise(rng, n_samples)
-    n_knots = max(int(round(n_samples / sample_rate * modulation_hz)) + 1, 2)
+    n_knots = max(int(round(n_samples / sample_rate * 4.0)) + 1, 2)
     knots = rng.standard_normal(n_knots) ** 2 + 0.05
     env = np.interp(
         np.linspace(0.0, n_knots - 1.0, n_samples), np.arange(n_knots), knots
@@ -154,7 +155,7 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
     out = _out_dir(out)
     fs = bundle.sample_rate
     write_wav(AudioBuffer(bundle.observations, fs), out / "observations.wav")
-    write_wav(AudioBuffer(bundle.reference_images, fs), out / "reference_images.wav")
+    write_wav(AudioBuffer(bundle.source_images[:, 0], fs), out / "reference_images.wav")
     write_wav(AudioBuffer(bundle.noise_observation, fs), out / "noise.wav")
     meta = {"sample_rate": fs, "seed": scenario.seed, **bundle.gains}
     meta.update(_measured_baselines(bundle))
@@ -289,7 +290,12 @@ def run_evaluate(
     n = min(est_buf.n_samples, ref_buf.n_samples, mix_buf.n_samples)
     est = est_buf.samples[:, :n]
     refs = ref_buf.samples[:, :n]
-    mix = mix_buf.samples[min(eval_cfg.reference_channel, mix_buf.n_channels - 1), :n]
+    if eval_cfg.reference_channel >= mix_buf.n_channels:
+        raise ValueError(
+            f"reference channel {eval_cfg.reference_channel} out of range for a "
+            f"{mix_buf.n_channels}-channel mixture"
+        )
+    mix = mix_buf.samples[eval_cfg.reference_channel, :n]
 
     idx = pair_sources(est, refs, eval_cfg, fs)
     report = convergence_curve(est[idx], refs, mix, eval_cfg, fs)
@@ -308,49 +314,16 @@ def run_evaluate(
 # benchmark
 
 
-def _load_manifest(manifest_path) -> dict:
-    path = Path(manifest_path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("scenario", "separators", "seeds", "output_dir"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-    if not isinstance(doc["separators"], dict) or not doc["separators"]:
-        raise ConfigError(f"{path}: 'separators' must map algorithm names to config paths")
-    if not isinstance(doc["seeds"], list) or not doc["seeds"]:
-        raise ConfigError(f"{path}: 'seeds' must be a non-empty list")
-    base = path.parent
-    doc["scenario"] = base / doc["scenario"]
-    doc["separators"] = {k: base / v for k, v in doc["separators"].items()}
-    missing = [
-        str(p)
-        for p in [doc["scenario"], *doc["separators"].values()]
-        if not Path(p).exists()
-    ]
-    if missing:
-        raise ConfigError(f"{path}: referenced files do not exist: {', '.join(missing)}")
-    return doc
-
-
 def run_benchmark(manifest_path, out_override=None) -> int:
-    manifest = _load_manifest(manifest_path)
+    manifest = load_manifest(manifest_path)
     scenario0 = load_scenario(manifest["scenario"])
     sep_cfgs = {
         name: load_separator_config(p) for name, p in manifest["separators"].items()
     }
-    eval_cfg = EvalConfig(**manifest.get("evaluation", {}))
-    stft_doc = manifest.get("stft", {})
-    stft_cfg = StftConfig(
-        fft_size=int(stft_doc.get("fft_size", 1024)),
-        hop=int(stft_doc.get("hop", 256)),
-        sample_rate=scenario0.room.sample_rate,
-    )
-    duration = float(manifest.get("duration_seconds", 30.0))
     fs = scenario0.room.sample_rate
+    eval_cfg = EvalConfig(**manifest.get("evaluation", {}))
+    stft_cfg = StftConfig(sample_rate=fs, **manifest.get("stft", {}))
+    duration = float(manifest.get("duration_seconds", 30.0))
     for name, cfg in sep_cfgs.items():
         if cfg.n_channels > scenario0.array.n_channels:
             raise ConfigError(
@@ -464,34 +437,15 @@ def _write_timing(path, rows) -> None:
         writer.writerows(rows)
 
 
-def converged_improvements(reports) -> dict[str, tuple[float, float]]:
-    """Mean converged (SIR, SDR) improvement per algorithm, across seeds
-    and sources."""
-    out = {}
+def _print_summary_table(reports, failures) -> None:
+    """Print the mean converged (SIR, SDR) improvement per algorithm,
+    across seeds and sources."""
+    print(f"{'algorithm':<12} {'runs':>4} {'dSIR (dB)':>10} {'dSDR (dB)':>10}")
     for name, runs in reports.items():
         if runs:
-            out[name] = (
-                float(np.mean([r.converged_sir_improvement_db for r in runs])),
-                float(np.mean([r.converged_sdr_improvement_db for r in runs])),
-            )
-    return out
-
-
-def _print_summary_table(reports, failures) -> None:
-    conv = converged_improvements(reports)
-    print(f"{'algorithm':<12} {'runs':>4} {'dSIR (dB)':>10} {'dSDR (dB)':>10}")
-    for name, (dsir, dsdr) in conv.items():
-        print(f"{name:<12} {len(reports[name]):>4} {dsir:>10.2f} {dsdr:>10.2f}")
-    order = ["biiva", "overiva", "auxiva"]
-    present = [n for n in order if n in conv]
-    if len(present) >= 2:
-        values = [conv[n][0] for n in present]
-        ordered = all(a >= b for a, b in zip(values, values[1:]))
-        print(
-            "converged SIR ordering "
-            + " >= ".join(present)
-            + (": holds" if ordered else ": does not hold")
-        )
+            dsir = np.mean([r.converged_sir_improvement_db for r in runs])
+            dsdr = np.mean([r.converged_sdr_improvement_db for r in runs])
+            print(f"{name:<12} {len(runs):>4} {dsir:>10.2f} {dsdr:>10.2f}")
     if failures:
         print(f"{len(failures)} run(s) failed; see failures.csv")
 

@@ -1,10 +1,12 @@
 """Multichannel WAV and JSON configuration I/O.
 
-Audio travels as float64 in [-1, 1]; integer PCM is normalized on read by
-the full-scale convention (int16 / 32768, 24-bit left-justified int32 /
-2^31) and float32 passes through losslessly in both directions.  Scenario
+Audio travels as float64 in [-1, 1].  PCM16, PCM24 and float32 files are
+read, integer PCM normalized by the full-scale convention (int16 / 32768,
+24-bit left-justified int32 / 2^31); every write is float32, which reads
+back losslessly.  Scenario
 and separator files are JSON documents validated against schemas shipped
-with the package; violations are reported with their JSON path.
+with the package, as are benchmark manifests; violations are reported with
+their JSON path.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -65,13 +68,6 @@ class AudioBuffer:
         return self.samples.shape[1] / float(self.sample_rate)
 
 
-@dataclass
-class WriteInfo:
-    """Metadata from a write: how many samples hit the integer rails."""
-
-    clipped_samples: int = 0
-
-
 def read_wav(path) -> AudioBuffer:
     try:
         rate, data = wavfile.read(path)
@@ -92,30 +88,16 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(np.ascontiguousarray(samples), int(rate))
 
 
-def write_wav(buffer: AudioBuffer, path, fmt: str = "float32") -> WriteInfo:
-    """Write a buffer as float32 (lossless round trip) or pcm16.
-
-    pcm16 scales by 32768 and rounds halves away from zero; out-of-range
-    samples are clamped to the rails and counted in the returned metadata.
-    """
+def write_wav(buffer: AudioBuffer, path) -> None:
+    """Write a buffer as float32, which the reader round-trips losslessly."""
     x = buffer.samples.T  # (n_samples, n_channels)
     if x.shape[1] == 1:
         x = x[:, 0]
-    clipped = 0
-    if fmt == "float32":
-        data = np.ascontiguousarray(x.astype(np.float32))
-    elif fmt == "pcm16":
-        scaled = x * _PCM16_SCALE
-        rounded = np.trunc(scaled + np.copysign(0.5, scaled))
-        clipped = int(np.count_nonzero((rounded > 32767.0) | (rounded < -32768.0)))
-        data = np.ascontiguousarray(np.clip(rounded, -32768.0, 32767.0).astype(np.int16))
-    else:
-        raise UnsupportedWavFormat(f"unsupported write format {fmt!r}")
+    data = np.ascontiguousarray(x.astype(np.float32))
     try:
         wavfile.write(path, buffer.sample_rate, data)
     except OSError as exc:
         raise CorruptWavFile(f"{path}: {exc}") from exc
-    return WriteInfo(clipped_samples=clipped)
 
 
 def _validate(doc, schema_name: str, context: str) -> None:
@@ -206,3 +188,22 @@ def load_separator_config(path, overrides: dict | None = None) -> SeparatorConfi
         return SeparatorConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_manifest(path) -> dict:
+    """Load a validated benchmark manifest.
+
+    The scenario and separator paths are resolved against the manifest's
+    directory and must exist; ``evaluation`` and ``stft`` hold keyword
+    arguments for ``EvalConfig`` and ``StftConfig``.
+    """
+    doc = _load_validated(path, "manifest.schema.json")
+    base = Path(path).parent
+    doc["scenario"] = base / doc["scenario"]
+    doc["separators"] = {k: base / v for k, v in doc["separators"].items()}
+    missing = [
+        str(p) for p in [doc["scenario"], *doc["separators"].values()] if not p.exists()
+    ]
+    if missing:
+        raise ConfigError(f"{path}: referenced files do not exist: {', '.join(missing)}")
+    return doc

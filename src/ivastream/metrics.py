@@ -190,8 +190,7 @@ class EvalReport:
     Arrays are (n_segments, n_sources); baselines are the same ratios
     computed on the unprocessed mixture at the reference channel, so
     improvement = value - baseline.  Converged values average the final
-    quarter of the segments.  ``isir_db``/``isnr_db`` are the measured
-    input baselines (None when undefined: single source, or no noise).
+    quarter of the segments.
     """
 
     t_start_s: np.ndarray
@@ -203,8 +202,6 @@ class EvalReport:
     converged_sdr_db: np.ndarray
     converged_sir_improvement_db: np.ndarray
     converged_sdr_improvement_db: np.ndarray
-    isir_db: float | None
-    isnr_db: float | None
 
     @property
     def n_segments(self) -> int:
@@ -298,17 +295,6 @@ def convergence_curve(
     tail = max(1, n_segments // 4)
     t_start = np.arange(n_segments) * seg_len / float(sample_rate)
 
-    # measured input baselines at the reference channel
-    ref_energies = np.sum(refs**2, axis=1)
-    isir = None
-    if n_sources > 1 and np.all(ref_energies[1:] > 0):
-        isir = float(10.0 * np.log10(ref_energies[0] / ref_energies[1:].sum()))
-    noise = mix - refs.sum(axis=0)
-    e_noise = float(np.sum(noise**2))
-    isnr = None
-    if e_noise > 0:
-        isnr = float(10.0 * np.log10(ref_energies.sum() / e_noise))
-
     with np.errstate(invalid="ignore"):  # inf - inf is a flagged NaN, not a bug
         conv_dsir = (sir[-tail:] - sir0[-tail:]).mean(axis=0)
         conv_dsdr = (sdr[-tail:] - sdr0[-tail:]).mean(axis=0)
@@ -322,6 +308,4 @@ def convergence_curve(
         converged_sdr_db=sdr[-tail:].mean(axis=0),
         converged_sir_improvement_db=conv_dsir,
         converged_sdr_improvement_db=conv_dsdr,
-        isir_db=isir,
-        isnr_db=isnr,
     )

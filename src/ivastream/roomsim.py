@@ -23,6 +23,14 @@ from scipy.signal import fftconvolve
 
 SPEED_OF_SOUND = 343.0
 SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
+T60_FIT_DB = (-5.0, -35.0)  # decay-curve levels the T60 line is fitted between
+
+# noise placement: distance from every wall, minimum x-y distance from the
+# room center, minimum angular spread around it, and the draw budget
+NOISE_WALL_MARGIN = 0.5
+NOISE_MIN_RADIUS = 3.0
+NOISE_MIN_ANGLE_DEG = 20.0
+NOISE_MAX_TRIES = 20000
 
 
 def _as_dimensions(dims) -> tuple:
@@ -68,10 +76,9 @@ class Room:
         order = default_image_order(room, t60)
         return cls(dimensions, beta, sample_rate, order)
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
-        dims = np.asarray(self.dimensions)
-        return bool(np.all(p >= margin) and np.all(p <= dims - margin))
+        return bool(np.all(p >= 0.0) and np.all(p <= np.asarray(self.dimensions)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,6 @@ class MixtureBundle:
 
     observations: np.ndarray  # (M, T)
     source_images: np.ndarray  # (N, M, T) scaled per-source images
-    reference_images: np.ndarray  # (N, T) images at the reference mic
     noise_observation: np.ndarray  # (M, T)
     sample_rate: int
     gains: dict = field(default_factory=dict)
@@ -163,7 +169,7 @@ def _directional_t60(beta: float, dims, n_dirs: int = 512) -> float:
     A ray along direction u reflects ``|u_i| / L_i`` times per meter off the
     walls of axis i, so the late field is a sphere average of per-direction
     exponentials rather than a single Eyring exponential; the decay curve is
-    fitted over the same -5..-35 dB window the measurement oracle uses.
+    fitted over the same ``T60_FIT_DB`` window the measurement oracle uses.
     """
     u = np.abs(_fibonacci_sphere(n_dirs))
     g = (u / np.asarray(dims, dtype=float)).sum(axis=-1)
@@ -173,7 +179,8 @@ def _directional_t60(beta: float, dims, n_dirs: int = 512) -> float:
     energy = np.exp(log_e * t[:, None] * g[None, :]).mean(axis=-1)
     edc = np.cumsum(energy[::-1])[::-1]
     db = 10.0 * np.log10(edc / edc[0])
-    m = (db <= -5.0) & (db >= -35.0)
+    hi, lo = T60_FIT_DB
+    m = (db <= hi) & (db >= lo)
     slope, _ = np.polyfit(t[m], db[m], 1)
     return float(-60.0 / slope)
 
@@ -223,11 +230,12 @@ def default_image_order(room: Room, t60: float) -> int:
     return int(np.ceil(reach / (2.0 * min(room.dimensions)))) + 1
 
 
-def image_source_rir(room: Room, src, mic, n_samples: int | None = None) -> np.ndarray:
+def image_source_rir(room: Room, src, mic) -> np.ndarray:
     """Room impulse response between one source and one microphone.
 
     Vectorized over the image lattice; images beyond ``max_image_order``
-    per axis are dropped.  Returns float64 samples at the room's rate.
+    per axis are dropped.  Returns float64 samples at the room's rate,
+    long enough to hold the last image's full interpolation kernel.
     """
     src = np.asarray(src, dtype=float)
     mic = np.asarray(mic, dtype=float)
@@ -258,8 +266,7 @@ def image_source_rir(room: Room, src, mic, n_samples: int | None = None) -> np.n
 
     half = (SINC_TAPS - 1) // 2
     delay = dist / SPEED_OF_SOUND * fs  # fractional samples
-    if n_samples is None:
-        n_samples = int(np.ceil(delay.max())) + half + 1
+    n_samples = int(np.ceil(delay.max())) + half + 1
     # windowed-sinc taps around each delay
     first = np.ceil(delay - half).astype(np.int64)  # (n_img,)
     taps = first[:, None] + np.arange(SINC_TAPS)[None, :]
@@ -267,22 +274,21 @@ def image_source_rir(room: Room, src, mic, n_samples: int | None = None) -> np.n
     window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
     vals = amp[:, None] * np.sinc(t) * window
     keep = (taps >= 0) & (taps < n_samples)
-    h = np.bincount(taps[keep], weights=vals[keep], minlength=n_samples)
-    return h[:n_samples]
+    return np.bincount(taps[keep], weights=vals[keep], minlength=n_samples)
 
 
-def measure_t60(h: np.ndarray, sample_rate: int, fit_range=(-5.0, -35.0)) -> float:
+def measure_t60(h: np.ndarray, sample_rate: int) -> float:
     """Reverberation time from backward-integrated energy decay.
 
     Linear fit of the decay curve between the two dB levels of
-    ``fit_range``, extrapolated to -60 dB.
+    ``T60_FIT_DB``, extrapolated to -60 dB.
     """
     h = np.asarray(h, dtype=float)
     edc = np.cumsum(h[::-1] ** 2)[::-1]
     if edc[0] <= 0:
         raise ValueError("impulse response has no energy")
     db = 10.0 * np.log10(np.maximum(edc / edc[0], 1e-300))
-    hi, lo = fit_range
+    hi, lo = T60_FIT_DB
     mask = (db <= hi) & (db >= lo)
     if np.count_nonzero(mask) < 8:
         raise ValueError("decay range too short for a T60 fit")
@@ -293,23 +299,16 @@ def measure_t60(h: np.ndarray, sample_rate: int, fit_range=(-5.0, -35.0)) -> flo
     return float(-60.0 / slope)
 
 
-def place_noise_sources(
-    room: Room,
-    count: int,
-    seed: int,
-    wall_margin: float = 0.5,
-    min_radius: float = 3.0,
-    min_angle_deg: float = 20.0,
-    max_tries: int = 20000,
-) -> np.ndarray:
+def place_noise_sources(room: Room, count: int, seed: int) -> np.ndarray:
     """Random noise positions: off the walls, away from the room center in
-    the x-y plane, and angularly spread.  Deterministic given the seed."""
+    the x-y plane, and angularly spread (the ``NOISE_*`` constants).
+    Deterministic given the seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = np.random.default_rng(seed)
     dims = np.asarray(room.dimensions)
-    lo = np.full(3, wall_margin)
-    hi = dims - wall_margin
+    lo = np.full(3, NOISE_WALL_MARGIN)
+    hi = dims - NOISE_WALL_MARGIN
     if np.any(lo >= hi):
         raise ValueError("wall margin leaves no feasible region")
     center = dims[:2] / 2.0
@@ -317,19 +316,19 @@ def place_noise_sources(
     angles: list[float] = []
     tries = 0
     while len(chosen) < count:
-        if tries >= max_tries:
+        if tries >= NOISE_MAX_TRIES:
             raise RuntimeError(
-                f"could not place {count} noise sources after {max_tries} draws; "
+                f"could not place {count} noise sources after {NOISE_MAX_TRIES} draws; "
                 "constraints too tight for this room"
             )
         tries += 1
         cand = rng.uniform(lo, hi)
         offset = cand[:2] - center
-        if np.hypot(*offset) < min_radius:
+        if np.hypot(*offset) < NOISE_MIN_RADIUS:
             continue
         ang = np.degrees(np.arctan2(offset[1], offset[0]))
         sep = [min(abs(ang - a) % 360.0, 360.0 - abs(ang - a) % 360.0) for a in angles]
-        if sep and min(sep) < min_angle_deg:
+        if sep and min(sep) < NOISE_MIN_ANGLE_DEG:
             continue
         chosen.append(cand)
         angles.append(ang)
@@ -378,20 +377,15 @@ def scenario_rirs(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return padded[0], padded[1]
 
 
-def mix(
-    scenario: Scenario,
-    target_signals: np.ndarray,
-    noise_signals: np.ndarray | None = None,
-    white_seed: int | None = None,
-) -> MixtureBundle:
+def mix(scenario: Scenario, target_signals: np.ndarray) -> MixtureBundle:
     """Convolve, calibrate, and sum a scene into a MixtureBundle.
 
     The first source is the target reference: every other source is scaled
     so its image energy at microphone 0 sits ``isir_db`` below the target's.
-    Point noises (generated pink clips unless given) plus a white component
-    ``10^white_exponent`` relative to them are scaled to hit ``isnr_db``
-    against the summed source images at microphone 0; ``isnr_db = None``
-    disables noise entirely.
+    Point noises (pink clips drawn from the scenario seed) plus a white
+    component ``10^white_exponent`` relative to them are scaled to hit
+    ``isnr_db`` against the summed source images at microphone 0;
+    ``isnr_db = None`` disables noise entirely.
     """
     targets = np.atleast_2d(np.asarray(target_signals, dtype=float))
     n_src = scenario.n_sources
@@ -418,23 +412,15 @@ def mix(
         gains[k] = np.sqrt(e_ref * 10.0 ** (-scenario.isir_db / 10.0) / e_k)
     images = images * gains[:, None, None]
 
-    rng = np.random.default_rng(scenario.seed if white_seed is None else white_seed)
+    rng = np.random.default_rng(scenario.seed)
     sigma_v = 0.0
     white_scale = 0.0
     noise_obs = np.zeros((n_mics, n_samples))
     k_noise = noise_rirs.shape[0]
-    if scenario.isnr_db is not None and (k_noise > 0 or scenario.white_exponent is not None):
-        if noise_signals is None:
-            noise_signals = np.stack(
-                [pink_noise(rng, n_samples) for _ in range(k_noise)]
-            ) if k_noise else np.zeros((0, n_samples))
-        else:
-            noise_signals = np.atleast_2d(np.asarray(noise_signals, dtype=float))
-            if noise_signals.shape[0] != k_noise:
-                raise ValueError(f"expected {k_noise} noise signals")
+    if scenario.isnr_db is not None:
         if k_noise:
             v_point = np.sum(
-                [_convolve_to_mics(noise_signals[k], noise_rirs[k]) for k in range(k_noise)],
+                [_convolve_to_mics(pink_noise(rng, n_samples), h) for h in noise_rirs],
                 axis=0,
             )
         else:
@@ -458,7 +444,6 @@ def mix(
     return MixtureBundle(
         observations=observations,
         source_images=images,
-        reference_images=images[:, 0, :],
         noise_observation=noise_obs,
         sample_rate=scenario.room.sample_rate,
         gains={

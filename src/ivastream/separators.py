@@ -51,6 +51,8 @@ _DEFAULT_FORGETTING = {
     Algorithm.BIIVA: 0.98,
 }
 
+WEIGHT_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SeparatorConfig:
@@ -70,7 +72,6 @@ class SeparatorConfig:
     forgetting: float | None = None
     inner_iters: int = 1
     loading: float = 1e-9
-    weight_floor: float = 1e-12
 
     def __post_init__(self):
         algo = Algorithm(self.algorithm)
@@ -85,8 +86,6 @@ class SeparatorConfig:
             raise ValueError("inner_iters must be >= 0")
         if self.loading < 0:
             raise ValueError("loading must be >= 0")
-        if self.weight_floor <= 0:
-            raise ValueError("weight_floor must be > 0")
         if algo is Algorithm.AUXIVA:
             if self.n_channels != self.n_sources:
                 raise ValueError("auxiva is determined: n_channels must equal n_sources")
@@ -175,7 +174,7 @@ def contrast_weight(state: SeparatorState, x: np.ndarray, n: int) -> float:
     """
     y = np.einsum("im,im->i", state.W[:, n, :], x)
     power = float(np.sum(np.abs(y) ** 2)) / state.n_bins
-    return 1.0 / max(power, state.config.weight_floor)
+    return 1.0 / max(power, WEIGHT_FLOOR)
 
 
 def update_weighted_cov(v: np.ndarray, xxh: np.ndarray, weight: float, alpha: float) -> None:

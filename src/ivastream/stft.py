@@ -20,7 +20,6 @@ import numpy as np
 class StftConfig:
     fft_size: int = 1024
     hop: int = 256
-    window: str = "hann"
     sample_rate: int = 16000
 
     def __post_init__(self):
@@ -28,8 +27,6 @@ class StftConfig:
             raise ValueError("fft_size and hop must be positive")
         if self.fft_size % self.hop != 0:
             raise ValueError(f"hop {self.hop} must divide fft_size {self.fft_size}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 

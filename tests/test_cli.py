@@ -207,6 +207,24 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         assert all(float(r["sir_db"]) > 100.0 for r in rows)
 
+    def test_out_of_range_reference_channel_is_a_usage_error(self, tmp_path, mixture_dir, capsys):
+        refs = str(mixture_dir / "reference_images.wav")
+        code = main(
+            [
+                "evaluate",
+                refs,
+                refs,
+                "--mixture",
+                str(mixture_dir / "observations.wav"),
+                "--out",
+                str(tmp_path / "e"),
+                "--reference-channel",
+                "2",
+            ]
+        )
+        assert code == 2
+        assert "reference channel 2" in capsys.readouterr().err
+
 
 def _mini_manifest(tmp_path, **overrides):
     scn = _mini_scenario(tmp_path)
@@ -279,3 +297,22 @@ class TestBenchmark:
         manifest = _mini_manifest(tmp_path, separators={"auxiva": "nope.json"})
         assert main(["benchmark", manifest]) == 2
         assert "do not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"evaluation": {"bogus": 1}}, "$.evaluation"),
+            ({"evaluation": {"segment_seconds": "2"}}, "$.evaluation.segment_seconds"),
+            ({"duration_second": 30.0}, "duration_second"),
+            ({"stft": {"fft_size": 512, "hop": 128, "window": "hann"}}, "$.stft"),
+        ],
+    )
+    def test_manifest_schema_violation_is_a_config_error(
+        self, tmp_path, capsys, overrides, where
+    ):
+        manifest = _mini_manifest(tmp_path, **overrides)
+        assert main(["benchmark", manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ")
+        assert where in err
+        assert not (tmp_path / "bench").exists()

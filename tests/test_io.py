@@ -1,8 +1,9 @@
-"""I/O tests: WAV normalization and round trips, pcm16 rounding/clipping
-metadata, and schema-validated scenario/separator loading."""
+"""I/O tests: WAV normalization and round trips, and schema-validated
+scenario, separator and manifest loading."""
 
 import json
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ivastream.io import (
     ConfigError,
     CorruptWavFile,
     UnsupportedWavFormat,
+    load_manifest,
     load_scenario,
     load_separator_config,
     read_wav,
@@ -38,8 +40,7 @@ def test_float32_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     original = rng.standard_normal((3, 500)).astype(np.float32).astype(np.float64)
     path = tmp_path / "f32.wav"
-    info = write_wav(AudioBuffer(original, 16000), path)
-    assert info.clipped_samples == 0
+    write_wav(AudioBuffer(original, 16000), path)
     back = read_wav(path)
     assert back.sample_rate == 16000
     assert back.samples.shape == (3, 500)
@@ -62,28 +63,9 @@ def test_pcm16_full_scale_normalization(tmp_path):
     assert_array_equal(buf.samples[0], [32767 / 32768, -1.0, 0.0, 0.5])
 
 
-def test_pcm16_write_rounds_halves_away_from_zero(tmp_path):
-    x = np.array([[100.5 / 32768, -100.5 / 32768, 0.25 / 32768]])
-    path = tmp_path / "round.wav"
-    info = write_wav(AudioBuffer(x, 16000), path, fmt="pcm16")
-    assert info.clipped_samples == 0
-    _, data = wavfile.read(path)
-    assert data.tolist() == [101, -101, 0]
-
-
-def test_pcm16_write_counts_clipped_samples(tmp_path):
-    x = np.array([[1.5, -1.5, 0.0, 1.0]])
-    path = tmp_path / "clip.wav"
-    info = write_wav(AudioBuffer(x, 16000), path, fmt="pcm16")
-    # +1.0 scales to exactly 32768, one past the positive rail
-    assert info.clipped_samples == 3
-    _, data = wavfile.read(path)
-    assert data.tolist() == [32767, -32768, 0, 32767]
-
-
 def test_pcm16_zeros_round_trip(tmp_path):
     path = tmp_path / "zeros.wav"
-    write_wav(AudioBuffer(np.zeros((1, 32)), 16000), path, fmt="pcm16")
+    wavfile.write(path, 16000, np.zeros(32, dtype=np.int16))
     assert_array_equal(read_wav(path).samples, np.zeros((1, 32)))
 
 
@@ -108,8 +90,6 @@ def test_unsupported_codec_and_corrupt_file(tmp_path):
     cpath.write_bytes(b"definitely not RIFF data")
     with pytest.raises(CorruptWavFile):
         read_wav(cpath)
-    with pytest.raises(UnsupportedWavFormat, match="pcm8"):
-        write_wav(AudioBuffer(np.zeros((1, 4)), 8000), tmp_path / "x.wav", fmt="pcm8")
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +231,36 @@ def test_separator_schema_rejects_unknown_keys_and_bad_enum(tmp_path):
                 tmp_path, "b.json", {"algorithm": "ica", "n_channels": 4, "n_sources": 2}
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# benchmark manifest loading
+
+
+def test_manifest_paths_resolve_against_its_directory(tmp_path):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    shipped = load_manifest(configs / "desk_manifest.json")
+    assert shipped["scenario"] == configs / "desk_scenario.json"
+    assert shipped["separators"]["biiva"] == configs / "biiva.json"
+    # absolute paths, as in a manifest written elsewhere, pass through unchanged
+    doc = json.loads((configs / "desk_manifest.json").read_text())
+    doc["scenario"] = str(configs / "desk_scenario.json")
+    doc["separators"] = {"overiva": str(configs / "overiva.json")}
+    moved = load_manifest(_write_json(tmp_path, "manifest.json", doc))
+    assert moved["scenario"] == configs / "desk_scenario.json"
+    assert moved["separators"] == {"overiva": configs / "overiva.json"}
+
+
+def test_manifest_schema_rejects_unknown_keys_and_bad_types(tmp_path):
+    base = {"scenario": "s.json", "separators": {"a": "a.json"}, "seeds": [0], "output_dir": "o"}
+    cases = [
+        ({"duration_second": 30.0}, r"\$: .*'duration_second' was unexpected"),
+        ({"evaluation": {"bogus": 1}}, r"\$\.evaluation: .*'bogus' was unexpected"),
+        ({"evaluation": {"segment_seconds": "2"}}, r"\$\.evaluation\.segment_seconds"),
+        ({"stft": {"window": "hann"}}, r"\$\.stft: .*'window' was unexpected"),
+        ({"seeds": []}, r"\$\.seeds"),
+    ]
+    for extra, match in cases:
+        path = _write_json(tmp_path, "manifest.json", {**base, **extra})
+        with pytest.raises(ConfigError, match=match):
+            load_manifest(path)

@@ -2,6 +2,8 @@
 against closed-form single-path cases, reverberation-time calibration against
 the backward-integration oracle, and mixture calibration exactness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -54,8 +56,6 @@ def test_room_contains_with_margin():
     room = Room((7.0, 8.0, 3.5), 0.5)
     assert room.contains((3.5, 4.0, 1.0))
     assert not room.contains((7.5, 4.0, 1.0))
-    assert room.contains((0.6, 4.0, 1.0), margin=0.5)
-    assert not room.contains((0.4, 4.0, 1.0), margin=0.5)
 
 
 def test_grid_array_is_row_major_and_centered():
@@ -126,14 +126,6 @@ def test_rir_is_reciprocal():
     h_ab = image_source_rir(room, a, b)
     h_ba = image_source_rir(room, b, a)
     assert_allclose(h_ab, h_ba, atol=1e-10 * np.abs(h_ab).max())
-
-
-def test_rir_truncation_is_exact_prefix():
-    room = Room((5.0, 4.0, 3.0), 0.6, max_image_order=4)
-    h = image_source_rir(room, (1.2, 1.1, 1.3), (3.7, 2.9, 1.8))
-    h_short = image_source_rir(room, (1.2, 1.1, 1.3), (3.7, 2.9, 1.8), n_samples=500)
-    assert h_short.shape == (500,)
-    assert_array_equal(h_short, h[:500])
 
 
 def test_rir_rejects_bad_positions():
@@ -215,8 +207,8 @@ def test_noise_placement_fails_when_room_too_small():
     # center offset can never reach the 3 m radius in a 4x4 room
     room = Room((4.0, 4.0, 3.0), 0.5)
     with pytest.raises(RuntimeError, match="could not place"):
-        place_noise_sources(room, 1, seed=0, max_tries=500)
-    assert place_noise_sources(room, 0, seed=0, max_tries=10).shape == (0, 3)
+        place_noise_sources(room, 1, seed=0)
+    assert place_noise_sources(room, 0, seed=0).shape == (0, 3)
 
 
 def test_pink_noise_is_normalized_and_low_frequency_heavy():
@@ -273,7 +265,6 @@ def test_mix_observations_are_exact_sum_of_parts():
     assert_array_equal(
         bundle.observations, bundle.source_images.sum(axis=0) + bundle.noise_observation
     )
-    assert_array_equal(bundle.reference_images, bundle.source_images[:, 0, :])
 
 
 def test_mix_white_component_sits_below_point_noise():
@@ -307,7 +298,7 @@ def test_mix_is_deterministic_and_seed_sensitive():
     b1 = mix(scen, sig)
     b2 = mix(scen, sig)
     assert_array_equal(b1.observations, b2.observations)
-    b3 = mix(scen, sig, white_seed=123)
+    b3 = mix(replace(scen, seed=123), sig)
     assert_array_equal(b1.source_images, b3.source_images)
     assert not np.array_equal(b1.noise_observation, b3.noise_observation)
 
@@ -321,8 +312,6 @@ def test_mix_input_validation():
     bad[1] = 0.0
     with pytest.raises(ValueError, match="zero-energy"):
         mix(scen, bad)
-    with pytest.raises(ValueError, match="expected 1 noise signals"):
-        mix(scen, sig, noise_signals=np.ones((2, sig.shape[1])))
 
 
 def test_scenario_rirs_pads_to_equal_length():

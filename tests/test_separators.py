@@ -156,7 +156,7 @@ class TestRecursions:
         assert sep.contrast_weight(st, x, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_contrast_weight_floor_on_silence(self):
-        cfg = SeparatorConfig(3, 3, "auxiva", weight_floor=1e-12)
+        cfg = SeparatorConfig(3, 3, "auxiva")
         st = sep.init_state(cfg, 4)
         assert sep.contrast_weight(st, np.zeros((4, 3), complex), 0) == 1e-12**-1
 
