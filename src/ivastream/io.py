@@ -100,11 +100,21 @@ def write_wav(buffer: AudioBuffer, path) -> None:
         raise CorruptWavFile(f"{path}: {exc}") from exc
 
 
+# JSON Schema counts 2.0 as an integer; the configs feed sizes and counts to
+# code that needs a Python int, so "integer" means int here (bool excluded)
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
 def _validate(doc, schema_name: str, context: str) -> None:
     schema = json.loads(
         resources.files("ivastream.schemas").joinpath(schema_name).read_text()
     )
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:
         err = errors[0]

@@ -127,14 +127,19 @@ def _checked_solve(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return x
 
 
+def frobenius_shift(a: np.ndarray, loading: float) -> np.ndarray:
+    """Diagonal shift ``loading * ||A||_F / sqrt(K)`` of each (..., K, K)
+    matrix: the trace of a general complex matrix is not a usable scale, so
+    the Frobenius norm stands in."""
+    scale = np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(a.shape[-1])
+    return loading * scale
+
+
 def _frobenius_load(a: np.ndarray, loading: float) -> np.ndarray:
-    """``A + loading * (||A||_F / sqrt(K)) * I``: the trace of a general
-    complex matrix is not a usable scale, so the Frobenius norm stands in."""
+    """``A + frobenius_shift(A, loading) * I``."""
     if loading <= 0:
         return a
-    m = a.shape[-1]
-    scale = np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(m)
-    return a + (loading * scale)[..., None, None] * np.eye(m)
+    return a + frobenius_shift(a, loading)[..., None, None] * np.eye(a.shape[-1])
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.ndarray:

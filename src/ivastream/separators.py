@@ -9,7 +9,9 @@ extraction filter of length ``M`` into a Kronecker product of two
 sub-filters of lengths ``M1 * M2 == M`` and updates them alternately.
 
 Every filter update starts from ``u = W^{-1} e_n``, solved once per source
-and pass.  :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
+and pass.  With more channels than sources the noise rows ``[J, -I]`` reduce
+that solve, and projection back's, to an N x N system (:func:`_source_block`).
+:func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
 to 1; the two bilinear updates are the same IP step on the covariance and
 on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
 ``Delta^H u``), and both read the same ``u``.
@@ -236,6 +238,36 @@ def bilinear_update_2(
     return ip_update(rhs, numerics.congruence(delta, v), loading)
 
 
+def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray, np.ndarray]:
+    """N x N system equivalent to the loaded demixing matrix.
+
+    The solves load ``W`` as ``W_l = W + s I`` with
+    ``s = numerics.frobenius_shift(W, loading)``.  With the noise rows at
+    ``[J, -I]`` this is ``W_l = [[A + s I, B], [J, (s - 1) I]]``, and
+    eliminating the noise block leaves ``S = A + s I + B K`` with
+    ``K = J / (1 - s)``: ``W_l^{-1} e_n = [u; K u]`` for ``S u = e_n``
+    (``n < N``), and the first N entries of row ``r`` of ``W_l^{-1}`` solve
+    ``S^T x = e_r`` for ``r < N`` or ``S^T x = K[r - N]`` for a noise
+    channel.  ``det W_l = (s - 1)^{M - N} det S``, so ``S`` is singular
+    exactly when ``W_l`` is (``s``, ``loading`` times the RMS row norm of
+    ``W``, stays far below 1).  Returns ``(S, K)``.
+    """
+    s = numerics.frobenius_shift(w, loading)
+    k = w[..., n_src:, :n_src] / (1.0 - s)[..., None, None]
+    s_mat = w[..., :n_src, :n_src] + s[..., None, None] * np.eye(n_src)
+    return s_mat + w[..., :n_src, n_src:] @ k, k
+
+
+def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.ndarray:
+    """Column ``n < N`` of the loaded ``W^{-1}``, as ``numerics.solve_column``
+    gives it; through :func:`_source_block` when ``W`` has a noise block."""
+    if w.shape[-1] == n_src:
+        return numerics.solve_column(w, n, loading)
+    s_mat, k = _source_block(w, n_src, loading)
+    u = numerics.solve_column(s_mat, n)
+    return np.concatenate([u, (k @ u[..., None])[..., 0]], axis=-1)
+
+
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
     """Advance one stream by one frame and return the separated spectra.
 
@@ -265,7 +297,7 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
         update_weighted_cov(state.V[n], xxh, contrast_weight(state, x, n), alpha)
         try:
             for _ in range(cfg.inner_iters):
-                u = numerics.solve_column(state.W, n, cfg.loading)
+                u = _inverse_column(state.W, n, n_src, cfg.loading)
                 if cfg.algorithm is Algorithm.BIIVA:
                     # both sub-updates read the same pre-update W, hence one u
                     w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
@@ -305,12 +337,20 @@ def projection_back(
     resolving the per-bin scaling ambiguity of the demixing solution.
     """
     cfg = state.config
-    if not 0 <= reference_channel < cfg.n_channels:
-        raise ValueError(f"reference channel {reference_channel} out of range")
-    # row `ref` of W^{-1} is column `ref` of (W^T)^{-1}
-    row = numerics.solve_column(
-        np.swapaxes(state.W, -1, -2), reference_channel, cfg.loading
-    )  # (I, M)
+    n_src, ref = cfg.n_sources, reference_channel
+    if not 0 <= ref < cfg.n_channels:
+        raise ValueError(f"reference channel {ref} out of range")
+    if cfg.n_channels == n_src:
+        # row `ref` of W^{-1} is column `ref` of (W^T)^{-1}
+        row = numerics.solve_column(np.swapaxes(state.W, -1, -2), ref, cfg.loading)
+    else:
+        s_mat, k = _source_block(state.W, n_src, cfg.loading)
+        s_t = np.swapaxes(s_mat, -1, -2)
+        if ref < n_src:
+            row = numerics.solve_column(s_t, ref)
+        else:
+            row = numerics.solve_general(s_t, k[..., ref - n_src, :, None],
+                                         context="projection_back")[..., 0]
     return y * row.T[: y.shape[0]]
 
 

@@ -305,6 +305,8 @@ class TestBenchmark:
             ({"evaluation": {"segment_seconds": "2"}}, "$.evaluation.segment_seconds"),
             ({"duration_second": 30.0}, "duration_second"),
             ({"stft": {"fft_size": 512, "hop": 128, "window": "hann"}}, "$.stft"),
+            # JSON Schema's own "integer" admits 128.0, which the STFT cannot use
+            ({"stft": {"fft_size": 512, "hop": 128.0}}, "$.stft.hop: 128.0 is not of type"),
         ],
     )
     def test_manifest_schema_violation_is_a_config_error(

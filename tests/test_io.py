@@ -233,6 +233,13 @@ def test_separator_schema_rejects_unknown_keys_and_bad_enum(tmp_path):
         )
 
 
+def test_separator_schema_rejects_integral_float(tmp_path):
+    # JSON Schema's own "integer" admits 2.0, which init_state cannot use
+    doc = {"algorithm": "auxiva", "n_channels": 2.0, "n_sources": 2}
+    with pytest.raises(ConfigError, match=r"\$\.n_channels: 2\.0 is not of type 'integer'"):
+        load_separator_config(_write_json(tmp_path, "a.json", doc))
+
+
 # ---------------------------------------------------------------------------
 # benchmark manifest loading
 

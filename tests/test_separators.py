@@ -29,6 +29,14 @@ def _assert_hermitian(a, rtol):
     assert dev <= rtol * np.abs(a).max()
 
 
+def _reachable_w(rng, n_bins, m, n_src):
+    """Random demixing matrices with the noise rows ``[J, -I]`` every
+    overdetermined state keeps."""
+    w = _cplx(rng, n_bins, m, m)
+    w[:, n_src:, n_src:] = -np.eye(m - n_src)
+    return w
+
+
 def _spectral_frames(rng, n_frames, n_bins, n_channels, cfg=None):
     cfg = cfg or StftConfig()
     return [
@@ -372,6 +380,24 @@ class TestProcessFrame:
                 )
                 assert (np.linalg.norm(resid, axis=(-2, -1)) / scale).max() <= 1e-8
 
+    @pytest.mark.parametrize("inner_iters", [0, 1])
+    @pytest.mark.parametrize("algo, kwargs", [("overiva", {}), ("biiva", {"sub_len_1": 3, "sub_len_2": 2})])
+    def test_noise_rows_stay_j_minus_identity(self, algo, kwargs, inner_iters):
+        # the N x N solves of _source_block rely on noise rows [J, -I]
+        rng = np.random.default_rng(23)
+        cfg = SeparatorConfig(6, 2, algo, inner_iters=inner_iters, **kwargs)
+        st = sep.init_state(cfg, 8)
+        minus_eye = np.tile(-np.eye(4), (8, 1, 1))
+
+        def check():
+            np.testing.assert_array_equal(st.W[:, 2:, 2:], minus_eye)
+            np.testing.assert_array_equal(st.W[:, 2:, :2], st.J)
+
+        check()
+        for frame in _spectral_frames(rng, 10, 8, 6):
+            sep.process_frame(st, frame)
+            check()
+
     def test_deterministic_byte_identical(self):
         rng = np.random.default_rng(16)
         frames = _spectral_frames(rng, 20, 8, 4)
@@ -451,17 +477,45 @@ class TestMonotonicity:
                 prev = cur
 
 
+class TestSourceBlock:
+    """The N x N solves against the loaded M x M demixing matrix."""
+
+    @pytest.mark.parametrize("loading", [0.0, 1e-3])
+    def test_inverse_column_matches_full_solve(self, loading):
+        rng = np.random.default_rng(24)
+        w = _reachable_w(rng, 16, 9, 2)
+        for n in range(2):
+            np.testing.assert_allclose(
+                sep._inverse_column(w, n, 2, loading), nx.solve_column(w, n, loading), rtol=1e-10
+            )
+
+    @pytest.mark.parametrize("loading", [0.0, 1e-3])
+    def test_projection_back_matches_loaded_inverse(self, loading):
+        rng = np.random.default_rng(25)
+        st = sep.init_state(SeparatorConfig(9, 2, "overiva", loading=loading), 16)
+        st.W = _reachable_w(rng, 16, 9, 2)
+        st.J = st.W[:, 2:, :2].copy()
+        y = _cplx(rng, 2, 16)
+        w_l = st.W + nx.frobenius_shift(st.W, loading)[:, None, None] * np.eye(9)
+        winv = np.linalg.inv(w_l)
+        for ref in range(9):
+            out = sep.projection_back(st, y, reference_channel=ref)
+            np.testing.assert_allclose(out, y * winv[:, ref, :2].T, rtol=1e-10)
+
+
 class TestProjectionBack:
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(19)
         cfg = SeparatorConfig(4, 2, "overiva", loading=0.0)
         st = sep.init_state(cfg, 6)
-        st.W = _cplx(rng, 6, 4, 4)
+        st.W = _reachable_w(rng, 6, 4, 2)
+        st.J = st.W[:, 2:, :2].copy()
         y = _cplx(rng, 2, 6)
-        out = sep.projection_back(st, y, reference_channel=2)
         winv = np.linalg.inv(st.W)
-        expect = y * np.stack([winv[:, 2, 0], winv[:, 2, 1]])
-        np.testing.assert_allclose(out, expect, rtol=1e-8, atol=1e-10)
+        for ref in range(4):
+            out = sep.projection_back(st, y, reference_channel=ref)
+            expect = y * np.stack([winv[:, ref, 0], winv[:, ref, 1]])
+            np.testing.assert_allclose(out, expect, rtol=1e-8, atol=1e-10)
 
     def test_scaled_identity_halves(self):
         cfg = SeparatorConfig(2, 2, "auxiva")
