@@ -1,14 +1,15 @@
 """Alternating parent/change runs of the perfbench benchmark.
 
     python3 bench/pairs.py --parent ../parent --change . --workload stream_desk \
-        --seeds 941-950 [--trace 1] [--out pairs.json]
+        --seeds 941-950 [--trace 1] [--out BENCH.json --key pairs_stream_desk]
 
 Each seed is one pair: ``perfbench/run.py`` runs once in each checkout with
-the same arguments, the side that goes first alternating from pair to pair.
-Prints, per metric, each side's median and quartiles, the median ratio
-(change / parent) and how many pairs the change won (lower is better for
-every metric the benchmark reports; ties count for neither side).  With
-``--out`` the runs and the summary are written as JSON.
+the same arguments and the ``run_seconds`` of BENCHMARK.json, the side that
+goes first alternating from pair to pair.  Prints, per metric, each side's
+median and quartiles, the median ratio (change / parent) and how many pairs
+the change won (lower is better for every metric the benchmark reports;
+ties count for neither side).  With ``--out`` the runs and the summary are
+stored in that JSON file under ``--key``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from record import store
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                         .read_text())["run_seconds"]
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run; returns {metric: value} from its JSON result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -76,19 +82,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 941-950 or 3,7")
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seeds", required=True, help="e.g. 941-950 or 3,7")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--key", help="name of this measurement in --out")
     args = parser.parse_args(argv)
+    if (args.out is None) != (args.key is None):
+        parser.error("--out and --key go together")
 
     runs = []
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            pair[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+            pair[side] = run_once(checkout, args.workload, seed, args.trace)
         runs.append(pair)
         print(f"seed {seed}: " + " ".join(
             f"{name} {pair['parent'][name]:.4g}->{pair['change'][name]:.4g}"
@@ -103,9 +111,11 @@ def main(argv=None) -> int:
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}] ratio {ratio} "
               f"change wins {s['change_wins']}/{s['pairs']}")
     if args.out:
-        doc = {"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
-               "runs": runs, "summary": summary}
-        args.out.write_text(json.dumps(doc, indent=1))
+        command = (f"python3 bench/pairs.py --parent <parent checkout> --change <change checkout> "
+                   f"--workload {args.workload} --seeds {args.seeds} --trace {args.trace} "
+                   f"--out {args.out.name} --key {args.key}")
+        store(args.out, args.key, {"command": command, "run_seconds": RUN_SECONDS,
+                                   "summary": summary, "runs": runs})
     return 0
 
 

@@ -238,34 +238,34 @@ def bilinear_update_2(
     return ip_update(rhs, numerics.congruence(delta, v), loading)
 
 
-def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray, np.ndarray]:
+def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N x N system equivalent to the loaded demixing matrix.
 
     The solves load ``W`` as ``W_l = W + s I`` with
     ``s = numerics.frobenius_shift(W, loading)``.  With the noise rows at
     ``[J, -I]`` this is ``W_l = [[A + s I, B], [J, (s - 1) I]]``, and
-    eliminating the noise block leaves ``S = A + s I + B K`` with
-    ``K = J / (1 - s)``: ``W_l^{-1} e_n = [u; K u]`` for ``S u = e_n``
+    eliminating the noise block leaves ``S = A + s I + c B J`` with
+    ``c = 1 / (1 - s)``: ``W_l^{-1} e_n = [u; c J u]`` for ``S u = e_n``
     (``n < N``), and the first N entries of row ``r`` of ``W_l^{-1}`` solve
-    ``S^T x = e_r`` for ``r < N`` or ``S^T x = K[r - N]`` for a noise
+    ``S^T x = e_r`` for ``r < N`` or ``S^T x = c J[r - N]`` for a noise
     channel.  ``det W_l = (s - 1)^{M - N} det S``, so ``S`` is singular
     exactly when ``W_l`` is (``s``, ``loading`` times the RMS row norm of
-    ``W``, stays far below 1).  Returns ``(S, K)``.
+    ``W``, stays far below 1).  Without a noise block (M == N) ``S`` is
+    ``W_l`` itself.  Returns ``(S, J, c)``, ``c`` shaped (..., 1, 1).
     """
-    s = numerics.frobenius_shift(w, loading)
-    k = w[..., n_src:, :n_src] / (1.0 - s)[..., None, None]
-    s_mat = w[..., :n_src, :n_src] + s[..., None, None] * np.eye(n_src)
-    return s_mat + w[..., :n_src, n_src:] @ k, k
+    s = numerics.frobenius_shift(w, loading)[..., None, None]
+    c = 1.0 / (1.0 - s)
+    j = w[..., n_src:, :n_src]
+    bj = np.einsum("...ik,...kj->...ij", w[..., :n_src, n_src:], j)
+    return w[..., :n_src, :n_src] + s * np.eye(n_src) + c * bj, j, c
 
 
 def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.ndarray:
     """Column ``n < N`` of the loaded ``W^{-1}``, as ``numerics.solve_column``
-    gives it; through :func:`_source_block` when ``W`` has a noise block."""
-    if w.shape[-1] == n_src:
-        return numerics.solve_column(w, n, loading)
-    s_mat, k = _source_block(w, n_src, loading)
+    gives it, through :func:`_source_block`."""
+    s_mat, j, c = _source_block(w, n_src, loading)
     u = numerics.solve_column(s_mat, n)
-    return np.concatenate([u, (k @ u[..., None])[..., 0]], axis=-1)
+    return np.concatenate([u, c[..., 0] * np.einsum("...ij,...j->...i", j, u)], axis=-1)
 
 
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
@@ -340,17 +340,13 @@ def projection_back(
     n_src, ref = cfg.n_sources, reference_channel
     if not 0 <= ref < cfg.n_channels:
         raise ValueError(f"reference channel {ref} out of range")
-    if cfg.n_channels == n_src:
-        # row `ref` of W^{-1} is column `ref` of (W^T)^{-1}
-        row = numerics.solve_column(np.swapaxes(state.W, -1, -2), ref, cfg.loading)
+    s_mat, j, c = _source_block(state.W, n_src, cfg.loading)
+    s_t = np.swapaxes(s_mat, -1, -2)
+    if ref < n_src:
+        row = numerics.solve_column(s_t, ref)
     else:
-        s_mat, k = _source_block(state.W, n_src, cfg.loading)
-        s_t = np.swapaxes(s_mat, -1, -2)
-        if ref < n_src:
-            row = numerics.solve_column(s_t, ref)
-        else:
-            row = numerics.solve_general(s_t, k[..., ref - n_src, :, None],
-                                         context="projection_back")[..., 0]
+        row = numerics.solve_general(s_t, c * j[..., ref - n_src, :, None],
+                                     context="projection_back")[..., 0]
     return y * row.T[: y.shape[0]]
 
 

@@ -502,6 +502,16 @@ class TestSourceBlock:
             out = sep.projection_back(st, y, reference_channel=ref)
             np.testing.assert_allclose(out, y * winv[:, ref, :2].T, rtol=1e-10)
 
+    @pytest.mark.parametrize("loading", [0.0, 1e-3])
+    def test_without_noise_block_is_the_full_solve(self, loading):
+        # auxiva (M == N): S is the loaded W itself, so the solve is the same
+        rng = np.random.default_rng(26)
+        w = _cplx(rng, 16, 3, 3)
+        for n in range(3):
+            np.testing.assert_array_equal(
+                sep._inverse_column(w, n, 3, loading), nx.solve_column(w, n, loading)
+            )
+
 
 class TestProjectionBack:
     def test_matches_explicit_inverse(self):
