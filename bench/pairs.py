@@ -23,15 +23,14 @@ from pathlib import Path
 
 from record import store
 
-RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-                         .read_text())["run_seconds"]
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run; returns {metric: value} from its JSON result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -89,6 +88,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if (args.out is None) != (args.key is None):
         parser.error("--out and --key go together")
+    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
 
     runs = []
     for k, seed in enumerate(parse_seeds(args.seeds)):
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            pair[side] = run_once(checkout, args.workload, seed, args.trace)
+            pair[side] = run_once(checkout, args.workload, seed, seconds, args.trace)
         runs.append(pair)
         print(f"seed {seed}: " + " ".join(
             f"{name} {pair['parent'][name]:.4g}->{pair['change'][name]:.4g}"
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         command = (f"python3 bench/pairs.py --parent <parent checkout> --change <change checkout> "
                    f"--workload {args.workload} --seeds {args.seeds} --trace {args.trace} "
                    f"--out {args.out.name} --key {args.key}")
-        store(args.out, args.key, {"command": command, "run_seconds": RUN_SECONDS,
+        store(args.out, args.key, {"command": command, "run_seconds": seconds,
                                    "summary": summary, "runs": runs})
     return 0
 
