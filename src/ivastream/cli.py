@@ -121,7 +121,7 @@ def _measured_baselines(bundle) -> dict:
     }
 
 
-def _synthesize_mixture(scenario, duration: float, source_paths=None):
+def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None):
     fs = scenario.room.sample_rate
     if source_paths:
         if len(source_paths) != scenario.n_sources:
@@ -144,7 +144,7 @@ def _synthesize_mixture(scenario, duration: float, source_paths=None):
                 for k in range(scenario.n_sources)
             ]
         )
-    return roomsim.mix(scenario, sources)
+    return roomsim.mix(scenario, sources, rirs)
 
 
 def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=None) -> int:
@@ -336,9 +336,11 @@ def run_benchmark(manifest_path, out_override=None) -> int:
     timing_rows = []
     failures = []
 
+    # a seed changes the signals, not the geometry: one set of RIRs serves all
+    rirs = roomsim.scenario_rirs(scenario0)
     for seed in manifest["seeds"]:
         scenario = replace(scenario0, seed=int(seed))
-        bundle = _synthesize_mixture(scenario, duration)
+        bundle = _synthesize_mixture(scenario, duration, rirs=rirs)
         mixture_ref = bundle.observations[eval_cfg.reference_channel]
         references = bundle.source_images[:, eval_cfg.reference_channel, :]
         for name, cfg in sep_cfgs.items():

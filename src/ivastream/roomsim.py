@@ -23,6 +23,7 @@ from scipy.signal import fftconvolve
 
 SPEED_OF_SOUND = 343.0
 SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
+_IMAGE_BLOCK = 1024  # images per windowed-sinc block: 81k taps stay in cache
 T60_FIT_DB = (-5.0, -35.0)  # decay-curve levels the T60 line is fitted between
 
 # noise placement: distance from every wall, minimum x-y distance from the
@@ -230,25 +231,15 @@ def default_image_order(room: Room, t60: float) -> int:
     return int(np.ceil(reach / (2.0 * min(room.dimensions)))) + 1
 
 
-def image_source_rir(room: Room, src, mic) -> np.ndarray:
-    """Room impulse response between one source and one microphone.
-
-    Vectorized over the image lattice; images beyond ``max_image_order``
-    per axis are dropped.  Returns float64 samples at the room's rate,
-    long enough to hold the last image's full interpolation kernel.
-    """
-    src = np.asarray(src, dtype=float)
-    mic = np.asarray(mic, dtype=float)
-    if not (room.contains(src) and room.contains(mic)):
-        raise ValueError("source and microphone must lie inside the room")
-    if np.allclose(src, mic):
-        raise ValueError("source and microphone positions coincide")
+def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
+    """Delay in fractional samples and amplitude of every lattice image of
+    ``src`` as heard at ``mic``; images beyond ``max_image_order`` per axis
+    are dropped."""
     dims = np.asarray(room.dimensions)
     beta = np.asarray(room.reflection).reshape(3, 2)  # [axis, lo/hi]
     order = room.max_image_order
     if order is None:
         order = default_image_order(room, max(t60_eyring(room), 1e-3))
-    fs = room.sample_rate
 
     rng_r = np.arange(-order, order + 1)
     r = np.stack(np.meshgrid(rng_r, rng_r, rng_r, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -263,18 +254,41 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
         * np.prod(beta[:, 1] ** np.abs(r)[:, None, :], axis=-1)
     ).ravel()
     amp = amp / (4.0 * np.pi * dist)
+    return dist / SPEED_OF_SOUND * room.sample_rate, amp
+
+
+def image_source_rir(room: Room, src, mic) -> np.ndarray:
+    """Room impulse response between one source and one microphone.
+
+    Vectorized over the image lattice (``_image_delays``), with the
+    windowed-sinc kernel evaluated ``_IMAGE_BLOCK`` images at a time.
+    Returns float64 samples at the room's rate, long enough to hold the
+    last image's full interpolation kernel.
+    """
+    src = np.asarray(src, dtype=float)
+    mic = np.asarray(mic, dtype=float)
+    if not (room.contains(src) and room.contains(mic)):
+        raise ValueError("source and microphone must lie inside the room")
+    if np.allclose(src, mic):
+        raise ValueError("source and microphone positions coincide")
+    delay, amp = _image_delays(room, src, mic)
 
     half = (SINC_TAPS - 1) // 2
-    delay = dist / SPEED_OF_SOUND * fs  # fractional samples
     n_samples = int(np.ceil(delay.max())) + half + 1
-    # windowed-sinc taps around each delay
+    # windowed-sinc taps around each delay, -half <= taps < n_samples
     first = np.ceil(delay - half).astype(np.int64)  # (n_img,)
-    taps = first[:, None] + np.arange(SINC_TAPS)[None, :]
-    t = taps - delay[:, None]  # in (-half-1, half+1)
-    window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
-    vals = amp[:, None] * np.sinc(t) * window
-    keep = (taps >= 0) & (taps < n_samples)
-    return np.bincount(taps[keep], weights=vals[keep], minlength=n_samples)
+    offsets = np.arange(SINC_TAPS)[None, :]
+    # bins -half..-1 collect the taps before t = 0 and are dropped; add.at
+    # sums in input order, so a bin's value does not depend on the blocking
+    out = np.zeros(n_samples + half)
+    for lo in range(0, delay.size, _IMAGE_BLOCK):
+        block = slice(lo, lo + _IMAGE_BLOCK)
+        taps = first[block, None] + offsets
+        t = taps - delay[block, None]  # in (-half-1, half+1)
+        window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
+        vals = amp[block, None] * np.sinc(t) * window
+        np.add.at(out, (taps + half).ravel(), vals.ravel())  # 1-D: add.at's fast path
+    return out[half:]
 
 
 def measure_t60(h: np.ndarray, sample_rate: int) -> float:
@@ -377,7 +391,7 @@ def scenario_rirs(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return padded[0], padded[1]
 
 
-def mix(scenario: Scenario, target_signals: np.ndarray) -> MixtureBundle:
+def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBundle:
     """Convolve, calibrate, and sum a scene into a MixtureBundle.
 
     The first source is the target reference: every other source is scaled
@@ -385,7 +399,9 @@ def mix(scenario: Scenario, target_signals: np.ndarray) -> MixtureBundle:
     Point noises (pink clips drawn from the scenario seed) plus a white
     component ``10^white_exponent`` relative to them are scaled to hit
     ``isnr_db`` against the summed source images at microphone 0;
-    ``isnr_db = None`` disables noise entirely.
+    ``isnr_db = None`` disables noise entirely.  ``rirs`` is the scenario's
+    ``scenario_rirs`` pair, computed here when not given: callers mixing
+    many seeds of one geometry compute it once.
     """
     targets = np.atleast_2d(np.asarray(target_signals, dtype=float))
     n_src = scenario.n_sources
@@ -396,7 +412,7 @@ def mix(scenario: Scenario, target_signals: np.ndarray) -> MixtureBundle:
     if np.any(energies == 0):
         raise ValueError("zero-energy target signal")
 
-    src_rirs, noise_rirs = scenario_rirs(scenario)
+    src_rirs, noise_rirs = scenario_rirs(scenario) if rirs is None else rirs
     n_mics = scenario.array.n_channels
 
     images = np.stack([_convolve_to_mics(targets[n], src_rirs[n]) for n in range(n_src)])

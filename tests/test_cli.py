@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ivastream import roomsim
 from ivastream.cli import main
 from ivastream.io import read_wav
 
@@ -244,9 +245,17 @@ def _mini_manifest(tmp_path, **overrides):
 
 
 class TestBenchmark:
-    def test_mini_sweep_outputs(self, tmp_path):
+    def test_mini_sweep_outputs(self, tmp_path, monkeypatch):
+        calls = []
+        rir = roomsim.image_source_rir
+        monkeypatch.setattr(
+            roomsim, "image_source_rir", lambda *args: calls.append(args) or rir(*args)
+        )
         manifest = _mini_manifest(tmp_path)
         assert main(["benchmark", manifest]) == 0
+        # one RIR per (emitter, mic) for the manifest: 3 emitters x 2 mics,
+        # not once more for every seed
+        assert len(calls) == 3 * 2
         root = tmp_path / "bench"
         for seed in [0, 1]:
             d = root / f"auxiva_seed{seed}"

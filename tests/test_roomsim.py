@@ -3,12 +3,14 @@ against closed-form single-path cases, reverberation-time calibration against
 the backward-integration oracle, and mixture calibration exactness."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ivastream.roomsim import (
+    SINC_TAPS,
     SPEED_OF_SOUND,
     ArrayGeometry,
     Room,
@@ -22,7 +24,9 @@ from ivastream.roomsim import (
     scenario_rirs,
     t60_to_reflection,
     _directional_t60,
+    _image_delays,
 )
+from ivastream.io import load_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,42 @@ def test_rir_rejects_bad_positions():
         image_source_rir(room, (6.0, 1.0, 1.0), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="coincide"):
         image_source_rir(room, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+
+def _one_shot_rir(room, src, mic):
+    """Reference kernel: every image's taps at once, the taps before t = 0
+    masked out and the rest summed by one bincount."""
+    delay, amp = _image_delays(room, np.asarray(src, float), np.asarray(mic, float))
+    half = (SINC_TAPS - 1) // 2
+    n_samples = int(np.ceil(delay.max())) + half + 1
+    first = np.ceil(delay - half).astype(np.int64)
+    taps = first[:, None] + np.arange(SINC_TAPS)[None, :]
+    t = taps - delay[:, None]
+    window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
+    vals = amp[:, None] * np.sinc(t) * window
+    keep = (taps >= 0) & (taps < n_samples)
+    return np.bincount(taps[keep], weights=vals[keep], minlength=n_samples)
+
+
+_DESK = load_scenario(Path(__file__).resolve().parent.parent / "configs" / "desk_scenario.json")
+
+
+@pytest.mark.parametrize(
+    "room, src, mic",
+    [
+        # order 9: 54,872 images, many blocks and a partial last one
+        (_DESK.room, _DESK.source_positions[1], _DESK.array.positions[8]),
+        # 0.5 m apart: the direct path's taps start before t = 0
+        (Room((4.0, 5.0, 3.0), 0.7, max_image_order=3), (1.0, 1.0, 1.0), (1.5, 1.0, 1.0)),
+        # anechoic, integer delay: a single nonzero tap
+        (Room((10.0, 10.0, 10.0), 0.0), (2.0, 5.0, 5.0), (5.43, 5.0, 5.0)),
+        # order 1: 216 images, less than one block
+        (Room((3.0, 4.0, 2.5), 0.9, max_image_order=1), (1.0, 1.0, 1.0), (2.0, 3.0, 1.0)),
+    ],
+    ids=["desk", "close-pair", "integer-delay", "sub-block"],
+)
+def test_block_kernel_is_byte_identical_to_one_shot(room, src, mic):
+    assert image_source_rir(room, src, mic).tobytes() == _one_shot_rir(room, src, mic).tobytes()
 
 
 def test_default_image_order_covers_decay_path():
@@ -301,6 +341,11 @@ def test_mix_is_deterministic_and_seed_sensitive():
     b3 = mix(replace(scen, seed=123), sig)
     assert_array_equal(b1.source_images, b3.source_images)
     assert not np.array_equal(b1.noise_observation, b3.noise_observation)
+    # RIRs passed in, as a multi-seed sweep does, give the same bundle
+    b4 = mix(scen, sig, rirs=scenario_rirs(scen))
+    for name in ("observations", "source_images", "noise_observation"):
+        assert getattr(b4, name).tobytes() == getattr(b1, name).tobytes()
+    assert b4.gains == b1.gains
 
 
 def test_mix_input_validation():
