@@ -12,7 +12,9 @@ Conventions
   ``A + loading * (trace(A)/K) * I`` so the regularization is invariant to
   the overall scale of ``A``
 * a solve that cannot produce a trustworthy solution raises
-  :class:`SingularMatrixError`, never returns garbage
+  :class:`SingularMatrixError`, never returns garbage;
+  :func:`solve_with_inverse`, which factors nothing, instead reports per
+  system whether its solution passed the same residual test
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ import numpy as np
 # residual acceptance for linear solves, relative to ||A||_F ||x|| + ||b||;
 # LU backward error is ~1e-16, so this only trips on numerically singular input
 _SOLVE_RTOL = 1e-8
+
+# largest loading * ||P||_F at which solve_with_inverse's first-order loading
+# term is used: its solution is then the exact one for a loading at most
+# 1 / (1 - 0.01) times the set value along every eigenvector; beyond it (near-
+# singular systems) the expansion fails where the residual test cannot see it
+_FIRST_ORDER_MAX = 1e-2
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -102,6 +110,18 @@ def _sq_sum(x: np.ndarray, n_axes: int) -> np.ndarray:
     return np.einsum(expr, x, x)
 
 
+def _accepted(resid: np.ndarray, a_sq: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per system, whether ``||A X - B|| <= _SOLVE_RTOL (||A||_F ||X|| + ||B||)``.
+
+    ``resid`` is ``A X - B``; ``resid``, ``x`` and ``b`` are (..., K, R) and
+    ``a_sq`` is ``||A||_F^2``.  A non-finite residual is never accepted.
+    """
+    resid_sq = _sq_sum(resid, 2)
+    scale = np.sqrt(a_sq * _sq_sum(x, 2)) + np.sqrt(_sq_sum(b, 2))
+    bound = (_SOLVE_RTOL * np.maximum(scale, np.finfo(float).tiny)) ** 2
+    return np.isfinite(resid_sq) & (resid_sq <= bound)
+
+
 def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str) -> None:
     """Reject solves whose residual betrays a numerically singular system.
 
@@ -109,11 +129,9 @@ def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str) -
     """
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(f"{context}: non-finite solution")
-    resid_sq = _sq_sum(np.matmul(a, x) - b, 2)
-    scale = np.sqrt(_sq_sum(a, 2) * _sq_sum(x, 2)) + np.sqrt(_sq_sum(b, 2))
-    bad = resid_sq > (_SOLVE_RTOL * np.maximum(scale, np.finfo(float).tiny)) ** 2
-    if np.any(bad):
-        idx = np.argwhere(bad)
+    ok = _accepted(np.matmul(a, x) - b, _sq_sum(a, 2), x, b)
+    if not np.all(ok):
+        idx = np.argwhere(~ok)
         raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx[0]}")
 
 
@@ -148,7 +166,8 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     Parameters
     ----------
     a : (..., K, K) Hermitian matrix (stack)
-    b : (..., K) right-hand side (stack)
+    b : (..., K) right-hand side (stack), or (..., K, R) blocks of ``R``
+        right-hand sides when ``b`` has as many axes as ``a``
     loading : nonnegative trace-relative diagonal loading
 
     Raises
@@ -161,12 +180,62 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     if loading < 0:
         raise ValueError("loading must be nonnegative")
     k = a.shape[-1]
-    if a.shape[-2] != k or b.shape[-1] != k:
-        raise ValueError(f"hermitian_solve: A is {a.shape[-2]}x{k}, b has length {b.shape[-1]}")
+    block = b.ndim == a.ndim
+    rows = b.shape[-2] if block else b.shape[-1]
+    if a.shape[-2] != k or rows != k:
+        raise ValueError(f"hermitian_solve: A is {a.shape[-2]}x{k}, b has {rows} rows")
     if loading > 0:
         tr = np.trace(a, axis1=-2, axis2=-1).real
         a = a + (loading * tr / k)[..., None, None] * np.eye(k)
+    if block:
+        return _checked_solve(a, b, "hermitian_solve")
     return _checked_solve(a, b[..., None], "hermitian_solve")[..., 0]
+
+
+def scaled_inverse(a: np.ndarray, loading: float) -> np.ndarray:
+    """Inverse of each Hermitian (..., K, K) ``A`` scaled to unit mean
+    eigenvalue, ``(A / t)^{-1}`` with ``t = trace(A) / K``, from the checked
+    loaded solve ``X = (A / t + loading I)^{-1}`` of :func:`hermitian_solve`.
+
+    ``(A / t)^{-1} = X (I + loading X + (loading X)^2 + ...)``; the first
+    three terms leave an error of order ``(loading ||X||)^3``.  The result
+    stays finite where only the loading keeps ``A`` nonsingular, and
+    whatever the scale of ``A``.
+    """
+    t = np.trace(a, axis1=-2, axis2=-1).real / a.shape[-1]
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), a.shape)
+    x = hermitian_solve(a / t[..., None, None], eye, loading)
+    return x + loading * (x @ (x + loading * (x @ x)))
+
+
+def solve_with_inverse(
+    p: np.ndarray, a: np.ndarray, b: np.ndarray, loading: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loaded system of :func:`hermitian_solve` solved with a given
+    ``P ~= (A / t)^{-1}``, ``t = trace(A) / K`` (as :func:`scaled_inverse`
+    scales it), in place of a factorization.
+
+    ``x = (P b - loading P P b) / t`` solves ``(A + d I) x = b``,
+    ``d = loading trace(A) / K``, to first order in ``loading`` when ``P``
+    is exact.  Each system's ``x`` is accepted when ``loading ||P||_F`` is
+    at most ``_FIRST_ORDER_MAX`` and ``x`` passes the residual test of a
+    checked solve against ``A + d I``; nothing is raised, so the caller
+    solves the rejected ones another way.  Returns ``x``, ``A x`` (unloaded)
+    and the per-system acceptance, for (..., K, K) ``p``, ``a`` and (..., K)
+    ``b``.
+    """
+    k = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+    b = b[..., None]
+    pb = np.matmul(p, b)
+    x = (pb - loading * np.matmul(p, pb)) / (tr / k)
+    ax = np.matmul(a, x)
+    d = loading * tr / k
+    # ||A + dI||_F^2 without forming A + dI
+    a_sq = _sq_sum(a, 2) + (d * (2.0 * tr + k * d))[..., 0, 0]
+    ok = _accepted(ax + d * x - b, a_sq, x, b)
+    ok &= loading**2 * _sq_sum(p, 2) <= _FIRST_ORDER_MAX**2
+    return x[..., 0], ax[..., 0], ok
 
 
 def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:

@@ -14,7 +14,11 @@ that solve, and projection back's, to an N x N system (:func:`_source_block`).
 :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
 to 1; the two bilinear updates are the same IP step on the covariance and
 on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
-``Delta^H u``), and both read the same ``u``.
+``Delta^H u``), and both read the same ``u``.  AuxIVA and OverIVA solve
+with the inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
+(as in online AuxIVA, Taniguchi et al., HSCMA 2014); the bilinear engine's
+lifted covariance changes with the held sub-filter every frame, so it
+solves exactly.
 
 State layout per frequency bin ``i`` (states store all bins stacked):
 
@@ -22,7 +26,8 @@ State layout per frequency bin ``i`` (states store all bins stacked):
   transpose of source ``n``'s extraction filter, rows ``N..M`` form the
   noise block ``[J, -I]``
 * ``V[n, i]`` and ``C[i]`` are the weighted and unweighted covariance
-  recursions
+  recursions; ``P[n, i]`` tracks the inverse of ``V[n, i]`` scaled to unit
+  mean eigenvalue (AuxIVA and OverIVA)
 * separated spectra are ``y[n, i] = W[i, n, :] @ x[i]``
 
 ``process_frame`` mutates one state and must be serialized per state;
@@ -54,6 +59,15 @@ _DEFAULT_FORGETTING = {
 }
 
 WEIGHT_FLOOR = 1e-12
+
+# frames between refreshes of the tracked inverse P from a checked solve.
+# Rank-1 updates let P drift by rounding.  On a 30 s desk stream (overiva)
+# without refreshes, P drifted up to 9e-5 from the checked inverse and 293
+# IP solves fell back to the exact one; with a refresh every 16, 32, 64 or
+# 128 frames the drift stayed below 1.4e-7 and the fallbacks were the same
+# 140 one-bin solves, but at 128 the drift at the end of the stream was 10x
+# that at 16 to 64.  32 costs one solve per source every 32 frames.
+INVERSE_REFRESH = 32
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,7 @@ class SeparatorState:
     n_bins: int
     W: np.ndarray  # (I, M, M)
     V: np.ndarray  # (N, I, M, M)
+    P: np.ndarray | None  # (N, I, M, M) tracked (V / (tr V / M))^{-1}; None for biiva
     C: np.ndarray  # (I, M, M)
     J: np.ndarray | None  # (I, M-N, N)
     w1: np.ndarray | None  # (N, I, M1)
@@ -131,7 +146,7 @@ class SourceEstimate:
 
 def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
     """Fresh state: identity source rows (source ``n`` on channel ``n``),
-    noise block ``[0, -I]``, identity covariances.  The bilinear engine's
+    noise block ``[0, -I]``, identity covariances (and inverses).  The bilinear engine's
     sub-filters are the unit vectors ``e_{n // M2}`` and ``e_{n % M2}``,
     whose Kronecker product is that same row ``e_n``."""
     if n_bins < 1:
@@ -152,16 +167,21 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
         j = np.zeros((n_bins, m - n_src, n_src), dtype=np.complex128)
         w_mat[:, n_src:, n_src:] = -np.eye(m - n_src)
     v = np.tile(np.eye(m, dtype=np.complex128), (n_src, n_bins, 1, 1))
+    p = None if config.algorithm is Algorithm.BIIVA else v.copy()
     c = np.tile(np.eye(m, dtype=np.complex128), (n_bins, 1, 1))
-    return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, C=c, J=j, w1=w1, w2=w2)
+    return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, J=j, w1=w1, w2=w2)
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real part of ``a^H b`` over leading batch axes."""
+    return np.einsum("...m,...m->...", a.real, b.real) + np.einsum(
+        "...m,...m->...", a.imag, b.imag
+    )
 
 
 def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Real part of ``w^H V w`` over leading batch axes."""
-    t = np.matmul(v, w[..., None])[..., 0]
-    return np.einsum("...m,...m->...", w.real, t.real) + np.einsum(
-        "...m,...m->...", w.imag, t.imag
-    )
+    return _real_dot(w, np.matmul(v, w[..., None])[..., 0])
 
 
 def contrast_weight(state: SeparatorState, x: np.ndarray, n: int) -> float:
@@ -187,14 +207,63 @@ def update_weighted_cov(v: np.ndarray, xxh: np.ndarray, weight: float, alpha: fl
     v += ((1.0 - alpha) * weight) * xxh
 
 
-def ip_update(u: np.ndarray, v: np.ndarray, loading: float = 0.0) -> np.ndarray:
+def update_inverse(
+    p: np.ndarray, v: np.ndarray, x: np.ndarray, weight: float, alpha: float,
+    loading: float, refresh: bool = False,
+) -> None:
+    """Keep ``P = (V / t)^{-1}``, ``t = tr(V) / M``, in step with
+    ``update_weighted_cov(v, x x^H, weight, alpha)``, in place; call it
+    after that update.  Scaling ``V`` to unit mean eigenvalue keeps ``P``
+    within range whatever the scale the weights give ``V``.
+
+    With ``t`` the new trace scale, the scaled recursion is ``V / t <-
+    a (V / t) + b x x^H`` with ``b = (1 - alpha) weight / t`` and ``a = 1 -
+    b |x|^2 / M``, so by Sherman-Morrison ``P <- (P - b z z^H / (a + b x^H
+    z)) / a`` with ``z = P x``.  Bins where ``a`` or that denominator is not
+    positive and finite, and every bin when ``refresh`` is set, take ``P``
+    from the updated ``V`` by :func:`numerics.scaled_inverse` instead.
+    """
+    if refresh:
+        p[...] = numerics.scaled_inverse(v, loading)
+        return
+    m = v.shape[-1]
+    b = (1.0 - alpha) * weight / (np.trace(v, axis1=-2, axis2=-1).real / m)
+    a = 1.0 - b * _real_dot(x, x) / m
+    z = np.matmul(p, x[..., None])
+    den = a + b * _real_dot(x, z[..., 0])
+    p -= (b / den)[..., None, None] * (z * np.conj(np.swapaxes(z, -1, -2)))
+    p /= a[..., None, None]
+    bad = ~((a > 0.0) & (den > 0.0) & np.isfinite(den))
+    if np.any(bad):
+        p[bad] = numerics.scaled_inverse(v[bad], loading)
+
+
+def ip_update(
+    u: np.ndarray, v: np.ndarray, loading: float = 0.0, p: np.ndarray | None = None
+) -> np.ndarray:
     """Iterative-projection update of one extraction filter.
 
-    Given ``u = W^{-1} e_n``, solves ``V w = u`` and normalizes so that
-    ``w^H V w == 1``.  Batched over leading axes.
+    Given ``u = W^{-1} e_n``, solves ``(V + d I) w = u`` with the loading
+    ``d = loading tr(V) / M`` and normalizes so that ``w^H V w == 1``.
+    Batched over leading axes.
+
+    With ``p``, the tracked inverse of :func:`update_inverse`, the solve
+    is :func:`numerics.solve_with_inverse`.  A bin whose solution that
+    rejects (a failed residual test against ``V + d I``, or a near-singular
+    ``V``), or whose ``w^H V w`` is not positive and finite, takes the exact
+    loaded solve instead, and its ``p`` is refreshed in place.
     """
-    w = numerics.hermitian_solve(v, u, loading)
-    q = _quadratic_form(w, v)
+    if p is None:
+        w = numerics.hermitian_solve(v, u, loading)
+        q = _quadratic_form(w, v)
+    else:
+        w, vw, ok = numerics.solve_with_inverse(p, v, u, loading)
+        q = _real_dot(w, vw)
+        bad = ~(ok & np.isfinite(q) & (q > 0.0))
+        if np.any(bad):
+            w[bad] = numerics.hermitian_solve(v[bad], u[bad], loading)
+            q[bad] = _quadratic_form(w[bad], v[bad])
+            p[bad] = numerics.scaled_inverse(v[bad], loading)
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         raise SingularMatrixError("ip_update: non-positive quadratic form")
     return w / np.sqrt(q)[..., None]
@@ -273,7 +342,9 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
 
     Per frame: refresh the spatial covariance once; then per source in
     ascending order compute the contrast weight from the carried-over
-    filter, refresh that source's weighted covariances, and run the
+    filter, refresh that source's weighted covariance (and its tracked
+    inverse, refreshed from a checked solve every ``INVERSE_REFRESH``
+    frames), and run the
     algorithm's filter update (writing the source's demixing row so later
     sources see it); finally refresh the noise block from the orthogonal
     constraint and emit ``y = W x``.
@@ -292,10 +363,14 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     n_src = cfg.n_sources
     xxh = x[:, :, None] * x[:, None, :].conj()
     update_weighted_cov(state.C, xxh, 1.0, alpha)
+    refresh = state.frame_index % INVERSE_REFRESH == 0
 
     for n in range(n_src):
-        update_weighted_cov(state.V[n], xxh, contrast_weight(state, x, n), alpha)
+        weight = contrast_weight(state, x, n)
+        update_weighted_cov(state.V[n], xxh, weight, alpha)
         try:
+            if state.P is not None:
+                update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading, refresh)
             for _ in range(cfg.inner_iters):
                 u = _inverse_column(state.W, n, n_src, cfg.loading)
                 if cfg.algorithm is Algorithm.BIIVA:
@@ -308,7 +383,7 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                     state.w2[n] = w2 * scale
                     state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
                 else:
-                    state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading).conj()
+                    state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"frame {state.frame_index}, source {n}: {exc}"

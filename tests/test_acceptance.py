@@ -75,16 +75,30 @@ def test_criterion_01_kronecker_and_lifting_identities():
     assert elapsed < 5.0
 
 
+def _tracked_ip_update(u, v):
+    """``ip_update`` as auxiva and overiva run it: from the inverse that a
+    refresh puts in their tracked ``P``, with no bin falling back to the
+    exact solve (which would refresh ``P`` in place)."""
+    p = numerics.scaled_inverse(v, 0.0)
+    p0 = p.copy()
+    w = sep.ip_update(u, v, 0.0, p)
+    np.testing.assert_array_equal(p, p0)
+    return w
+
+
 def test_criterion_02_update_normalization_contracts():
     # after every filter update the quadratic form against the (lifted)
-    # covariance equals 1: 1000 full-filter cases + 1000 sub-filter cases
+    # covariance equals 1: 1000 full-filter cases, each solved exactly and
+    # from the tracked inverse, + 1000 sub-filter cases
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     for m, n in ((6, 2), (9, 0)):
         w_mat = _cplx(rng, 500, m, m)
         v = _random_pd(rng, 500, m, m)
-        w = sep.ip_update(numerics.solve_column(w_mat, n), v)
-        assert np.abs(_quad(w, v) - 1.0).max() <= 1e-10
+        u = numerics.solve_column(w_mat, n)
+        for update in (sep.ip_update, _tracked_ip_update):
+            w = update(u, v)
+            assert np.abs(_quad(w, v) - 1.0).max() <= 1e-10
     for m1, m2 in ((2, 3), (3, 3)):
         m = m1 * m2
         w_mat = _cplx(rng, 250, m, m)
@@ -169,19 +183,22 @@ def test_criterion_05_trivial_factorization_degeneracy():
 
 def test_criterion_06_batch_majorizer_monotonicity():
     # with frozen weighted covariances, repeated IP sweeps never increase
-    # the auxiliary objective (50 instances x 20 sweeps, +1e-9 relative)
+    # the auxiliary objective (50 instances x 20 sweeps, +1e-9 relative),
+    # with the IP steps solved exactly and from the tracked inverse
     rng = np.random.default_rng(106)
     m, n_bins = 3, 8
     for _ in range(50):
         v = _random_pd(rng, m, n_bins, m, m)
-        w = _cplx(rng, n_bins, m, m)
-        prev = sep.aux_objective(w, v)
-        for _sweep in range(20):
-            for n in range(m):
-                w[:, n, :] = sep.ip_update(numerics.solve_column(w, n), v[n]).conj()
-            cur = sep.aux_objective(w, v)
-            assert cur <= prev + 1e-9 * abs(prev)
-            prev = cur
+        w0 = _cplx(rng, n_bins, m, m)
+        for update in (sep.ip_update, _tracked_ip_update):
+            w = w0.copy()
+            prev = sep.aux_objective(w, v)
+            for _sweep in range(20):
+                for n in range(m):
+                    w[:, n, :] = update(numerics.solve_column(w, n), v[n]).conj()
+                cur = sep.aux_objective(w, v)
+                assert cur <= prev + 1e-9 * abs(prev)
+                prev = cur
 
 
 def test_criterion_07_stft_round_trip():
