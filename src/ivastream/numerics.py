@@ -149,7 +149,7 @@ def frobenius_shift(a: np.ndarray, loading: float) -> np.ndarray:
     """Diagonal shift ``loading * ||A||_F / sqrt(K)`` of each (..., K, K)
     matrix: the trace of a general complex matrix is not a usable scale, so
     the Frobenius norm stands in."""
-    scale = np.linalg.norm(a, axis=(-2, -1)) / np.sqrt(a.shape[-1])
+    scale = np.sqrt(_sq_sum(a, 2)) / np.sqrt(a.shape[-1])
     return loading * scale
 
 
