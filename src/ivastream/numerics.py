@@ -25,10 +25,11 @@ import numpy as np
 # LU backward error is ~1e-16, so this only trips on numerically singular input
 _SOLVE_RTOL = 1e-8
 
-# largest loading * ||P||_F at which solve_with_inverse's first-order loading
-# term is used: its solution is then the exact one for a loading at most
-# 1 / (1 - 0.01) times the set value along every eigenvector; beyond it (near-
-# singular systems) the expansion fails where the residual test cannot see it
+# largest loading * trace(P) at which solve_with_inverse's first-order loading
+# term is used (the trace bounds ||P||_2 for positive definite P): its solution
+# is then the exact one for a loading at most 1 / (1 - 0.01) times the set
+# value along every eigenvector; beyond it (near-singular systems) the
+# expansion fails where the residual test cannot see it
 _FIRST_ORDER_MAX = 1e-2
 
 
@@ -110,14 +111,17 @@ def _sq_sum(x: np.ndarray, n_axes: int) -> np.ndarray:
     return np.einsum(expr, x, x)
 
 
-def _accepted(resid: np.ndarray, a_sq: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per system, whether ``||A X - B|| <= _SOLVE_RTOL (||A||_F ||X|| + ||B||)``.
+def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(a^H b)`` over the last axis of complex (..., K) arrays whose last
+    axis is contiguous: one real dot product of their float views."""
+    return np.einsum("...k,...k->...", a.view(np.float64), b.view(np.float64))
 
-    ``resid`` is ``A X - B``; ``resid``, ``x`` and ``b`` are (..., K, R) and
-    ``a_sq`` is ``||A||_F^2``.  A non-finite residual is never accepted.
-    """
-    resid_sq = _sq_sum(resid, 2)
-    scale = np.sqrt(a_sq * _sq_sum(x, 2)) + np.sqrt(_sq_sum(b, 2))
+
+def _accepted(resid_sq: np.ndarray, a_sq: np.ndarray, x_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """Per system, whether ``||A X - B|| <= _SOLVE_RTOL (||A||_F ||X|| + ||B||)``,
+    from the squared norms of ``A X - B``, ``A``, ``X`` and ``B``.  A
+    non-finite residual is never accepted."""
+    scale = np.sqrt(a_sq * x_sq) + np.sqrt(b_sq)
     bound = (_SOLVE_RTOL * np.maximum(scale, np.finfo(float).tiny)) ** 2
     return np.isfinite(resid_sq) & (resid_sq <= bound)
 
@@ -129,7 +133,7 @@ def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str) -
     """
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(f"{context}: non-finite solution")
-    ok = _accepted(np.matmul(a, x) - b, _sq_sum(a, 2), x, b)
+    ok = _accepted(_sq_sum(np.matmul(a, x) - b, 2), _sq_sum(a, 2), _sq_sum(x, 2), _sq_sum(b, 2))
     if not np.all(ok):
         idx = np.argwhere(~ok)
         raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx[0]}")
@@ -217,7 +221,7 @@ def solve_with_inverse(
 
     ``x = (P b - loading P P b) / t`` solves ``(A + d I) x = b``,
     ``d = loading trace(A) / K``, to first order in ``loading`` when ``P``
-    is exact.  Each system's ``x`` is accepted when ``loading ||P||_F`` is
+    is exact.  Each system's ``x`` is accepted when ``loading trace(P)`` is
     at most ``_FIRST_ORDER_MAX`` and ``x`` passes the residual test of a
     checked solve against ``A + d I``; nothing is raised, so the caller
     solves the rejected ones another way.  Returns ``x``, ``A x`` (unloaded)
@@ -225,17 +229,18 @@ def solve_with_inverse(
     ``b``.
     """
     k = a.shape[-1]
-    tr = np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
-    b = b[..., None]
-    pb = np.matmul(p, b)
-    x = (pb - loading * np.matmul(p, pb)) / (tr / k)
-    ax = np.matmul(a, x)
+    b = np.ascontiguousarray(b)
+    tr = np.einsum("...ii->...", a).real
     d = loading * tr / k
+    pb = np.matmul(p, b[..., None])
+    x = ((pb - loading * np.matmul(p, pb)) * (k / tr)[..., None, None])[..., 0]
+    ax = np.matmul(a, x[..., None])[..., 0]
+    resid = ax + d[..., None] * x - b
     # ||A + dI||_F^2 without forming A + dI
-    a_sq = _sq_sum(a, 2) + (d * (2.0 * tr + k * d))[..., 0, 0]
-    ok = _accepted(ax + d * x - b, a_sq, x, b)
-    ok &= loading**2 * _sq_sum(p, 2) <= _FIRST_ORDER_MAX**2
-    return x[..., 0], ax[..., 0], ok
+    a_sq = _sq_sum(a, 2) + d * (2.0 * tr + k * d)
+    ok = _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
+    ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
+    return x, ax, ok
 
 
 def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:

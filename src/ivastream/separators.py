@@ -172,16 +172,12 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
     return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, J=j, w1=w1, w2=w2)
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real part of ``a^H b`` over leading batch axes."""
-    return np.einsum("...m,...m->...", a.real, b.real) + np.einsum(
-        "...m,...m->...", a.imag, b.imag
-    )
-
-
 def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Real part of ``w^H V w`` over leading batch axes."""
-    return _real_dot(w, np.matmul(v, w[..., None])[..., 0])
+    t = np.matmul(v, w[..., None])[..., 0]
+    return np.einsum("...m,...m->...", w.real, t.real) + np.einsum(
+        "...m,...m->...", w.imag, t.imag
+    )
 
 
 def contrast_weight(state: SeparatorState, x: np.ndarray, n: int) -> float:
@@ -208,8 +204,7 @@ def update_weighted_cov(v: np.ndarray, xxh: np.ndarray, weight: float, alpha: fl
 
 
 def update_inverse(
-    p: np.ndarray, v: np.ndarray, x: np.ndarray, weight: float, alpha: float,
-    loading: float, refresh: bool = False,
+    p: np.ndarray, v: np.ndarray, x: np.ndarray, weight: float, alpha: float, loading: float
 ) -> None:
     """Keep ``P = (V / t)^{-1}``, ``t = tr(V) / M``, in step with
     ``update_weighted_cov(v, x x^H, weight, alpha)``, in place; call it
@@ -220,19 +215,19 @@ def update_inverse(
     a (V / t) + b x x^H`` with ``b = (1 - alpha) weight / t`` and ``a = 1 -
     b |x|^2 / M``, so by Sherman-Morrison ``P <- (P - b z z^H / (a + b x^H
     z)) / a`` with ``z = P x``.  Bins where ``a`` or that denominator is not
-    positive and finite, and every bin when ``refresh`` is set, take ``P``
-    from the updated ``V`` by :func:`numerics.scaled_inverse` instead.
+    positive and finite take ``P`` from the updated ``V`` by
+    :func:`numerics.scaled_inverse` instead.
     """
-    if refresh:
-        p[...] = numerics.scaled_inverse(v, loading)
-        return
     m = v.shape[-1]
-    b = (1.0 - alpha) * weight / (np.trace(v, axis1=-2, axis2=-1).real / m)
-    a = 1.0 - b * _real_dot(x, x) / m
-    z = np.matmul(p, x[..., None])
-    den = a + b * _real_dot(x, z[..., 0])
-    p -= (b / den)[..., None, None] * (z * np.conj(np.swapaxes(z, -1, -2)))
-    p /= a[..., None, None]
+    x = np.ascontiguousarray(x)
+    b = ((1.0 - alpha) * weight * m) / np.einsum("...ii->...", v).real
+    a = 1.0 - b * numerics.real_dot(x, x) / m
+    z = np.matmul(p, x[..., None])[..., 0]
+    den = a + b * numerics.real_dot(x, z)
+    # P / a - (b / (a den)) z z^H; the real scaling runs on the float view
+    z_scaled = z * (b / (a * den))[..., None]
+    p.view(np.float64)[...] *= (1.0 / a)[..., None, None]
+    p -= z_scaled[..., :, None] * z[..., None, :].conj()
     bad = ~((a > 0.0) & (den > 0.0) & np.isfinite(den))
     if np.any(bad):
         p[bad] = numerics.scaled_inverse(v[bad], loading)
@@ -258,7 +253,7 @@ def ip_update(
         q = _quadratic_form(w, v)
     else:
         w, vw, ok = numerics.solve_with_inverse(p, v, u, loading)
-        q = _real_dot(w, vw)
+        q = numerics.real_dot(w, vw)
         bad = ~(ok & np.isfinite(q) & (q > 0.0))
         if np.any(bad):
             w[bad] = numerics.hermitian_solve(v[bad], u[bad], loading)
@@ -370,7 +365,10 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
         update_weighted_cov(state.V[n], xxh, weight, alpha)
         try:
             if state.P is not None:
-                update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading, refresh)
+                if refresh:
+                    state.P[n] = numerics.scaled_inverse(state.V[n], cfg.loading)
+                else:
+                    update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading)
             for _ in range(cfg.inner_iters):
                 u = _inverse_column(state.W, n, n_src, cfg.loading)
                 if cfg.algorithm is Algorithm.BIIVA:
