@@ -27,10 +27,11 @@ _SOLVE_RTOL = 1e-8
 
 # largest loading * trace(P) at which solve_with_inverse's first-order loading
 # term is used (the trace bounds ||P||_2 for positive definite P): its solution
-# is then the exact one for a loading at most 1 / (1 - 0.01) times the set
-# value along every eigenvector; beyond it (near-singular systems) the
-# expansion fails where the residual test cannot see it
-_FIRST_ORDER_MAX = 1e-2
+# is then the exact one for a loading at most 1 / (1 - 0.1) times the set
+# value along every eigenvector.  Beyond it, in near-singular systems, the
+# expansion fails where the residual test cannot see it.  At 0.01 the desk
+# stream's DC bin fell back to the exact solve in half of overiva's frames
+_FIRST_ORDER_MAX = 0.1
 
 
 class SingularMatrixError(np.linalg.LinAlgError):

@@ -61,12 +61,12 @@ _DEFAULT_FORGETTING = {
 WEIGHT_FLOOR = 1e-12
 
 # frames between refreshes of the tracked inverse P from a checked solve.
-# Rank-1 updates let P drift by rounding.  On a 30 s desk stream (overiva)
-# without refreshes, P drifted up to 9e-5 from the checked inverse and 293
-# IP solves fell back to the exact one; with a refresh every 16, 32, 64 or
-# 128 frames the drift stayed below 1.4e-7 and the fallbacks were the same
-# 140 one-bin solves, but at 128 the drift at the end of the stream was 10x
-# that at 16 to 64.  32 costs one solve per source every 32 frames.
+# Rank-1 updates let P drift by rounding.  On a 30 s desk stream without
+# refreshes, 206 of overiva's and 1072 of auxiva's IP steps had bins whose
+# solution from P failed the residual test; with a refresh every 16 to 128
+# frames none did (P's backward error as an inverse stayed at 1.3e-12 or
+# less).  At 128 frames P ended the stream 14x further from the checked
+# inverse than at 16 to 64.
 INVERSE_REFRESH = 32
 
 
@@ -146,9 +146,9 @@ class SourceEstimate:
 
 def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
     """Fresh state: identity source rows (source ``n`` on channel ``n``),
-    noise block ``[0, -I]``, identity covariances (and inverses).  The bilinear engine's
-    sub-filters are the unit vectors ``e_{n // M2}`` and ``e_{n % M2}``,
-    whose Kronecker product is that same row ``e_n``."""
+    noise block ``[0, -I]``, identity covariances and inverses.  The
+    bilinear engine's sub-filters are the unit vectors ``e_{n // M2}`` and
+    ``e_{n % M2}``, whose Kronecker product is that same row ``e_n``."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     m, n_src = config.n_channels, config.n_sources
@@ -219,7 +219,7 @@ def update_inverse(
     :func:`numerics.scaled_inverse` instead.
     """
     m = v.shape[-1]
-    x = np.ascontiguousarray(x)
+    x = np.ascontiguousarray(x)  # numerics.real_dot reads its float view
     b = ((1.0 - alpha) * weight * m) / np.einsum("...ii->...", v).real
     a = 1.0 - b * numerics.real_dot(x, x) / m
     z = np.matmul(p, x[..., None])[..., 0]
@@ -243,7 +243,7 @@ def ip_update(
     Batched over leading axes.
 
     With ``p``, the tracked inverse of :func:`update_inverse`, the solve
-    is :func:`numerics.solve_with_inverse`.  A bin whose solution that
+    is :func:`numerics.solve_with_inverse`.  A bin whose solution it
     rejects (a failed residual test against ``V + d I``, or a near-singular
     ``V``), or whose ``w^H V w`` is not positive and finite, takes the exact
     loaded solve instead, and its ``p`` is refreshed in place.
@@ -337,12 +337,11 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
 
     Per frame: refresh the spatial covariance once; then per source in
     ascending order compute the contrast weight from the carried-over
-    filter, refresh that source's weighted covariance (and its tracked
-    inverse, refreshed from a checked solve every ``INVERSE_REFRESH``
-    frames), and run the
-    algorithm's filter update (writing the source's demixing row so later
-    sources see it); finally refresh the noise block from the orthogonal
-    constraint and emit ``y = W x``.
+    filter, refresh that source's weighted covariance and its tracked
+    inverse (from a checked solve every ``INVERSE_REFRESH`` frames), and run
+    the algorithm's filter update (writing the source's demixing row so
+    later sources see it); finally refresh the noise block from the
+    orthogonal constraint and emit ``y = W x``.
     """
     cfg = state.config
     x = np.asarray(frame.bins)
