@@ -3,12 +3,12 @@
     python3 bench/cost_curve.py --parent ../parent --change . \
         [--out BENCH.json --key cost_curve]
 
-Streams 20 seeded random spectra (I = 513 bins, N = 2 sources) through
+Streams 64 seeded random spectra (I = 513 bins, N = 2 sources) through
 ``separate_stream`` with projection back to microphone 0, for M in 4, 9,
 16 and 36: overiva, and biiva with sqrt(M) x sqrt(M) sub-filters.  Each
 checkout is measured in 3 rounds, the side that goes first alternating from
 round to round; a round is a fresh process that imports that checkout's
-``src/`` and times 5 streams per point, each from a fresh state, with BLAS
+``src/`` and times 3 streams per point, each from a fresh state, with BLAS
 pinned to one thread as in ``perfbench``.  Reports raw ms/frame: each
 round's median over its streams, and the median of the rounds.  With
 ``--out`` the curve is stored in that JSON file under ``--key``.
@@ -36,8 +36,10 @@ from record import store  # noqa: E402
 CHANNELS = (4, 9, 16, 36)
 N_BINS = 513
 N_SOURCES = 2
-N_FRAMES = 20
-REPEATS = 5
+# two refresh periods of overiva's tracked inverse covariance
+# (separators.INVERSE_REFRESH = 32), so the refresh solves are in the average
+N_FRAMES = 64
+REPEATS = 3
 ROUNDS = 3
 SEED = 0
 

@@ -526,10 +526,9 @@ class TestMonotonicity:
 
 def _mixture_frames(seed, n_frames, n_bins, m, near_singular_bin=None):
     """Two sources with a random level per frame through random per-bin
-    mixing, plus sensor noise 26 dB down.  ``near_singular_bin`` is 80 dB
-    louder and its channel 1 repeats channel 0, so only the initial identity,
-    about 1e-8 of the signal and fading, keeps that bin's weighted
-    covariance nonsingular."""
+    mixing, plus sensor noise 26 dB down.  In ``near_singular_bin`` channel
+    1 repeats channel 0, so only the initial identity, fading at the
+    forgetting rate, keeps that bin's weighted covariance nonsingular."""
     rng = np.random.default_rng(seed)
     a = _cplx(rng, n_bins, m, 2)
     s = _cplx(rng, n_frames, n_bins, 2) * np.exp(rng.standard_normal((n_frames, 1, 2)))
@@ -673,7 +672,7 @@ class TestSourceBlock:
             )
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
-    def test_projection_back_matches_scaled_inverse(self, loading):
+    def test_projection_back_matches_loaded_inverse(self, loading):
         rng = np.random.default_rng(25)
         st = sep.init_state(SeparatorConfig(9, 2, "overiva", loading=loading), 16)
         st.W = _reachable_w(rng, 16, 9, 2)
