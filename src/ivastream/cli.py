@@ -4,7 +4,8 @@ evaluation, and algorithm x seed benchmark sweeps.
 Every command is deterministic given its inputs and seeds; wall-clock
 numbers go to separate timing files so the scientific outputs stay
 byte-reproducible.  Setting the environment variable IVASTREAM_OUTPUT_ROOT
-re-roots all relative output directories (useful for CI scratch space).
+re-roots all relative output paths, the timing log included (useful for
+CI scratch space).
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def run_separate(
     out = _out_dir(out)
     write_wav(AudioBuffer(estimates, buf.sample_rate), out / "estimates.wav")
     if timing_log is not None:
-        with open(timing_log, "w", newline="") as fh:
+        log = Path(timing_log)
+        with open(_out_dir(log.parent) / log.name, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["frame_index", "seconds"])
             for j, dt in enumerate(frame_times):
@@ -262,11 +264,8 @@ def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int):
     seg = min(seg, est.shape[1])
     n = refs.shape[0]
     sir = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            sir[i, j] = sir_sdr(
-                decompose(est[i, -seg:], refs[:, -seg:], eval_cfg.filter_length, j)
-            )[0]
+    for j in range(n):
+        sir[:, j] = sir_sdr(decompose(est[:, -seg:], refs[:, -seg:], eval_cfg.filter_length, j))[0]
     rows, cols = linear_sum_assignment(-_finite_cost(sir))
     idx = np.empty(n, dtype=int)
     idx[cols] = rows

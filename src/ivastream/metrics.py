@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
-from scipy.signal import fftconvolve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 # value written to CSV in place of non-finite ratios, with clipped_flag set
 CSV_SENTINEL_DB = 1e9
@@ -66,10 +65,12 @@ class EvalConfig:
 
 @dataclass
 class Decomposition:
-    """Orthogonal split of one estimate on the convolution domain.
+    """Orthogonal split of an estimate, or of each stacked one, on the
+    convolution domain.
 
-    All three parts have length ``n_samples + filter_length - 1`` and sum
-    exactly to the zero-padded estimate.
+    All three parts have the estimate's leading shape and length
+    ``n_samples + filter_length - 1``, and sum exactly to the zero-padded
+    estimate.
     """
 
     target: np.ndarray
@@ -78,35 +79,32 @@ class Decomposition:
     n_samples: int
 
 
-def _lag_correlations(spec_a: np.ndarray, spec_b: np.ndarray, n_fft: int, n_lags: int):
-    """Correlations sum_u a[u] b[u + d] for d in 0..n_lags-1 and their
-    negative-lag mirror, via one inverse FFT."""
-    cc = irfft(np.conj(spec_a) * spec_b, n_fft)
-    pos = cc[:n_lags]
-    neg = np.concatenate(([cc[0]], cc[n_fft - n_lags + 1 :][::-1]))
-    return pos, neg
-
-
 def decompose(
     estimate: np.ndarray,
     references: np.ndarray,
     filter_length: int,
     target_index: int = 0,
 ) -> Decomposition:
-    """Project an estimate onto shifted-reference spans.
+    """Project estimates onto shifted-reference spans.
 
     ``references`` holds the true source images at the evaluation channel,
     one row per source.  The target part is the least-squares projection
     onto shifts (0..filter_length-1) of the row selected by
     ``target_index``; interference is the extra component captured by all
     rows together; the artifact is what no allowed filter can explain.
+
+    ``estimate`` may stack signals along leading axes; all of them share
+    one Cholesky factorization of the block-Toeplitz Gram.  The target row
+    is ordered first, so the leading L x L block of that factor is the
+    factor of the target's own block.  Correlations and projections are
+    products at one FFT size.
     """
-    est = np.asarray(estimate, dtype=float).reshape(-1)
+    est = np.asarray(estimate, dtype=float)
     refs = np.atleast_2d(np.asarray(references, dtype=float))
     n_refs, n_samples = refs.shape
-    if est.shape[0] != n_samples:
+    if est.shape[-1:] != (n_samples,):
         raise ValueError(
-            f"estimate length {est.shape[0]} != reference length {n_samples}"
+            f"estimate shape {est.shape} does not end in the reference length {n_samples}"
         )
     if not 0 <= target_index < n_refs:
         raise ValueError(f"target_index {target_index} out of range for {n_refs} references")
@@ -120,66 +118,58 @@ def decompose(
     lags = filter_length
     out_len = n_samples + lags - 1
     n_fft = next_fast_len(n_samples + lags)
-    ref_spec = rfft(refs, n_fft, axis=-1)
-    est_spec = rfft(est, n_fft)
+    sig = est.reshape(-1, n_samples)
+    order = [target_index] + [n for n in range(n_refs) if n != target_index]
+    ref_spec = rfft(refs[order], n_fft)
 
-    # right-hand side: correlation of each reference against the estimate
-    rhs = np.empty((n_refs, lags))
-    for n in range(n_refs):
-        rhs[n], _ = _lag_correlations(ref_spec[n], est_spec, n_fft, lags)
+    def xcorr(spec):  # [k, n, d] = sum_u ref_n[u] x_k[u + d], x_k the signal of spec[k]
+        return irfft(ref_spec.conj() * spec[:, None], n_fft)
 
-    # block-Toeplitz Gram of all shifted references
-    gram = np.empty((n_refs * lags, n_refs * lags))
-    for n in range(n_refs):
-        for m in range(n, n_refs):
-            pos, neg = _lag_correlations(ref_spec[n], ref_spec[m], n_fft, lags)
-            block = toeplitz(pos, neg)
-            gram[n * lags : (n + 1) * lags, m * lags : (m + 1) * lags] = block
-            if m != n:
-                gram[m * lags : (m + 1) * lags, n * lags : (n + 1) * lags] = block.T
+    def project(coef):  # sum_n ref_n convolved with coef[k, n], for each k
+        n = coef.shape[1]
+        return irfft(np.sum(ref_spec[:n] * rfft(coef, n_fft), axis=1), n_fft)[:, :out_len]
 
+    # Gram block (n, m) holds at (i, j) the correlation of ref_n with ref_m at lag i - j
+    shift = np.subtract.outer(np.arange(lags), np.arange(lags)) % n_fft
+    gram = xcorr(ref_spec)[:, :, shift].transpose(1, 2, 0, 3).reshape(n_refs * lags, -1)
+    rhs = xcorr(rfft(sig, n_fft))[..., :lags]  # (signals, references, lags)
     try:
-        coef_all = cho_solve(cho_factor(gram), rhs.reshape(-1))
-        t0 = target_index * lags
-        sub = slice(t0, t0 + lags)
-        coef_tgt = cho_solve(cho_factor(gram[sub, sub]), rhs[target_index])
+        factor = cho_factor(gram)
     except LinAlgError as exc:
         raise ValueError(
             "references are rank deficient over the allowed-distortion span"
         ) from exc
+    coef_all = cho_solve(factor, rhs.reshape(len(sig), -1).T).T
+    coef_tgt = cho_solve((factor[0][:lags, :lags], factor[1]), rhs[:, 0].T).T
+    proj_all = project(coef_all.reshape(len(sig), n_refs, lags))
+    proj_tgt = project(coef_tgt[:, None])
 
-    proj_all = np.zeros(out_len)
-    for n in range(n_refs):
-        proj_all += fftconvolve(refs[n], coef_all[n * lags : (n + 1) * lags])
-    proj_tgt = fftconvolve(refs[target_index], coef_tgt)
-
-    padded = np.zeros(out_len)
-    padded[:n_samples] = est
+    padded = np.pad(sig, ((0, 0), (0, lags - 1)))
+    shape = est.shape[:-1] + (out_len,)
     return Decomposition(
-        target=proj_tgt,
-        interference=proj_all - proj_tgt,
-        artifact=padded - proj_all,
+        target=proj_tgt.reshape(shape),
+        interference=(proj_all - proj_tgt).reshape(shape),
+        artifact=(padded - proj_all).reshape(shape),
         n_samples=n_samples,
     )
 
 
-def _ratio_db(num: float, den: float) -> float:
-    if num == 0.0:
-        return -np.inf
-    if den == 0.0:
-        return np.inf
-    return float(10.0 * np.log10(num / den))
+def _ratio_db(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 10.0 * np.log10(num / den)
+    return np.where(num == 0.0, -np.inf, db)[()]
 
 
-def sir_sdr(decomposition: Decomposition) -> tuple[float, float]:
-    """Interference and distortion ratios of one decomposition, in dB.
+def sir_sdr(decomposition: Decomposition):
+    """Interference and distortion ratios of a decomposition, in dB, one
+    per stacked signal (scalars for a single signal).
 
     Zero target energy reports -inf; zero error energy reports +inf.  The
     sentinels stay as floats here and are clipped only at the CSV boundary.
     """
-    e_target = float(np.sum(decomposition.target**2))
-    e_interf = float(np.sum(decomposition.interference**2))
-    e_error = float(np.sum((decomposition.interference + decomposition.artifact) ** 2))
+    e_target = np.sum(decomposition.target**2, axis=-1)
+    e_interf = np.sum(decomposition.interference**2, axis=-1)
+    e_error = np.sum((decomposition.interference + decomposition.artifact) ** 2, axis=-1)
     return _ratio_db(e_target, e_interf), _ratio_db(e_target, e_error)
 
 
@@ -262,7 +252,8 @@ def convergence_curve(
     ``estimates`` and ``references`` are (n_sources, T) with matched source
     order; ``mixture`` is the unprocessed observation at the reference
     channel and anchors the improvement baselines.  Each segment is
-    decomposed independently.
+    decomposed independently, with the estimate and the mixture of one
+    target split in one call.
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     refs = np.atleast_2d(np.asarray(references, dtype=float))
@@ -285,11 +276,9 @@ def convergence_curve(
         sl = slice(s * seg_len, (s + 1) * seg_len)
         ref_seg = refs[:, sl]
         for n in range(n_sources):
-            sir[s, n], sdr[s, n] = sir_sdr(
-                decompose(est[n, sl], ref_seg, config.filter_length, n)
-            )
-            sir0[s, n], sdr0[s, n] = sir_sdr(
-                decompose(mix[sl], ref_seg, config.filter_length, n)
+            pair = np.stack([est[n, sl], mix[sl]])
+            (sir[s, n], sir0[s, n]), (sdr[s, n], sdr0[s, n]) = sir_sdr(
+                decompose(pair, ref_seg, config.filter_length, n)
             )
 
     tail = max(1, n_segments // 4)

@@ -96,8 +96,8 @@ class SeparatorConfig:
             object.__setattr__(self, "forgetting", _DEFAULT_FORGETTING[algo])
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
-        if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError("forgetting factor must be in (0, 1]")
+        if not 0.0 < self.forgetting < 1.0:
+            raise ValueError("forgetting factor must be in (0, 1)")
         if self.inner_iters < 0:
             raise ValueError("inner_iters must be >= 0")
         if self.loading < 0:
@@ -130,7 +130,6 @@ class SeparatorState:
     V: np.ndarray  # (N, I, M, M)
     P: np.ndarray | None  # (N, I, M, M) tracked (V / (tr V / M))^{-1}; None for biiva
     C: np.ndarray  # (I, M, M)
-    J: np.ndarray | None  # (I, M-N, N)
     w1: np.ndarray | None  # (N, I, M1)
     w2: np.ndarray | None  # (N, I, M2)
     frame_index: int = 0
@@ -162,14 +161,11 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
         for n in range(n_src):
             w1[n, :, n // m2] = 1.0
             w2[n, :, n % m2] = 1.0
-    j = None
-    if m > n_src:
-        j = np.zeros((n_bins, m - n_src, n_src), dtype=np.complex128)
-        w_mat[:, n_src:, n_src:] = -np.eye(m - n_src)
+    w_mat[:, n_src:, n_src:] = -np.eye(m - n_src)
     v = np.tile(np.eye(m, dtype=np.complex128), (n_src, n_bins, 1, 1))
     p = None if config.algorithm is Algorithm.BIIVA else v.copy()
     c = np.tile(np.eye(m, dtype=np.complex128), (n_bins, 1, 1))
-    return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, J=j, w1=w1, w2=w2)
+    return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, w1=w1, w2=w2)
 
 
 def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -388,11 +384,9 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
 
     if cfg.algorithm is not Algorithm.AUXIVA and cfg.inner_iters > 0:
         try:
-            state.J = oc_update(state.C, state.W[:, :n_src, :], cfg.loading)
+            state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], cfg.loading)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"frame {state.frame_index}, noise block: {exc}") from exc
-        state.W[:, n_src:, :n_src] = state.J
-        state.W[:, n_src:, n_src:] = -np.eye(cfg.n_channels - n_src)
 
     y = np.einsum("inm,im->ni", state.W[:, :n_src, :], x)
     estimate = SourceEstimate(y=y, frame_index=state.frame_index)

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from ivastream import roomsim
+from ivastream import cli, metrics, roomsim
 from ivastream.cli import main
-from ivastream.io import read_wav
+from ivastream.io import AudioBuffer, read_wav, write_wav
 
 
 def _write_json(path, doc):
@@ -96,6 +96,35 @@ class TestSimulate:
         main(["simulate", scn, "--out", str(b), "--duration", "0.5", "--seed", "99"])
         assert (a / "observations.wav").read_bytes() != (b / "observations.wav").read_bytes()
 
+    def _source_wavs(self, tmp_path, lengths, rates):
+        rng = np.random.default_rng(5)
+        paths = []
+        for k, (n, fs) in enumerate(zip(lengths, rates)):
+            path = tmp_path / f"talker{k}.wav"
+            write_wav(AudioBuffer(0.1 * rng.standard_normal(n), fs), path)
+            paths += ["--source-wav", str(path)]
+        return paths
+
+    def test_source_wavs_truncate_to_the_shortest(self, tmp_path):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 12000], [16000, 16000])
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), *wavs]) == 0
+        assert read_wav(out / "observations.wav").n_samples == 12000
+        assert read_wav(out / "reference_images.wav").n_samples == 12000
+
+    def test_source_wav_count_must_match_the_scenario(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000], [16000])
+        assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 2
+        assert "scenario has 2 sources, got 1 WAVs" in capsys.readouterr().err
+
+    def test_source_wav_rate_must_match_the_scenario(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 16000], [16000, 8000])
+        assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 2
+        assert "sample rate 8000 != scenario rate 16000" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def mixture_dir(tmp_path):
@@ -161,6 +190,27 @@ class TestSeparate:
         assert len(rows) == n_frames
         assert all(float(r["seconds"]) >= 0.0 for r in rows)
 
+    def test_timing_log_follows_output_root(self, tmp_path, mixture_dir, monkeypatch):
+        # relative output paths, the timing log included, land under the root
+        cfg = _auxiva_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("IVASTREAM_OUTPUT_ROOT", str(tmp_path / "root"))
+        code = main(
+            [
+                "separate",
+                str(mixture_dir / "observations.wav"),
+                cfg,
+                "--out",
+                "out/sep",
+                "--timing-log",
+                "out/logs/frames.csv",
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "root" / "out" / "sep" / "estimates.wav").exists()
+        assert (tmp_path / "root" / "out" / "logs" / "frames.csv").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_override_is_rejected(self, tmp_path, mixture_dir, capsys):
         cfg = _auxiva_config(tmp_path)
         code = main(
@@ -182,8 +232,6 @@ class TestEvaluate:
     def test_pairing_recovers_channel_swap(self, tmp_path, mixture_dir):
         refs = mixture_dir / "reference_images.wav"
         swapped = read_wav(refs)
-        from ivastream.io import AudioBuffer, write_wav
-
         write_wav(
             AudioBuffer(swapped.samples[::-1], swapped.sample_rate),
             tmp_path / "swapped.wav",
@@ -251,11 +299,20 @@ class TestBenchmark:
         monkeypatch.setattr(
             roomsim, "image_source_rir", lambda *args: calls.append(args) or rir(*args)
         )
+        splits = []
+        decompose = metrics.decompose
+        for module in (cli, metrics):
+            monkeypatch.setattr(
+                module, "decompose", lambda *args: splits.append(args) or decompose(*args)
+            )
         manifest = _mini_manifest(tmp_path)
         assert main(["benchmark", manifest]) == 0
         # one RIR per (emitter, mic) for the manifest: 3 emitters x 2 mics,
         # not once more for every seed
         assert len(calls) == 3 * 2
+        # one decomposition per target: the pairing stacks both estimates,
+        # and each of the 3 segments stacks the estimate with the mixture
+        assert len(splits) == 2 * (2 + 2 * 3)
         root = tmp_path / "bench"
         for seed in [0, 1]:
             d = root / f"auxiva_seed{seed}"

@@ -151,6 +151,27 @@ def test_matches_dense_least_squares_oracle(target_index):
     assert abs(fast[1] - slow[1]) < 0.01
 
 
+@pytest.mark.parametrize("target_index", [0, 2])
+def test_stacked_signals_match_single_calls(target_index):
+    rng = np.random.default_rng(30)
+    refs = _refs(31, n_sources=3)
+    noise = rng.standard_normal((2, refs.shape[1]))
+    ests = np.stack([refs[0] + 0.3 * refs[1], refs.sum(axis=0) + 0.1 * noise[0], noise[1]])
+    stacked = decompose(ests, refs, 24, target_index)
+    sir, sdr = sir_sdr(stacked)
+    assert sir.shape == sdr.shape == (3,)
+    for k in range(3):
+        single = decompose(ests[k], refs, 24, target_index)
+        peak = np.abs(ests[k]).max()
+        for part in ("target", "interference", "artifact"):
+            assert_allclose(getattr(stacked, part)[k], getattr(single, part), atol=1e-12 * peak)
+        assert_allclose([sir[k], sdr[k]], sir_sdr(single), atol=1e-9)
+    # any leading axes stack
+    nested = decompose(ests[None], refs, 24, target_index)
+    assert nested.target.shape == (1, 3, refs.shape[1] + 23)
+    assert_array_equal(nested.artifact[0], stacked.artifact)
+
+
 # ---------------------------------------------------------------------------
 # ratios
 

@@ -114,6 +114,9 @@ class TestConfig:
             SeparatorConfig(4, 2, "overiva", forgetting=0.0)
         with pytest.raises(ValueError):
             SeparatorConfig(4, 2, "overiva", forgetting=1.1)
+        # alpha = 1 adds (1 - alpha) x x^H = 0: the statistics never move
+        with pytest.raises(ValueError):
+            SeparatorConfig(4, 2, "overiva", forgetting=1.0)
 
     def test_algorithm_coerced_from_string(self):
         assert SeparatorConfig(4, 2, "overiva").algorithm is Algorithm.OVERIVA
@@ -125,7 +128,7 @@ class TestInitState:
         st = sep.init_state(cfg, 7)
         assert st.W.shape == (7, 5, 5)
         np.testing.assert_array_equal(st.W[:, :2, :], np.tile(np.eye(5)[:2], (7, 1, 1)))
-        np.testing.assert_array_equal(st.J, 0.0)
+        np.testing.assert_array_equal(st.W[:, 2:, :2], 0.0)
         np.testing.assert_array_equal(st.W[:, 2:, 2:], np.tile(-np.eye(3), (7, 1, 1)))
         np.testing.assert_array_equal(st.V, np.tile(np.eye(5), (2, 7, 1, 1)))
         np.testing.assert_array_equal(st.C, np.tile(np.eye(5), (7, 1, 1)))
@@ -142,7 +145,6 @@ class TestInitState:
 
     def test_auxiva_has_no_noise_block(self):
         st = sep.init_state(SeparatorConfig(3, 3, "auxiva"), 2)
-        assert st.J is None
         np.testing.assert_array_equal(st.W, np.tile(np.eye(3), (2, 1, 1)))
 
 
@@ -416,7 +418,6 @@ class TestProcessFrame:
 
         def check():
             np.testing.assert_array_equal(st.W[:, 2:, 2:], minus_eye)
-            np.testing.assert_array_equal(st.W[:, 2:, :2], st.J)
 
         check()
         for frame in _spectral_frames(rng, 10, 8, 6):
@@ -676,7 +677,6 @@ class TestSourceBlock:
         rng = np.random.default_rng(25)
         st = sep.init_state(SeparatorConfig(9, 2, "overiva", loading=loading), 16)
         st.W = _reachable_w(rng, 16, 9, 2)
-        st.J = st.W[:, 2:, :2].copy()
         y = _cplx(rng, 2, 16)
         w_l = st.W + nx.frobenius_shift(st.W, loading)[:, None, None] * np.eye(9)
         winv = np.linalg.inv(w_l)
@@ -701,7 +701,6 @@ class TestProjectionBack:
         cfg = SeparatorConfig(4, 2, "overiva", loading=0.0)
         st = sep.init_state(cfg, 6)
         st.W = _reachable_w(rng, 6, 4, 2)
-        st.J = st.W[:, 2:, :2].copy()
         y = _cplx(rng, 2, 6)
         winv = np.linalg.inv(st.W)
         for ref in range(4):
