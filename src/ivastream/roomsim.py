@@ -5,8 +5,11 @@ lattice, each contributing an attenuated, fractionally delayed impulse.
 Image positions follow the sign/offset parametrization
 ``(1 - 2p) * (src + 2 r L)`` over ``p in {0,1}^3`` and integer ``r``, with
 per-wall amplitude ``beta_lo^|r+p| * beta_hi^|r| / (4 pi d)``.  Fractional
-delays use an 81-tap Hann-windowed sinc at the Nyquist cutoff, so integer
-sample delays reduce to a single nonzero tap.
+delays use an 81-tap Hann-windowed sinc at the Nyquist cutoff, evaluated in
+closed form: the delay is reduced to its nearest integer, so over one
+image's consecutive taps the sine is a sign flip of ``sin(pi r)`` with
+``|r| <= 1/2``, and the Hann cosine follows by angle addition from a fixed
+tap table.  Integer sample delays give a single nonzero tap.
 
 Mixing calibrates interferer gains and the noise level against the first
 microphone, and the returned bundle's observations are the sample-exact sum
@@ -24,6 +27,16 @@ from scipy.signal import fftconvolve
 SPEED_OF_SOUND = 343.0
 SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
 _IMAGE_BLOCK = 1024  # images per windowed-sinc block: 81k taps stay in cache
+_HALF = (SINC_TAPS - 1) // 2
+_HANN_RATE = np.pi / (_HALF + 0.5)  # Hann window 0.5 (1 + cos(rate t)) at tap offset t
+# (-1)^j [1, cos(rate j), sin(rate j)] for tap j of the kernel
+_TAP_TABLE = (-1.0) ** np.arange(SINC_TAPS) * np.stack(
+    [
+        np.ones(SINC_TAPS),
+        np.cos(_HANN_RATE * np.arange(SINC_TAPS)),
+        np.sin(_HANN_RATE * np.arange(SINC_TAPS)),
+    ]
+)
 T60_FIT_DB = (-5.0, -35.0)  # decay-curve levels the T60 line is fitted between
 
 # noise placement: distance from every wall, minimum x-y distance from the
@@ -260,8 +273,17 @@ def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
 def image_source_rir(room: Room, src, mic) -> np.ndarray:
     """Room impulse response between one source and one microphone.
 
-    Vectorized over the image lattice (``_image_delays``), with the
-    windowed-sinc kernel evaluated ``_IMAGE_BLOCK`` images at a time.
+    Vectorized over the image lattice (``_image_delays``).  Image ``i`` puts
+    ``amp_i sinc(t) (1 + cos(rate t)) / 2`` at ``t_ij = u_i + j``, ``j`` the
+    kernel tap and ``u_i = first_i - delay_i``.  With ``r_i = delay_i -
+    rint(delay_i)`` the sine is ``sin(pi t_ij) = (-1)^j s_i``,
+    ``s_i = -(-1)^(first_i - rint(delay_i)) sin(pi r_i)``, and angle
+    addition splits the cosine, so the taps are ``[g_i, g_i cos(rate u_i),
+    -g_i sin(rate u_i)] @ _TAP_TABLE / t_ij`` with ``g_i = amp_i s_i /
+    (2 pi)``: three trig calls per image and one rank-3 product per
+    ``_IMAGE_BLOCK`` images.  Reducing to the nearest integer keeps
+    ``sin(pi r)`` accurate next to an integer delay.  A delay within one ulp
+    of an integer takes that integer's single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
     last image's full interpolation kernel.
     """
@@ -273,22 +295,31 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
         raise ValueError("source and microphone positions coincide")
     delay, amp = _image_delays(room, src, mic)
 
-    half = (SINC_TAPS - 1) // 2
-    n_samples = int(np.ceil(delay.max())) + half + 1
+    n_samples = int(np.ceil(delay.max())) + _HALF + 1
     # windowed-sinc taps around each delay, -half <= taps < n_samples
-    first = np.ceil(delay - half).astype(np.int64)  # (n_img,)
+    first = np.ceil(delay - _HALF).astype(np.int64)  # (n_img,)
+    nearest = np.rint(delay)
+    reduced = delay - nearest  # |r| <= 1/2
+    u = first - delay  # in [-half, 1 - half)
+    parity = (first - nearest.astype(np.int64)) % 2
+    g = (2 * parity - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
+    # 3.43 m at 343 m/s and 16 kHz lands one ulp below 160 samples
+    whole = np.abs(reduced) <= np.spacing(delay)
+    g[whole] = 0.0
+    u[whole] += 0.5  # off the integer, so no tap divides 0 by 0
+    coef = np.stack([g, g * np.cos(_HANN_RATE * u), -g * np.sin(_HANN_RATE * u)], axis=-1)
     offsets = np.arange(SINC_TAPS)[None, :]
     # bins -half..-1 collect the taps before t = 0 and are dropped; add.at
     # sums in input order, so a bin's value does not depend on the blocking
-    out = np.zeros(n_samples + half)
+    out = np.zeros(n_samples + _HALF)
     for lo in range(0, delay.size, _IMAGE_BLOCK):
         block = slice(lo, lo + _IMAGE_BLOCK)
-        taps = first[block, None] + offsets
-        t = taps - delay[block, None]  # in (-half-1, half+1)
-        window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
-        vals = amp[block, None] * np.sinc(t) * window
-        np.add.at(out, (taps + half).ravel(), vals.ravel())  # 1-D: add.at's fast path
-    return out[half:]
+        vals = coef[block] @ _TAP_TABLE
+        vals /= u[block, None] + offsets
+        taps = first[block, None] + (offsets + _HALF)
+        np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
+    np.add.at(out, nearest[whole].astype(np.int64) + _HALF, amp[whole])
+    return out[_HALF:]
 
 
 def measure_t60(h: np.ndarray, sample_rate: int) -> float:
