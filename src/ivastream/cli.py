@@ -329,6 +329,11 @@ def run_benchmark(manifest_path, out_override=None) -> int:
                 f"separator {name!r} wants {cfg.n_channels} channels; "
                 f"scenario provides {scenario0.array.n_channels}"
             )
+        if eval_cfg.reference_channel >= cfg.n_channels:
+            raise ConfigError(
+                f"reference channel {eval_cfg.reference_channel} out of range for "
+                f"separator {name!r} with {cfg.n_channels} channels"
+            )
 
     out_root = _out_dir(out_override if out_override is not None else manifest["output_dir"])
     reports: dict[str, list] = {name: [] for name in sep_cfgs}

@@ -364,6 +364,13 @@ class TestBenchmark:
         assert main(["benchmark", manifest]) == 2
         assert "do not exist" in capsys.readouterr().err
 
+    def test_out_of_range_reference_channel_is_a_config_error(self, tmp_path, capsys):
+        evaluation = {"segment_seconds": 0.5, "filter_length": 128, "reference_channel": 2}
+        manifest = _mini_manifest(tmp_path, evaluation=evaluation)
+        assert main(["benchmark", manifest]) == 2
+        assert "reference channel 2" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
     @pytest.mark.parametrize(
         "overrides, where",
         [
