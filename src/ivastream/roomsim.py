@@ -298,12 +298,12 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     n_samples = int(np.ceil(delay.max())) + _HALF + 1
     # windowed-sinc taps around each delay, -half <= taps < n_samples
     first = np.ceil(delay - _HALF).astype(np.int64)  # (n_img,)
-    nearest = np.rint(delay)
+    nearest = np.rint(delay).astype(np.int64)
     reduced = delay - nearest  # |r| <= 1/2
     u = first - delay  # in [-half, 1 - half)
-    parity = (first - nearest.astype(np.int64)) % 2
-    g = (2 * parity - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
-    # 3.43 m at 343 m/s and 16 kHz lands one ulp below 160 samples
+    g = (2 * ((first - nearest) % 2) - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
+    # a delay one ulp off an integer is that integer: 3.43 m at 343 m/s and
+    # 16 kHz lands one ulp below 160 samples
     whole = np.abs(reduced) <= np.spacing(delay)
     g[whole] = 0.0
     u[whole] += 0.5  # off the integer, so no tap divides 0 by 0
@@ -318,7 +318,7 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
         vals /= u[block, None] + offsets
         taps = first[block, None] + (offsets + _HALF)
         np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
-    np.add.at(out, nearest[whole].astype(np.int64) + _HALF, amp[whole])
+    np.add.at(out, nearest[whole] + _HALF, amp[whole])
     return out[_HALF:]
 
 
