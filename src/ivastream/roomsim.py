@@ -282,7 +282,10 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     -g_i sin(rate u_i)] @ _TAP_TABLE / t_ij`` with ``g_i = amp_i s_i /
     (2 pi)``: three trig calls per image and one rank-3 product per
     ``_IMAGE_BLOCK`` images.  Reducing to the nearest integer keeps
-    ``sin(pi r)`` accurate next to an integer delay.  A delay within one ulp
+    ``sin(pi r)`` accurate next to an integer delay, and the divisor is
+    formed as ``(first_i - rint(delay_i) + j) - r_i`` from an exact integer
+    and the exact ``r_i``, so it too stays accurate there at any delay
+    length.  A delay within one ulp
     of an integer takes that integer's single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
     last image's full interpolation kernel.
@@ -299,23 +302,29 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     # windowed-sinc taps around each delay, -half <= taps < n_samples
     first = np.ceil(delay - _HALF).astype(np.int64)  # (n_img,)
     nearest = np.rint(delay).astype(np.int64)
-    reduced = delay - nearest  # |r| <= 1/2
-    u = first - delay  # in [-half, 1 - half)
-    g = (2 * ((first - nearest) % 2) - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
+    reduced = delay - nearest  # exact (Sterbenz), |r| <= 1/2
+    k = (first - nearest).astype(float)  # -half or 1 - half
+    g = (2 * (k % 2) - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
     # a delay one ulp off an integer is that integer: 3.43 m at 343 m/s and
     # 16 kHz lands one ulp below 160 samples
     whole = np.abs(reduced) <= np.spacing(delay)
     g[whole] = 0.0
-    u[whole] += 0.5  # off the integer, so no tap divides 0 by 0
+    reduced[whole] = 0.5  # off the integer, so no tap divides 0 by 0
+    u = k - reduced  # first - delay, in [-half, 1 - half)
     coef = np.stack([g, g * np.cos(_HANN_RATE * u), -g * np.sin(_HANN_RATE * u)], axis=-1)
-    offsets = np.arange(SINC_TAPS)[None, :]
+    offsets = np.arange(SINC_TAPS)
+    steps = offsets.astype(float)
     # bins -half..-1 collect the taps before t = 0 and are dropped; add.at
     # sums in input order, so a bin's value does not depend on the blocking
     out = np.zeros(n_samples + _HALF)
     for lo in range(0, delay.size, _IMAGE_BLOCK):
         block = slice(lo, lo + _IMAGE_BLOCK)
         vals = coef[block] @ _TAP_TABLE
-        vals /= u[block, None] + offsets
+        # t_ij = (k_i + j) - r_i rounds once, so the centre tap divides by
+        # exactly -r_i; first - delay + j would carry delay's rounding
+        t = k[block, None] + steps
+        t -= reduced[block, None]
+        vals /= t
         taps = first[block, None] + (offsets + _HALF)
         np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
     np.add.at(out, nearest[whole] + _HALF, amp[whole])

@@ -183,10 +183,21 @@ def _anechoic_at(delay):
         _anechoic_at(160 - 1e-10),
         # half-way between taps: the largest reduced delay
         _anechoic_at(160.5),
+        # short direct paths, where first - delay rounds: the tap divisor
+        # must come from exact integers and the reduced delay
+        _anechoic_at(20 + 1e-13),
+        _anechoic_at(20 - 1e-13),
+        _anechoic_at(20 + 1e-10),
+        _anechoic_at(20 - 1e-10),
+        _anechoic_at(20.5),
+        _anechoic_at(5 - 1e-10),
+        # lands 11 ulps above 5 samples, beyond the one-ulp integer cut
+        _anechoic_at(5),
     ],
     ids=[
         "desk", "close-pair", "integer-delay", "sub-block",
         "160+1e-13", "160-1e-13", "160+1e-10", "160-1e-10", "160.5",
+        "20+1e-13", "20-1e-13", "20+1e-10", "20-1e-10", "20.5", "5-1e-10", "5",
     ],
 )
 def test_kernel_matches_one_shot_reference(room, src, mic):
