@@ -285,8 +285,8 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     ``sin(pi r)`` accurate next to an integer delay, and the divisor is
     formed as ``(first_i - rint(delay_i) + j) - r_i`` from an exact integer
     and the exact ``r_i``, so it too stays accurate there at any delay
-    length.  A delay within one ulp
-    of an integer takes that integer's single tap, which also avoids 0 / 0.
+    length.  A delay within one ulp of an integer takes that integer's
+    single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
     last image's full interpolation kernel.
     """
