@@ -548,7 +548,7 @@ def main(argv=None) -> int:
             )
         if args.command == "benchmark":
             return run_benchmark(args.manifest, args.out)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -4,12 +4,13 @@ Rigid-box image method: mirror images of a point source are enumerated on a
 lattice, each contributing an attenuated, fractionally delayed impulse.
 Image positions follow the sign/offset parametrization
 ``(1 - 2p) * (src + 2 r L)`` over ``p in {0,1}^3`` and integer ``r``, with
-per-wall amplitude ``beta_lo^|r+p| * beta_hi^|r| / (4 pi d)``.  Fractional
-delays use an 81-tap Hann-windowed sinc at the Nyquist cutoff, evaluated in
-closed form: the delay is reduced to its nearest integer, so over one
-image's consecutive taps the sine is a sign flip of ``sin(pi r)`` with
-``|r| <= 1/2``, and the Hann cosine follows by angle addition from a fixed
-tap table.  Integer sample delays give a single nonzero tap.
+per-wall amplitude ``beta_lo^|r+p| * beta_hi^|r| / (4 pi d)``; the lattice
+is separable, so both come from per-axis tables.  Fractional delays use an
+81-tap Hann-windowed sinc at the Nyquist cutoff on the samples centred on
+each image's nearest sample, evaluated in closed form: over those taps the
+sine is a sign flip of ``sin(pi r)``, ``|r| <= 1/2`` the delay's offset
+from that sample, and the Hann cosine follows by angle addition from a
+fixed tap table.  Integer sample delays give a single nonzero tap.
 
 Mixing calibrates interferer gains and the noise level against the first
 microphone, and the returned bundle's observations are the sample-exact sum
@@ -29,13 +30,10 @@ SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
 _IMAGE_BLOCK = 1024  # images per windowed-sinc block: 81k taps stay in cache
 _HALF = (SINC_TAPS - 1) // 2
 _HANN_RATE = np.pi / (_HALF + 0.5)  # Hann window 0.5 (1 + cos(rate t)) at tap offset t
-# (-1)^j [1, cos(rate j), sin(rate j)] for tap j of the kernel
+_TAP_T = np.arange(-_HALF, _HALF + 1.0)  # tap j's sample offset from rint(delay)
+# (-1)^j [1, cos(rate (j - half)), sin(rate (j - half))] for tap j of the kernel
 _TAP_TABLE = (-1.0) ** np.arange(SINC_TAPS) * np.stack(
-    [
-        np.ones(SINC_TAPS),
-        np.cos(_HANN_RATE * np.arange(SINC_TAPS)),
-        np.sin(_HANN_RATE * np.arange(SINC_TAPS)),
-    ]
+    [np.ones(SINC_TAPS), np.cos(_HANN_RATE * _TAP_T), np.sin(_HANN_RATE * _TAP_T)]
 )
 T60_FIT_DB = (-5.0, -35.0)  # decay-curve levels the T60 line is fitted between
 
@@ -247,25 +245,31 @@ def default_image_order(room: Room, t60: float) -> int:
 def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
     """Delay in fractional samples and amplitude of every lattice image of
     ``src`` as heard at ``mic``; images beyond ``max_image_order`` per axis
-    are dropped."""
+    are dropped.  The lattice is separable: per axis ``a``, the offsets
+    ``(1 - 2p)(src_a + 2 r L_a) - mic_a`` and the wall factors are tables
+    over ``(r, p)``, broadcast onto the ``(rx, ry, rz, px, py, pz)`` image
+    grid, which is also the order of the returned images."""
     dims = np.asarray(room.dimensions)
     beta = np.asarray(room.reflection).reshape(3, 2)  # [axis, lo/hi]
     order = room.max_image_order
     if order is None:
         order = default_image_order(room, max(t60_eyring(room), 1e-3))
 
-    rng_r = np.arange(-order, order + 1)
-    r = np.stack(np.meshgrid(rng_r, rng_r, rng_r, indexing="ij"), axis=-1).reshape(-1, 3)
-    p = np.stack(np.meshgrid([0, 1], [0, 1], [0, 1], indexing="ij"), axis=-1).reshape(-1, 3)
-    # (n_r, 8, 3) image positions: (1 - 2p) * (src + 2 r L)
-    base = src + 2.0 * r * dims  # (n_r, 3)
-    sign = 1.0 - 2.0 * p  # (8, 3)
-    pos = sign[None, :, :] * base[:, None, :]
-    dist = np.linalg.norm(pos - mic, axis=-1).ravel()
-    amp = (
-        np.prod(beta[:, 0] ** np.abs(r[:, None, :] + p[None, :, :]), axis=-1)
-        * np.prod(beta[:, 1] ** np.abs(r)[:, None, :], axis=-1)
-    ).ravel()
+    def on_grid(table, a):  # axis a's (r, p) table onto the image grid
+        shape = [1] * 6
+        shape[a], shape[a + 3] = table.shape
+        return table.reshape(shape)
+
+    r = np.arange(-order, order + 1)[:, None]
+    p = np.arange(2)
+    sq, lo, hi = [], [], []
+    for a in range(3):
+        offset = (1.0 - 2.0 * p) * (src[a] + 2.0 * r * dims[a]) - mic[a]
+        sq.append(on_grid(offset * offset, a))
+        lo.append(on_grid(beta[a, 0] ** np.abs(r + p), a))
+        hi.append(on_grid(beta[a, 1] ** np.abs(r), a))
+    dist = np.sqrt(sq[0] + sq[1] + sq[2]).ravel()
+    amp = (lo[0] * lo[1] * lo[2] * (hi[0] * hi[1] * hi[2])).ravel()
     amp = amp / (4.0 * np.pi * dist)
     return dist / SPEED_OF_SOUND * room.sample_rate, amp
 
@@ -273,20 +277,20 @@ def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
 def image_source_rir(room: Room, src, mic) -> np.ndarray:
     """Room impulse response between one source and one microphone.
 
-    Vectorized over the image lattice (``_image_delays``).  Image ``i`` puts
-    ``amp_i sinc(t) (1 + cos(rate t)) / 2`` at ``t_ij = u_i + j``, ``j`` the
-    kernel tap and ``u_i = first_i - delay_i``.  With ``r_i = delay_i -
-    rint(delay_i)`` the sine is ``sin(pi t_ij) = (-1)^j s_i``,
-    ``s_i = -(-1)^(first_i - rint(delay_i)) sin(pi r_i)``, and angle
-    addition splits the cosine, so the taps are ``[g_i, g_i cos(rate u_i),
-    -g_i sin(rate u_i)] @ _TAP_TABLE / t_ij`` with ``g_i = amp_i s_i /
-    (2 pi)``: three trig calls per image and one rank-3 product per
-    ``_IMAGE_BLOCK`` images.  Reducing to the nearest integer keeps
-    ``sin(pi r)`` accurate next to an integer delay, and the divisor is
-    formed as ``(first_i - rint(delay_i) + j) - r_i`` from an exact integer
-    and the exact ``r_i``, so it too stays accurate there at any delay
-    length.  A delay within one ulp of an integer takes that integer's
-    single tap, which also avoids 0 / 0.
+    Vectorized over the image lattice (``_image_delays``).  Image ``i``
+    puts ``amp_i sinc(t) (1 + cos(rate t)) / 2`` on the 81 samples
+    ``rint(delay_i) + _TAP_T``, at ``t_ij = _TAP_T[j] - r_i`` with
+    ``r_i = delay_i - rint(delay_i)``, ``|r_i| <= 1/2``: the support is
+    centred on the delay.  As ``_TAP_T`` holds even-centred integers, the
+    sine is ``sin(pi t_ij) = -(-1)^j sin(pi r_i)`` and angle addition splits
+    the cosine, so the taps are ``g_i [1, cos(rate r_i), sin(rate r_i)] @
+    _TAP_TABLE / (_TAP_T - r_i)`` with ``g_i = -amp_i sin(pi r_i) / (2 pi)``:
+    three trig calls per image and one rank-3 product per ``_IMAGE_BLOCK``
+    images.  Reducing to the nearest integer keeps ``sin(pi r)`` accurate
+    next to an integer delay, and the divisor subtracts the exact ``r_i``
+    from an exact integer, so it rounds once and the centre tap divides by
+    exactly ``-r_i`` at any delay length.  A delay within one ulp of an
+    integer takes that integer's single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
     last image's full interpolation kernel.
     """
@@ -299,33 +303,26 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     delay, amp = _image_delays(room, src, mic)
 
     n_samples = int(np.ceil(delay.max())) + _HALF + 1
-    # windowed-sinc taps around each delay, -half <= taps < n_samples
-    first = np.ceil(delay - _HALF).astype(np.int64)  # (n_img,)
     nearest = np.rint(delay).astype(np.int64)
     reduced = delay - nearest  # exact (Sterbenz), |r| <= 1/2
-    k = (first - nearest).astype(float)  # -half or 1 - half
-    g = (2 * (k % 2) - 1) * np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
+    g = -np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
     # a delay one ulp off an integer is that integer: 3.43 m at 343 m/s and
     # 16 kHz lands one ulp below 160 samples
     whole = np.abs(reduced) <= np.spacing(delay)
     g[whole] = 0.0
     reduced[whole] = 0.5  # off the integer, so no tap divides 0 by 0
-    u = k - reduced  # first - delay, in [-half, 1 - half)
-    coef = np.stack([g, g * np.cos(_HANN_RATE * u), -g * np.sin(_HANN_RATE * u)], axis=-1)
-    offsets = np.arange(SINC_TAPS)
-    steps = offsets.astype(float)
-    # bins -half..-1 collect the taps before t = 0 and are dropped; add.at
-    # sums in input order, so a bin's value does not depend on the blocking
+    angle = _HANN_RATE * reduced
+    coef = np.stack([g, g * np.cos(angle), g * np.sin(angle)], axis=-1)
+    # out[i] is sample i - half: bins 0..half-1 collect the taps before t = 0
+    # and are dropped; add.at sums in input order, so a bin's value does not
+    # depend on the blocking
     out = np.zeros(n_samples + _HALF)
+    offsets = np.arange(SINC_TAPS)
     for lo in range(0, delay.size, _IMAGE_BLOCK):
         block = slice(lo, lo + _IMAGE_BLOCK)
         vals = coef[block] @ _TAP_TABLE
-        # t_ij = (k_i + j) - r_i rounds once, so the centre tap divides by
-        # exactly -r_i; first - delay + j would carry delay's rounding
-        t = k[block, None] + steps
-        t -= reduced[block, None]
-        vals /= t
-        taps = first[block, None] + (offsets + _HALF)
+        vals /= _TAP_T - reduced[block, None]
+        taps = nearest[block, None] + offsets
         np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
     np.add.at(out, nearest[whole] + _HALF, amp[whole])
     return out[_HALF:]
@@ -391,6 +388,8 @@ def place_noise_sources(room: Room, count: int, seed: int) -> np.ndarray:
 
 def pink_noise(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     """Unit-variance 1/f-spectrum noise."""
+    if n_samples < 2:
+        raise ValueError(f"pink noise needs at least 2 samples, got {n_samples}")
     spec = np.fft.rfft(rng.standard_normal(n_samples))
     f = np.fft.rfftfreq(n_samples)
     f[0] = f[1]
@@ -408,26 +407,19 @@ def _convolve_to_mics(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
 def scenario_rirs(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All source->mic and noise->mic impulse responses, equal lengths."""
     mics = scenario.array.positions
-    groups = []
-    for pts in (scenario.source_positions, scenario.noise_positions):
-        group = [
-            [image_source_rir(scenario.room, p, mic) for mic in mics] for p in pts
-        ]
-        groups.append(group)
+    groups = [
+        [[image_source_rir(scenario.room, p, mic) for mic in mics] for p in pts]
+        for pts in (scenario.source_positions, scenario.noise_positions)
+    ]
     max_len = max(
         (len(h) for group in groups for per_mic in group for h in per_mic),
         default=1,
     )
-    padded = []
-    for group in groups:
-        if group:
-            arr = np.zeros((len(group), mics.shape[0], max_len))
-            for i, per_mic in enumerate(group):
-                for m, h in enumerate(per_mic):
-                    arr[i, m, : len(h)] = h
-        else:
-            arr = np.zeros((0, mics.shape[0], max_len))
-        padded.append(arr)
+    padded = [np.zeros((len(group), mics.shape[0], max_len)) for group in groups]
+    for arr, group in zip(padded, groups):
+        for i, per_mic in enumerate(group):
+            for m, h in enumerate(per_mic):
+                arr[i, m, : len(h)] = h
     return padded[0], padded[1]
 
 

@@ -125,6 +125,24 @@ class TestSimulate:
         assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 2
         assert "sample rate 8000 != scenario rate 16000" in capsys.readouterr().err
 
+    def test_duration_under_two_samples_is_a_usage_error(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), "--duration", "0.0000625"]) == 2
+        assert "at least 2 samples, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "evaluate"])
+def test_missing_input_wav_is_a_usage_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.wav")
+    inputs = {
+        "separate": [missing, _auxiva_config(tmp_path)],
+        "evaluate": [missing, missing, "--mixture", missing],
+    }[command]
+    assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 2
+    assert "nope.wav" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def mixture_dir(tmp_path):

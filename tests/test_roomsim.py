@@ -140,12 +140,12 @@ def test_rir_rejects_bad_positions():
 
 def _one_shot_rir(room, src, mic):
     """Reference kernel: ``np.sinc`` and the Hann cosine evaluated at every
-    image's taps at once, the taps before t = 0 masked out and the rest
-    summed by one bincount."""
+    image's taps at once, on the 81 samples centred on ``rint(delay)``, the
+    taps before t = 0 masked out and the rest summed by one bincount."""
     delay, amp = _image_delays(room, np.asarray(src, float), np.asarray(mic, float))
     half = (SINC_TAPS - 1) // 2
     n_samples = int(np.ceil(delay.max())) + half + 1
-    first = np.ceil(delay - half).astype(np.int64)
+    first = np.rint(delay).astype(np.int64) - half
     taps = first[:, None] + np.arange(SINC_TAPS)[None, :]
     t = taps - delay[:, None]
     window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 0.5)))
@@ -183,6 +183,11 @@ def _anechoic_at(delay):
         _anechoic_at(160 - 1e-10),
         # half-way between taps: the largest reduced delay
         _anechoic_at(160.5),
+        # fractional parts on either side of 1/2: the support is centred on
+        # the nearest sample
+        _anechoic_at(160.3),
+        _anechoic_at(160.7),
+        _anechoic_at(20.3),
         # short direct paths, where first - delay rounds: the tap divisor
         # must come from exact integers and the reduced delay
         _anechoic_at(20 + 1e-13),
@@ -197,6 +202,7 @@ def _anechoic_at(delay):
     ids=[
         "desk", "close-pair", "integer-delay", "sub-block",
         "160+1e-13", "160-1e-13", "160+1e-10", "160-1e-10", "160.5",
+        "160.3", "160.7", "20.3",
         "20+1e-13", "20-1e-13", "20+1e-10", "20-1e-10", "20.5", "5-1e-10", "5",
     ],
 )
@@ -205,6 +211,16 @@ def test_kernel_matches_one_shot_reference(room, src, mic):
     ref = _one_shot_rir(room, src, mic)
     assert h.shape == ref.shape
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("delay", [160.3, 160.7, 20.3])
+def test_fractional_delay_support_is_centred(delay):
+    # 81 taps centred on the nearest sample: the Hann window is zero beyond
+    # |t| = 40.5, so a support starting at ceil(delay - 40) would drop a tap
+    # inside it and keep one outside it
+    h = image_source_rir(*_anechoic_at(delay))
+    centre = int(np.rint(delay))
+    assert_array_equal(np.flatnonzero(h), np.arange(max(centre - 40, 0), centre + 41))
 
 
 def test_default_image_order_covers_decay_path():
@@ -280,6 +296,12 @@ def test_noise_placement_fails_when_room_too_small():
     with pytest.raises(RuntimeError, match="could not place"):
         place_noise_sources(room, 1, seed=0)
     assert place_noise_sources(room, 0, seed=0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_pink_noise_needs_two_samples(n_samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        pink_noise(np.random.default_rng(3), n_samples)
 
 
 def test_pink_noise_is_normalized_and_low_frequency_heavy():
