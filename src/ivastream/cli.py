@@ -32,9 +32,10 @@ from .io import (
     read_wav,
     write_wav,
 )
-from .metrics import CSV_SENTINEL_DB, EvalConfig, convergence_curve, decompose, sir_sdr
+from .metrics import (CSV_SENTINEL_DB, EvalConfig, convergence_curve, decompose,
+                      segment_samples, sir_sdr)
 from .separators import init_state, process_frame, projection_back
-from .stft import SpectralFrame, StftConfig, analyze, synthesize
+from .stft import StftConfig, analyze, synthesize
 
 OUTPUT_ROOT_ENV = "IVASTREAM_OUTPUT_ROOT"
 
@@ -48,6 +49,8 @@ SUMMARY_COLUMNS = (
     "sdr_improvement_std_db",
     "n_runs",
 )
+
+TIMING_COLUMNS = ("algorithm", "seed", "n_frames", "wall_s", "frames_per_s", "real_time_factor")
 
 
 def _out_dir(path_like) -> Path:
@@ -160,9 +163,7 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
     write_wav(AudioBuffer(bundle.noise_observation, fs), out / "noise.wav")
     meta = {"sample_rate": fs, "seed": scenario.seed, **bundle.gains}
     meta.update(_measured_baselines(bundle))
-    with open(out / "gains.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "gains.json", meta)
     print(f"wrote mixture ({bundle.observations.shape[0]} channels, "
           f"{bundle.observations.shape[1] / fs:.1f} s) to {out}")
     return 0
@@ -172,27 +173,21 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
 # separate
 
 
-def _separate_frames(frames, config, reference_channel):
-    """Frame-by-frame online separation with per-frame wall times."""
-    state = init_state(config, frames[0].bins.shape[0])
-    spectra = np.empty(
-        (len(frames), config.n_sources, state.n_bins), dtype=np.complex128
-    )
-    frame_times = np.empty(len(frames))
-    for j, frame in enumerate(frames):
+def _separate_signal(samples, config, stft_cfg, reference_channel):
+    """Online separation of a (channels, samples) signal: analyze, then
+    ``process_frame`` and ``projection_back`` once per frame, then
+    synthesize.  Returns the (sources, samples) estimates and each frame's
+    wall time in those two calls."""
+    state = init_state(config, stft_cfg.n_bins)
+    separated = []
+    frame_times = []
+    for frame in analyze(samples, stft_cfg):
         t0 = time.perf_counter()
         est = process_frame(state, frame)
-        spectra[j] = projection_back(state, est.y, reference_channel)
-        frame_times[j] = time.perf_counter() - t0
-    return spectra, frame_times
-
-
-def _spectra_to_signal(spectra, stft_cfg, n_samples):
-    frames = [
-        SpectralFrame(bins=spectra[j].T, index=j, config=stft_cfg)
-        for j in range(spectra.shape[0])
-    ]
-    return synthesize(frames, stft_cfg, n_samples)
+        y = projection_back(state, est.y, reference_channel)
+        frame_times.append(time.perf_counter() - t0)
+        separated.append(replace(frame, bins=y.T))
+    return synthesize(separated, stft_cfg, samples.shape[1]), frame_times
 
 
 def run_separate(
@@ -212,25 +207,23 @@ def run_separate(
             f"mixture has {buf.n_channels} channels, config expects {config.n_channels}"
         )
     stft_cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=buf.sample_rate)
-    frames = analyze(buf.samples, stft_cfg)
-    spectra, frame_times = _separate_frames(frames, config, reference_channel)
-    estimates = _spectra_to_signal(spectra, stft_cfg, buf.n_samples)
+    estimates, frame_times = _separate_signal(buf.samples, config, stft_cfg, reference_channel)
 
     out = _out_dir(out)
     write_wav(AudioBuffer(estimates, buf.sample_rate), out / "estimates.wav")
     if timing_log is not None:
         log = Path(timing_log)
-        with open(_out_dir(log.parent) / log.name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame_index", "seconds"])
-            for j, dt in enumerate(frame_times):
-                writer.writerow([j, f"{dt:.9f}"])
-    wall = float(frame_times.sum())
+        _write_csv(
+            _out_dir(log.parent) / log.name,
+            ["frame_index", "seconds"],
+            [[j, f"{dt:.9f}"] for j, dt in enumerate(frame_times)],
+        )
+    wall = sum(frame_times)
     audio_s = buf.n_samples / buf.sample_rate
     rtf = wall / audio_s
     print(
-        f"separated {len(frames)} frames in {wall:.2f} s "
-        f"({len(frames) / max(wall, 1e-12):.0f} frames/s, real-time factor {rtf:.3f})"
+        f"separated {len(frame_times)} frames in {wall:.2f} s "
+        f"({len(frame_times) / max(wall, 1e-12):.0f} frames/s, real-time factor {rtf:.3f})"
     )
     return 0
 
@@ -260,8 +253,7 @@ def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int):
         raise ValueError(
             f"{est.shape[0]} estimates cannot be paired with {refs.shape[0]} references"
         )
-    seg = int(round(eval_cfg.segment_seconds * sample_rate))
-    seg = min(seg, est.shape[1])
+    seg = min(segment_samples(eval_cfg, sample_rate), est.shape[1])
     n = refs.shape[0]
     sir = np.empty((n, n))
     for j in range(n):
@@ -352,11 +344,9 @@ def run_benchmark(manifest_path, out_override=None) -> int:
             try:
                 # configs with fewer channels read the leading microphones
                 obs = bundle.observations[: cfg.n_channels]
-                frames = analyze(obs, stft_cfg)
-                spectra, frame_times = _separate_frames(
-                    frames, cfg, eval_cfg.reference_channel
+                estimates, frame_times = _separate_signal(
+                    obs, cfg, stft_cfg, eval_cfg.reference_channel
                 )
-                estimates = _spectra_to_signal(spectra, stft_cfg, obs.shape[1])
                 idx = pair_sources(estimates, references, eval_cfg, fs)
                 report = convergence_curve(
                     estimates[idx], references, mixture_ref, eval_cfg, fs
@@ -372,31 +362,18 @@ def run_benchmark(manifest_path, out_override=None) -> int:
                     **bundle.gains,
                     **_measured_baselines(bundle),
                 }
-                with open(run_dir / "meta.json", "w") as fh:
-                    json.dump(meta, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                wall = float(frame_times.sum())
-                timing_rows.append(
-                    {
-                        "algorithm": name,
-                        "seed": int(seed),
-                        "n_frames": len(frames),
-                        "wall_s": wall,
-                        "frames_per_s": len(frames) / max(wall, 1e-12),
-                        "real_time_factor": wall / (obs.shape[1] / fs),
-                    }
-                )
+                _write_json(run_dir / "meta.json", meta)
+                wall, n_frames = sum(frame_times), len(frame_times)
+                timing_rows.append([name, int(seed), n_frames, wall, n_frames / max(wall, 1e-12),
+                                    wall / (obs.shape[1] / fs)])
                 reports[name].append(report)
             except Exception as exc:  # noqa: BLE001 - record, keep sweeping
-                failures.append({"algorithm": name, "seed": int(seed), "error": str(exc)})
+                failures.append([name, int(seed), str(exc)])
 
     _write_summary(out_root / "summary.csv", reports)
-    _write_timing(out_root / "timing.csv", timing_rows)
+    _write_csv(out_root / "timing.csv", TIMING_COLUMNS, timing_rows)
     if failures:
-        with open(out_root / "failures.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["algorithm", "seed", "error"])
-            writer.writeheader()
-            writer.writerows(failures)
+        _write_csv(out_root / "failures.csv", ["algorithm", "seed", "error"], failures)
 
     _print_summary_table(reports, failures)
     return 1 if failures else 0
@@ -404,43 +381,40 @@ def run_benchmark(manifest_path, out_override=None) -> int:
 
 def _write_summary(path, reports) -> None:
     """Across seeds and sources: mean +- std improvement per segment."""
+    rows = []
+    for name, runs in reports.items():
+        if not runs:
+            continue
+        dsir = np.stack([r.sir_improvement_db for r in runs])  # (runs, S, N)
+        dsdr = np.stack([r.sdr_improvement_db for r in runs])
+        t_start = runs[0].t_start_s
+        for s in range(dsir.shape[1]):
+            rows.append(
+                [
+                    name,
+                    s,
+                    f"{t_start[s]:.6f}",
+                    f"{dsir[:, s, :].mean():.6f}",
+                    f"{dsir[:, s, :].std():.6f}",
+                    f"{dsdr[:, s, :].mean():.6f}",
+                    f"{dsdr[:, s, :].std():.6f}",
+                    len(runs),
+                ]
+            )
+    _write_csv(path, SUMMARY_COLUMNS, rows)
+
+
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for name, runs in reports.items():
-            if not runs:
-                continue
-            dsir = np.stack([r.sir_improvement_db for r in runs])  # (runs, S, N)
-            dsdr = np.stack([r.sdr_improvement_db for r in runs])
-            t_start = runs[0].t_start_s
-            for s in range(dsir.shape[1]):
-                writer.writerow(
-                    [
-                        name,
-                        s,
-                        f"{t_start[s]:.6f}",
-                        f"{dsir[:, s, :].mean():.6f}",
-                        f"{dsir[:, s, :].std():.6f}",
-                        f"{dsdr[:, s, :].mean():.6f}",
-                        f"{dsdr[:, s, :].std():.6f}",
-                        len(runs),
-                    ]
-                )
-
-
-def _write_timing(path, rows) -> None:
-    fields = [
-        "algorithm",
-        "seed",
-        "n_frames",
-        "wall_s",
-        "frames_per_s",
-        "real_time_factor",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
+        writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _print_summary_table(reports, failures) -> None:
@@ -493,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing-log", default=None, help="per-frame wall-time CSV")
     p.add_argument("--algorithm", default=None)
     p.add_argument("--forgetting", type=float, default=None)
-    p.add_argument("--inner-iters", type=int, default=None)
     p.add_argument("--loading", type=float, default=None)
 
     p = sub.add_parser("evaluate", help="segment-wise SIR/SDR against references")
@@ -524,7 +497,6 @@ def main(argv=None) -> int:
             overrides = {
                 "algorithm": args.algorithm,
                 "forgetting": args.forgetting,
-                "inner_iters": args.inner_iters,
                 "loading": args.loading,
             }
             return run_separate(

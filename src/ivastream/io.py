@@ -165,7 +165,10 @@ def load_scenario(path) -> Scenario:
     elif "positions" in noise:
         noise_positions = np.asarray(noise["positions"], dtype=float).reshape(-1, 3)
     else:
-        noise_positions = place_noise_sources(room, noise["count"], noise.get("seed", 0))
+        try:
+            noise_positions = place_noise_sources(room, noise["count"], noise.get("seed", 0))
+        except RuntimeError as exc:  # the placement constraints admit no such set
+            raise ConfigError(f"{path}: noise: {exc}") from exc
 
     try:
         return Scenario(

@@ -63,6 +63,18 @@ class EvalConfig:
             raise ValueError("reference_channel must be >= 0")
 
 
+def segment_samples(config: EvalConfig, sample_rate: int) -> int:
+    """Length of one evaluation segment in samples, ``segment_seconds``
+    rounded at ``sample_rate``; a segment under one sample is a
+    ``ValueError``."""
+    seg = int(round(config.segment_seconds * sample_rate))
+    if seg < 1:
+        raise ValueError(
+            f"segment of {config.segment_seconds} s is under one sample at {sample_rate} Hz"
+        )
+    return seg
+
+
 @dataclass
 class Decomposition:
     """Orthogonal split of an estimate, or of each stacked one, on the
@@ -263,7 +275,7 @@ def convergence_curve(
     if mix.shape[0] != est.shape[1]:
         raise ValueError("mixture length does not match the estimates")
     n_sources, n_samples = est.shape
-    seg_len = int(round(config.segment_seconds * sample_rate))
+    seg_len = segment_samples(config, sample_rate)
     n_segments = n_samples // seg_len
     if n_segments < 1:
         raise ValueError("signal shorter than one evaluation segment")

@@ -397,13 +397,6 @@ def pink_noise(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     return x / np.std(x)
 
 
-def _convolve_to_mics(signal: np.ndarray, rirs: np.ndarray) -> np.ndarray:
-    """Convolve one source signal with per-mic RIRs, truncated to the
-    signal length: (T,), (M, L) -> (M, T)."""
-    out = fftconvolve(rirs, signal[None, :], axes=-1)
-    return out[:, : signal.shape[0]]
-
-
 def scenario_rirs(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All source->mic and noise->mic impulse responses, equal lengths."""
     mics = scenario.array.positions
@@ -447,17 +440,17 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     src_rirs, noise_rirs = scenario_rirs(scenario) if rirs is None else rirs
     n_mics = scenario.array.n_channels
 
-    images = np.stack([_convolve_to_mics(targets[n], src_rirs[n]) for n in range(n_src)])
+    # (N, M, L) RIRs against (N, 1, T) signals, truncated to the signal length
+    images = fftconvolve(src_rirs, targets[:, None, :], axes=-1)[..., :n_samples]
     # interferer gains against the target's image at mic 0
-    e_ref = float(np.sum(images[0, 0] ** 2))
-    if e_ref == 0:
+    e_img = np.sum(images[:, 0] ** 2, axis=1)
+    if e_img[0] == 0:
         raise ValueError("target source has zero image energy at the reference mic")
-    gains = np.ones(n_src)
-    for k in range(1, n_src):
-        e_k = float(np.sum(images[k, 0] ** 2))
-        if e_k == 0:
-            raise ValueError(f"source {k} has zero image energy at the reference mic")
-        gains[k] = np.sqrt(e_ref * 10.0 ** (-scenario.isir_db / 10.0) / e_k)
+    if np.any(e_img == 0):
+        k = int(np.flatnonzero(e_img == 0)[0])
+        raise ValueError(f"source {k} has zero image energy at the reference mic")
+    gains = np.sqrt(e_img[0] * 10.0 ** (-scenario.isir_db / 10.0) / e_img)
+    gains[0] = 1.0
     images = images * gains[:, None, None]
 
     rng = np.random.default_rng(scenario.seed)
@@ -467,10 +460,9 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     k_noise = noise_rirs.shape[0]
     if scenario.isnr_db is not None:
         if k_noise:
-            v_point = np.sum(
-                [_convolve_to_mics(pink_noise(rng, n_samples), h) for h in noise_rirs],
-                axis=0,
-            )
+            pink = np.stack([pink_noise(rng, n_samples) for _ in range(k_noise)])
+            v_point = fftconvolve(noise_rirs, pink[:, None, :], axes=-1)[..., :n_samples]
+            v_point = v_point.sum(axis=0)
         else:
             v_point = np.zeros((n_mics, n_samples))
         v_white = rng.standard_normal((n_mics, n_samples))

@@ -9,7 +9,7 @@ extraction filter of length ``M`` into a Kronecker product of two
 sub-filters of lengths ``M1 * M2 == M`` and updates them alternately.
 
 Every filter update starts from ``u = W^{-1} e_n``, solved once per source
-and pass.  With more channels than sources the noise rows ``[J, -I]`` reduce
+and frame.  With more channels than sources the noise rows ``[J, -I]`` reduce
 that solve, and projection back's, to an N x N system (:func:`_source_block`).
 :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
 to 1; the two bilinear updates are the same IP step on the covariance and
@@ -75,9 +75,8 @@ class SeparatorConfig:
     """Knobs of one separation stream.
 
     ``forgetting`` defaults per algorithm (0.96 AuxIVA, 0.99 OverIVA,
-    0.98 bilinear).  ``inner_iters`` counts filter-update passes per source
-    and frame; 0 disables filter and noise-block updates entirely (the
-    statistics still run), which is useful as a pass-through debug mode.
+    0.98 bilinear).  Every frame runs one filter update per source, the
+    one-update-per-frame schedule of online AuxIVA.
     """
 
     n_channels: int
@@ -86,7 +85,6 @@ class SeparatorConfig:
     sub_len_1: int | None = None
     sub_len_2: int | None = None
     forgetting: float | None = None
-    inner_iters: int = 1
     loading: float = 1e-9
 
     def __post_init__(self):
@@ -98,8 +96,6 @@ class SeparatorConfig:
             raise ValueError("n_sources must be >= 1")
         if not 0.0 < self.forgetting < 1.0:
             raise ValueError("forgetting factor must be in (0, 1)")
-        if self.inner_iters < 0:
-            raise ValueError("inner_iters must be >= 0")
         if self.loading < 0:
             raise ValueError("loading must be >= 0")
         if algo is Algorithm.AUXIVA:
@@ -336,11 +332,13 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     filter, refresh that source's weighted covariance and its tracked
     inverse (from a checked solve every ``INVERSE_REFRESH`` frames), and run
     the algorithm's filter update (writing the source's demixing row so
-    later sources see it); finally refresh the noise block from the
-    orthogonal constraint and emit ``y = W x``.
+    later sources see it); finally refresh the noise block, if there is
+    one, from the orthogonal constraint and emit ``y = W x``.  Real,
+    integer and single-precision bins are cast to complex128 first, so
+    they stream as their complex128 values do.
     """
     cfg = state.config
-    x = np.asarray(frame.bins)
+    x = np.asarray(frame.bins, dtype=np.complex128)
     if x.shape != (state.n_bins, cfg.n_channels):
         raise ValueError(
             f"frame {frame.index}: got {x.shape}, state expects "
@@ -364,25 +362,24 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                     state.P[n] = numerics.scaled_inverse(state.V[n], cfg.loading)
                 else:
                     update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading)
-            for _ in range(cfg.inner_iters):
-                u = _inverse_column(state.W, n, n_src, cfg.loading)
-                if cfg.algorithm is Algorithm.BIIVA:
-                    # both sub-updates read the same pre-update W, hence one u
-                    w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
-                    w2 = bilinear_update_2(u, state.V[n], w1, cfg.loading)
-                    # move the scale into w2 so w1 stays unit-norm
-                    scale = np.linalg.norm(w1, axis=-1)[..., None]
-                    state.w1[n] = w1 / scale
-                    state.w2[n] = w2 * scale
-                    state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
-                else:
-                    state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
+            u = _inverse_column(state.W, n, n_src, cfg.loading)
+            if cfg.algorithm is Algorithm.BIIVA:
+                # both sub-updates read the same pre-update W, hence one u
+                w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
+                w2 = bilinear_update_2(u, state.V[n], w1, cfg.loading)
+                # move the scale into w2 so w1 stays unit-norm
+                scale = np.linalg.norm(w1, axis=-1)[..., None]
+                state.w1[n] = w1 / scale
+                state.w2[n] = w2 * scale
+                state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
+            else:
+                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"frame {state.frame_index}, source {n}: {exc}"
             ) from exc
 
-    if cfg.algorithm is not Algorithm.AUXIVA and cfg.inner_iters > 0:
+    if n_src < cfg.n_channels:
         try:
             state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], cfg.loading)
         except SingularMatrixError as exc:

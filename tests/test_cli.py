@@ -144,6 +144,19 @@ def test_missing_input_wav_is_a_usage_error(tmp_path, capsys, command):
     assert "nope.wav" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rir", "simulate", "benchmark"])
+def test_unplaceable_noise_count_is_a_config_error(tmp_path, capsys, command):
+    # 19 noises cannot sit 20 degrees apart around the room centre
+    manifest = _mini_manifest(tmp_path)
+    room = {"dimensions": [7.0, 8.0, 3.5], "reflection": 0.3, "sample_rate": 16000}
+    scn = _mini_scenario(tmp_path, room=room, noise={"count": 19, "seed": 1000})
+    out = ["--out", str(tmp_path / "o")]
+    inputs = {"rir": [scn, *out], "simulate": [scn, *out], "benchmark": [manifest]}[command]
+    assert main([command, *inputs]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scn}: noise: could not place 19")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture()
 def mixture_dir(tmp_path):
     scn = _mini_scenario(tmp_path)
@@ -163,30 +176,6 @@ class TestSeparate:
         )
         assert code == 2
         assert "channels" in capsys.readouterr().err
-
-    def test_inner_iters_zero_is_passthrough(self, tmp_path, mixture_dir):
-        # with filter updates disabled the demixing stays identity; after
-        # projection back onto microphone 0, source 0 is the first input
-        # channel and source 1 contributes nothing there
-        cfg = _auxiva_config(tmp_path)
-        out = tmp_path / "sep"
-        code = main(
-            [
-                "separate",
-                str(mixture_dir / "observations.wav"),
-                cfg,
-                "--out",
-                str(out),
-                "--inner-iters",
-                "0",
-            ]
-        )
-        assert code == 0
-        est = read_wav(out / "estimates.wav").samples
-        obs = read_wav(mixture_dir / "observations.wav").samples
-        interior = slice(1024, obs.shape[1] - 1024)
-        np.testing.assert_allclose(est[0, interior], obs[0, interior], atol=1e-6)
-        np.testing.assert_allclose(est[1, interior], 0.0, atol=1e-6)
 
     def test_timing_log_has_one_row_per_frame(self, tmp_path, mixture_dir):
         cfg = _auxiva_config(tmp_path)
@@ -291,6 +280,19 @@ class TestEvaluate:
         )
         assert code == 2
         assert "reference channel 2" in capsys.readouterr().err
+
+    def test_segment_under_one_sample_is_a_usage_error(self, tmp_path, mixture_dir, capsys):
+        refs = str(mixture_dir / "reference_images.wav")
+        mixture = str(mixture_dir / "observations.wav")
+        args = ["--mixture", mixture, "--out", str(tmp_path / "e"), "--segment-seconds", "0.00001"]
+        assert main(["evaluate", refs, refs, *args]) == 2
+        assert "segment of 1e-05 s is under one sample" in capsys.readouterr().err
+
+    def test_pairing_rejects_a_segment_under_one_sample(self, mixture_dir):
+        refs = read_wav(mixture_dir / "reference_images.wav")
+        cfg = metrics.EvalConfig(segment_seconds=0.00001, filter_length=8)
+        with pytest.raises(ValueError, match="under one sample"):
+            cli.pair_sources(refs.samples, refs.samples, cfg, refs.sample_rate)
 
 
 def _mini_manifest(tmp_path, **overrides):

@@ -16,6 +16,7 @@ from ivastream.metrics import (
     EvalReport,
     convergence_curve,
     decompose,
+    segment_samples,
     sir_sdr,
 )
 
@@ -253,6 +254,11 @@ def test_curve_input_validation():
         convergence_curve(refs, refs, mix[:-1], cfg, sample_rate=1000)
     with pytest.raises(ValueError, match="shorter than one"):
         convergence_curve(refs, refs, mix, cfg, sample_rate=100_000)
+    # a segment that rounds to zero samples names itself, not a division error
+    tiny = EvalConfig(segment_seconds=0.00001, filter_length=8)
+    assert segment_samples(EvalConfig(segment_seconds=0.001), 1000) == 1
+    with pytest.raises(ValueError, match="segment of 1e-05 s is under one sample at 16000 Hz"):
+        convergence_curve(refs, refs, mix, tiny, sample_rate=16000)
 
 
 def _toy_report():

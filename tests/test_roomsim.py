@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.signal import fftconvolve
 
 from ivastream.roomsim import (
     SINC_TAPS,
@@ -399,6 +400,34 @@ def test_mix_is_deterministic_and_seed_sensitive():
     for name in ("observations", "source_images", "noise_observation"):
         assert getattr(b4, name).tobytes() == getattr(b1, name).tobytes()
     assert b4.gains == b1.gains
+
+
+def test_mix_matches_one_convolution_per_emitter():
+    # the loop that mix's two batched convolutions replace, on three sources
+    # and two point noises; the pink clips are drawn in emitter order
+    base = _desk_scenario(isir_db=-2.0)
+    scen = replace(
+        base,
+        source_positions=np.vstack([base.source_positions, [3.0, 4.5, 1.3]]),
+        noise_positions=np.vstack([base.noise_positions, [0.5, 0.5, 2.0]]),
+    )
+    sig = _test_signals(scen)
+    n = sig.shape[1]
+    src_rirs, noise_rirs = scenario_rirs(scen)
+    bundle = mix(scen, sig)
+    images = np.stack([fftconvolve(h, x[None], axes=-1)[:, :n] for h, x in zip(src_rirs, sig)])
+    e = [float(np.sum(img[0] ** 2)) for img in images]
+    gains = [1.0] + [np.sqrt(e[0] * 10.0 ** (-scen.isir_db / 10.0) / e_k) for e_k in e[1:]]
+    assert bundle.gains["source_gains"] == gains
+    assert bundle.source_images.tobytes() == (images * np.array(gains)[:, None, None]).tobytes()
+    rng = np.random.default_rng(scen.seed)
+    v_point = np.sum(
+        [fftconvolve(h, pink_noise(rng, n)[None], axes=-1)[:, :n] for h in noise_rirs], axis=0
+    )
+    v_white = rng.standard_normal((3, n))
+    g = bundle.gains
+    noise = g["sigma_v"] * (v_point + 10.0**scen.white_exponent * g["white_scale"] * v_white)
+    assert bundle.noise_observation.tobytes() == noise.tobytes()
 
 
 def test_mix_input_validation():
