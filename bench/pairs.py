@@ -8,14 +8,18 @@ the same arguments and the ``run_seconds`` of BENCHMARK.json, the side that
 goes first alternating from pair to pair.  Prints, per metric, each side's
 median and quartiles, the median ratio (change / parent) and how many pairs
 the change won (lower is better for every metric the benchmark reports;
-ties count for neither side).  With ``--out`` the runs and the summary are
-stored in that JSON file under ``--key``.
+ties count for neither side).  Each engine's 99th-percentile frame time,
+which ``perfbench/run.py`` prints as an info line (``<engine>.frame_ms_p99``),
+is reported beside them as each side's median and quartiles only: it is no
+verdict metric of the benchmark.  With ``--out`` the runs and the summary
+are stored in that JSON file under ``--key``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -24,21 +28,25 @@ from pathlib import Path
 from record import store
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+INFO = re.compile(r"^\S+ (\w+\.frame_ms_p99) = (\S+) ms$")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; returns {metric: value} from its JSON result line."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One benchmark run; returns {metric: value} from its JSON result line
+    and {info name: value} from its frame-time info lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{checkout} seed {seed}: run reported incorrect output")
     values = {k: m["value"] for k, m in result["metrics"].items()}
     values["failed_frac"] = result["failed"] / result["attempted"]
-    return values
+    info = {m[1]: float(m[2]) for m in map(INFO.match, lines) if m}
+    return values, info
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -68,6 +76,13 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def summarize_info(runs: list[dict]) -> dict:
+    """Each side's [q1, median, q3] of every info value, no verdict."""
+    names = runs[0]["info"]["parent"]
+    return {name: {side: quartiles([r["info"][side][name] for r in runs])
+                   for side in ("parent", "change")} for name in names}
+
+
 def parse_seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
@@ -93,10 +108,11 @@ def main(argv=None) -> int:
     runs = []
     for k, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
+        pair = {"seed": seed, "first": order[0], "info": {}}
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            pair[side] = run_once(checkout, args.workload, seed, seconds, args.trace)
+            pair[side], pair["info"][side] = run_once(checkout, args.workload, seed, seconds,
+                                                      args.trace)
         runs.append(pair)
         print(f"seed {seed}: " + " ".join(
             f"{name} {pair['parent'][name]:.4g}->{pair['change'][name]:.4g}"
@@ -110,12 +126,17 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}] "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}] ratio {ratio} "
               f"change wins {s['change_wins']}/{s['pairs']}")
+    info = summarize_info(runs)
+    for name, sides in info.items():
+        pq, cq = sides["parent"], sides["change"]
+        print(f"{args.workload} {name} (info): parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}] "
+              f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]")
     if args.out:
         command = (f"python3 bench/pairs.py --parent <parent checkout> --change <change checkout> "
                    f"--workload {args.workload} --seeds {args.seeds} --trace {args.trace} "
                    f"--out {args.out.name} --key {args.key}")
         store(args.out, args.key, {"command": command, "run_seconds": seconds,
-                                   "summary": summary, "runs": runs})
+                                   "summary": summary, "info": info, "runs": runs})
     return 0
 
 

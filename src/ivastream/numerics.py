@@ -11,6 +11,10 @@ Conventions
 * Hermitian solves apply trace-scaled diagonal loading
   ``A + loading * (trace(A)/K) * I`` so the regularization is invariant to
   the overall scale of ``A``
+* systems up to ``_SMALL_MAX`` x ``_SMALL_MAX`` are solved elementwise over
+  the batch, one numpy operation per elimination step for all bins at once;
+  larger ones, and any small one that fails the residual test, go to LAPACK
+  one matrix at a time.  Both are held to the same residual test
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, instead reports per
@@ -18,6 +22,8 @@ Conventions
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +38,13 @@ _SOLVE_RTOL = 1e-8
 # expansion fails where the residual test cannot see it.  At 0.01 the desk
 # stream's DC bin fell back to the exact solve in half of overiva's frames
 _FIRST_ORDER_MAX = 0.1
+
+# largest K whose K x K systems are solved elementwise over the batch
+# (_small_solve) instead of by LAPACK, one matrix at a time.  At 513 random
+# systems per call, most of which swap pivot rows, the general solve breaks
+# even with LAPACK at K = 4 (within 10% either way) and loses from K = 5;
+# the Hermitian one, which needs no pivots, stays cheaper up to K = 9
+_SMALL_MAX = 4
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -127,27 +140,142 @@ def _accepted(resid_sq: np.ndarray, a_sq: np.ndarray, x_sq: np.ndarray, b_sq: np
     return np.isfinite(resid_sq) & (resid_sq <= bound)
 
 
-def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str) -> None:
+def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str, index=None) -> None:
     """Reject solves whose residual betrays a numerically singular system.
 
     ``a`` is (..., K, K); ``x`` and ``b`` are (..., K, R) right-hand sides.
+    ``index``, when given, holds each system's batch index for the message.
     """
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(f"{context}: non-finite solution")
     ok = _accepted(_sq_sum(np.matmul(a, x) - b, 2), _sq_sum(a, 2), _sq_sum(x, 2), _sq_sum(b, 2))
     if not np.all(ok):
-        idx = np.argwhere(~ok)
-        raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx[0]}")
+        idx = np.argwhere(~ok)[0]
+        if index is not None:
+            idx = index[idx[0]]
+        raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx}")
 
 
-def _checked_solve(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """LU solve of ``A X = B`` for (..., K, R) ``B``, residual-checked."""
+def _lapack_solve(a: np.ndarray, b: np.ndarray, context: str, index=None) -> np.ndarray:
+    """LU solve of ``A X = B`` for (..., K, R) ``B``, residual-checked.
+    ``index``, when given, holds the batch index of each of the (n, K, K)
+    systems ``a`` in a larger batch, for the error message."""
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
+        # name the first system LAPACK finds exactly singular
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                np.linalg.solve(a[idx], np.eye(a.shape[-1]))
+            except np.linalg.LinAlgError:
+                where = np.array(idx) if index is None else index[idx[0]]
+                raise SingularMatrixError(f"{context}: {exc} at batch index {where}") from exc
         raise SingularMatrixError(f"{context}: {exc}") from exc
-    _check_solution(a, x, b, context)
+    _check_solution(a, x, b, context, index)
     return x
+
+
+def _cramer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^{-1} B`` for bins-last (2, 2, n) ``a`` and (2, R, n) ``b`` by the
+    adjugate."""
+    inv_det = 1.0 / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    x = np.empty_like(b)
+    x[0] = (a[1, 1] * b[0] - a[0, 1] * b[1]) * inv_det
+    x[1] = (a[0, 0] * b[1] - a[1, 0] * b[0]) * inv_det
+    return x
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray, pivot: bool) -> np.ndarray:
+    """``A^{-1} B`` for bins-last (K, K, n) ``a`` and (K, R, n) ``b`` by
+    unrolled Gaussian elimination on ``[A | B]``, with partial pivoting in
+    every system when ``pivot``.  Without pivoting, on Hermitian positive
+    definite ``A``, this is the root-free Cholesky factorization ``A = L D
+    L^H`` (the eliminated rows are ``D L^H``), stable without pivots."""
+    k = a.shape[0]
+    g = np.concatenate((a, b), axis=1)
+    for j in range(k):
+        if pivot and j < k - 1:
+            mag = np.abs(g[j:, j])
+            swap = np.flatnonzero(mag[0] < mag.max(axis=0))  # systems whose pivot row moves
+            if swap.size:
+                p = j + np.argmax(mag[:, swap], axis=0)
+                row = g[p, j:, swap]
+                g[p, j:, swap] = g[j, j:, swap]
+                g[j, j:, swap] = row
+        f = g[j + 1 :, j] / g[j, j]
+        g[j + 1 :, j + 1 :] -= f[:, None] * g[j, j + 1 :]
+    x = g[:, k:]
+    for j in reversed(range(k)):  # back substitution
+        x[j] /= g[j, j]
+        x[:j] -= g[:j, j, None] * x[j]
+    return x
+
+
+def _small_solve(
+    a: np.ndarray, b: np.ndarray, shift: np.ndarray | None, hermitian: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each of the (..., K, K) systems ``(A + shift I) X = B``, ``K
+    <= _SMALL_MAX``, elementwise over the batch.  In a bins-last copy each
+    matrix entry is one contiguous row of all the systems, so every step
+    of :func:`_cramer2` (2 x 2) or :func:`_eliminate` (pivoting unless
+    ``hermitian``) is one numpy operation over all of them.  Returns ``X``
+    and, per system, whether it passed the residual test of
+    :func:`_check_solution`, computed in the same layout."""
+    batch, (k, r) = a.shape[:-2], b.shape[-2:]
+    n = math.prod(batch)
+    kk, kr = k * k, k * r
+    # bins-last rows of A, B, X and the residual A X - B, one block each
+    rows = np.empty((kk + 3 * kr, n), dtype=np.complex128)
+    rows[:kk].reshape((k, k) + batch)[...] = np.moveaxis(a, (-2, -1), (0, 1))
+    rows[kk : kk + kr].reshape((k, r) + batch)[...] = np.moveaxis(b, (-2, -1), (0, 1))
+    if shift is not None:
+        rows[:kk : k + 1] += shift.reshape(n)
+    at = rows[:kk].reshape(k, k, n)
+    bt, xt, rt = rows[kk:].reshape(3, k, r, n)
+    with np.errstate(all="ignore"):
+        xt[...] = _cramer2(at, bt) if k == 2 else _eliminate(at, bt, pivot=not hermitian)
+        np.subtract((at[:, :, None] * xt).sum(axis=1), bt, out=rt)
+        sq = rows.real * rows.real
+        sq += rows.imag * rows.imag
+        b_sq, x_sq, r_sq = sq[kk:].reshape(3, kr, n).sum(axis=1)
+        ok = _accepted(r_sq, sq[:kk].sum(axis=0), x_sq, b_sq)
+    x = np.ascontiguousarray(np.moveaxis(xt, -1, 0)).reshape(batch + (k, r))
+    return x, ok.reshape(batch)
+
+
+def _checked_solve(
+    a: np.ndarray, b: np.ndarray, context: str, shift: np.ndarray | None = None,
+    hermitian: bool = False,
+) -> np.ndarray:
+    """Residual-checked solve of ``(A + shift I) X = B`` for (..., K, K)
+    ``A``, (..., K, R) ``B`` and a per-system diagonal ``shift`` (None for
+    none).  Systems up to ``_SMALL_MAX`` go through :func:`_small_solve`,
+    and only those it leaves unsolved through LAPACK; larger ones go
+    through LAPACK.  ``hermitian`` declares every ``A + shift I`` Hermitian
+    positive definite, so it is solved without pivoting."""
+    k = a.shape[-1]
+    if a.shape[-2] != k or b.shape[-2] != k:
+        raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {b.shape[-2]} rows")
+    if k > _SMALL_MAX:
+        return _lapack_solve(_shifted(a, shift), b, context)
+    if a.shape[:-2] != b.shape[:-2]:
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a = np.broadcast_to(a, batch + (k, k))
+        b = np.broadcast_to(b, batch + b.shape[-2:])
+        shift = None if shift is None else np.broadcast_to(shift, batch)
+    x, ok = _small_solve(a, b, shift, hermitian)
+    if not np.all(ok):
+        bad = ~ok
+        a_bad = _shifted(a[bad], None if shift is None else shift[bad])
+        x[bad] = _lapack_solve(a_bad, b[bad], context, np.argwhere(bad))
+    return x
+
+
+def _shifted(a: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
+    """``A + shift I`` for (..., K, K) ``a``; ``a`` itself for no shift."""
+    if shift is None:
+        return a
+    return a + shift[..., None, None] * np.eye(a.shape[-1])
 
 
 def frobenius_shift(a: np.ndarray, loading: float) -> np.ndarray:
@@ -156,13 +284,6 @@ def frobenius_shift(a: np.ndarray, loading: float) -> np.ndarray:
     the Frobenius norm stands in."""
     scale = np.sqrt(_sq_sum(a, 2)) / np.sqrt(a.shape[-1])
     return loading * scale
-
-
-def _frobenius_load(a: np.ndarray, loading: float) -> np.ndarray:
-    """``A + frobenius_shift(A, loading) * I``."""
-    if loading <= 0:
-        return a
-    return a + frobenius_shift(a, loading)[..., None, None] * np.eye(a.shape[-1])
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.ndarray:
@@ -189,12 +310,10 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     rows = b.shape[-2] if block else b.shape[-1]
     if a.shape[-2] != k or rows != k:
         raise ValueError(f"hermitian_solve: A is {a.shape[-2]}x{k}, b has {rows} rows")
-    if loading > 0:
-        tr = np.trace(a, axis1=-2, axis2=-1).real
-        a = a + (loading * tr / k)[..., None, None] * np.eye(k)
+    shift = loading * np.trace(a, axis1=-2, axis2=-1).real / k if loading > 0 else None
     if block:
-        return _checked_solve(a, b, "hermitian_solve")
-    return _checked_solve(a, b[..., None], "hermitian_solve")[..., 0]
+        return _checked_solve(a, b, "hermitian_solve", shift, hermitian=True)
+    return _checked_solve(a, b[..., None], "hermitian_solve", shift, hermitian=True)[..., 0]
 
 
 def scaled_inverse(a: np.ndarray, loading: float) -> np.ndarray:
@@ -256,11 +375,13 @@ def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:
     e = np.zeros((m, 1), dtype=np.complex128)
     e[n] = 1.0
     b = np.broadcast_to(e, w.shape[:-2] + (m, 1))
-    return _checked_solve(_frobenius_load(w, loading), b, "solve_column")[..., 0]
+    shift = frobenius_shift(w, loading) if loading > 0 else None
+    return _checked_solve(w, b, "solve_column", shift)[..., 0]
 
 
 def solve_general(a: np.ndarray, b: np.ndarray, loading: float = 0.0, context: str = "solve") -> np.ndarray:
     """Solve ``A X = B`` for general square ``A`` with Frobenius-scaled loading."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    return _checked_solve(_frobenius_load(a, loading), b, context)
+    shift = frobenius_shift(a, loading) if loading > 0 else None
+    return _checked_solve(a, b, context, shift)

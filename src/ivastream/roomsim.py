@@ -356,6 +356,11 @@ def place_noise_sources(room: Room, count: int, seed: int) -> np.ndarray:
     Deterministic given the seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
+    if count * NOISE_MIN_ANGLE_DEG > 360.0:
+        raise RuntimeError(
+            f"could not place {count} noise sources: {count} x {NOISE_MIN_ANGLE_DEG:g} "
+            "degrees of angular spread exceed the full circle"
+        )
     rng = np.random.default_rng(seed)
     dims = np.asarray(room.dimensions)
     lo = np.full(3, NOISE_WALL_MARGIN)

@@ -139,7 +139,7 @@ class TestHermitianSolve:
         shift = delta * np.trace(a).real / 4 * np.eye(4)
         np.testing.assert_array_equal(
             nx.hermitian_solve(a, b, loading=delta),
-            np.linalg.solve(a + shift, b),
+            nx.hermitian_solve(a + shift, b),
         )
 
     def test_exactly_singular_raises_typed_error(self):
@@ -186,7 +186,7 @@ class TestSolveColumn:
         shift = delta * np.linalg.norm(w) / np.sqrt(3) * np.eye(3)
         np.testing.assert_array_equal(
             nx.solve_column(w, 1, loading=delta),
-            np.linalg.solve(w + shift, np.eye(3, dtype=complex)[:, 1]),
+            nx.solve_column(w + shift, 1),
         )
 
     def test_singular_raises(self):
@@ -208,3 +208,139 @@ class TestSolveGeneral:
         b = np.ones((2, 1), dtype=complex)
         with pytest.raises(nx.SingularMatrixError, match="noise block"):
             nx.solve_general(a, b, context="noise block")
+
+
+_BINS = 513
+
+
+def _conditioned(rng, k, cond, hermitian):
+    """(_BINS, k, k) stack ``Q1 diag(s) Q2^H`` with random unitary ``Q1`` and
+    ``Q2`` (``Q2 = Q1`` when ``hermitian``) and singular values ``s`` spread
+    from 1 to ``1 / cond``."""
+    q1 = np.linalg.qr(_cplx(rng, _BINS, k, k))[0]
+    q2 = q1 if hermitian else np.linalg.qr(_cplx(rng, _BINS, k, k))[0]
+    s = np.logspace(0.0, -np.log10(cond), k)
+    return (q1 * s) @ np.conj(np.swapaxes(q2, -1, -2))
+
+
+def _rel_err(x, ref):
+    """Largest per-system ``||x - ref|| / ||ref||`` over the batch."""
+    axes = tuple(range(1, x.ndim))
+    return float(np.max(np.sqrt(np.sum(np.abs(x - ref) ** 2, axis=axes)
+                                / np.sum(np.abs(ref) ** 2, axis=axes))))
+
+
+def _no_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a small system went to LAPACK")
+    monkeypatch.setattr(nx, "_lapack_solve", fail)
+
+
+def _solve(hermitian, a, b):
+    return nx.hermitian_solve(a, b) if hermitian else nx.solve_general(a, b)
+
+
+_KINDS = pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
+_SMALL_KS = pytest.mark.parametrize("k", range(1, nx._SMALL_MAX + 1))
+
+
+class TestSmallSystems:
+    """Systems up to ``_SMALL_MAX`` are solved elementwise over the batch."""
+
+    @_KINDS
+    @_SMALL_KS
+    def test_matches_lapack_on_well_conditioned_stacks(self, monkeypatch, k, hermitian):
+        rng = np.random.default_rng(70 + k)
+        a = _conditioned(rng, k, 10.0, hermitian)
+        if not hermitian:
+            # permutation matrices with a tiny diagonal: accurate only with pivoting
+            perm = np.argsort(rng.random((_BINS // 2, k)), axis=-1)
+            a[: _BINS // 2] = 1e-9 * a[: _BINS // 2] + (perm[..., None] == np.arange(k))
+        b = _cplx(rng, _BINS, k, 3)
+        _no_lapack(monkeypatch)
+        assert _rel_err(_solve(hermitian, a, b), np.linalg.solve(a, b)) <= 1e-12
+
+    @_KINDS
+    @_SMALL_KS
+    def test_near_singular_stacks_pass_the_lapack_residual_bound(self, monkeypatch, k, hermitian):
+        rng = np.random.default_rng(80 + k)
+        a = _conditioned(rng, k, 1e10, hermitian)
+        b = _cplx(rng, _BINS, k, 2)
+        _no_lapack(monkeypatch)
+        x = _solve(hermitian, a, b)
+        nx._check_solution(a, x, b, "near-singular stack")
+
+    @_KINDS
+    @_SMALL_KS
+    def test_singular_system_raises_naming_its_batch_index(self, k, hermitian):
+        rng = np.random.default_rng(90 + k)
+        a = _conditioned(rng, k, 10.0, hermitian)
+        a[300] = 0.0
+        with pytest.raises(nx.SingularMatrixError, match=r"Singular matrix at batch index \[300\]"):
+            _solve(hermitian, a, _cplx(rng, _BINS, k, 1))
+
+    def test_singular_rank_one_column_names_its_batch_index(self):
+        rng = np.random.default_rng(95)
+        w = _cplx(rng, 4, _BINS, 2, 2)
+        w[2, 17] = 1.0
+        with pytest.raises(nx.SingularMatrixError, match=r"solve_column: .* batch index \[ 2 17\]"):
+            nx.solve_column(w, 0)
+
+    def test_unit_and_block_right_hand_sides_take_the_small_path(self, monkeypatch):
+        rng = np.random.default_rng(96)
+        w = _conditioned(rng, 2, 10.0, False)
+        v = _conditioned(rng, 3, 10.0, True)
+        eye = np.broadcast_to(np.eye(3, dtype=complex), v.shape)
+        _no_lapack(monkeypatch)
+        for n in range(2):
+            assert _rel_err(nx.solve_column(w, n), np.linalg.inv(w)[..., n]) <= 1e-12
+        assert _rel_err(nx.hermitian_solve(v, eye), np.linalg.inv(v)) <= 1e-12
+        assert np.all(np.isfinite(nx.scaled_inverse(v, 1e-9)))
+
+    def test_shared_right_hand_side_broadcasts_over_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(99)
+        v = _conditioned(rng, 3, 10.0, True)
+        b = _cplx(rng, 3)
+        _no_lapack(monkeypatch)
+        shared = nx.hermitian_solve(v, b)
+        np.testing.assert_array_equal(shared, nx.hermitian_solve(v, np.broadcast_to(b, (_BINS, 3))))
+
+    def test_rejected_systems_alone_go_to_lapack_loaded(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        small = nx._small_solve
+        lapack = nx._lapack_solve
+        sizes = []
+
+        def reject_bin_7(a, b, shift, hermitian):
+            x, ok = small(a, b, shift, hermitian)
+            ok[7] = False
+            return x, ok
+
+        def counted(a, b, context, index=None):
+            sizes.append(len(a))
+            return lapack(a, b, context, index)
+
+        monkeypatch.setattr(nx, "_small_solve", reject_bin_7)
+        monkeypatch.setattr(nx, "_lapack_solve", counted)
+        w = _cplx(rng, _BINS, 3, 3)
+        v = _random_pd(rng, _BINS, 3, 3)
+        b = _cplx(rng, _BINS, 3)
+        loaded_w = w + nx.frobenius_shift(w, 1e-3)[:, None, None] * np.eye(3)
+        loaded_v = v + (1e-3 * np.trace(v, axis1=-2, axis2=-1).real / 3)[:, None, None] * np.eye(3)
+        x = nx.solve_column(w, 1, loading=1e-3)
+        np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_w[7], np.eye(3)[:, 1]))
+        x = nx.hermitian_solve(v, b, loading=1e-3)
+        np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_v[7], b[7]))
+        assert sizes == [1, 1]
+
+    @_KINDS
+    def test_larger_systems_keep_lapack(self, monkeypatch, hermitian):
+        def fail(*args, **kwargs):
+            raise AssertionError("a large system went to the small-system kernel")
+
+        monkeypatch.setattr(nx, "_small_solve", fail)
+        rng = np.random.default_rng(98)
+        k = nx._SMALL_MAX + 1
+        a = _conditioned(rng, k, 10.0, hermitian)
+        b = _cplx(rng, _BINS, k, 2)
+        np.testing.assert_array_equal(_solve(hermitian, a, b), np.linalg.solve(a, b))

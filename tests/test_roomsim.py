@@ -299,6 +299,16 @@ def test_noise_placement_fails_when_room_too_small():
     assert place_noise_sources(room, 0, seed=0).shape == (0, 3)
 
 
+def test_noise_count_beyond_the_angular_spread_fails_before_drawing(monkeypatch):
+    # 19 sources 20 degrees apart need 380 degrees: no draw can place them
+    def no_draws(*args, **kwargs):
+        raise AssertionError("made a generator to draw positions from")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(RuntimeError, match="could not place 19 noise sources"):
+        place_noise_sources(_DESK.room, 19, seed=0)
+
+
 @pytest.mark.parametrize("n_samples", [0, 1])
 def test_pink_noise_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match="at least 2 samples"):
