@@ -11,8 +11,12 @@ microphones 0 and 1), raw and with projection back to microphone 0.  Prints,
 per input, engine and output, the largest absolute difference between the
 two checkouts divided by the parent's largest entry, and beside it the same
 measure between the parent's outputs for the input and for the input
-scaled by ``1 + 2**-52``: how far one rounding step at the input carries
-through the recursion.  With ``--out`` the table is stored under ``--key``.
+scaled by ``1 + 2**-52``, and for the input with every ``np.linalg.solve``
+result of the parent scaled entrywise by ``1 +- 2**-52`` (seeded random
+signs): how far one rounding step at the input, or in each solve, carries
+through the recursion.  A change to the solvers whose difference stays at
+the last measure is no less accurate than the parent's own rounding.  With
+``--out`` the table is stored under ``--key``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DURATION_S = 3.0
 
 # run in a fresh process against one checkout's package:
-# argv = seed, mixture wav, output npz
+# argv = seed, mixture wav, output npz, "perturb" to add the one-ulp runs
 CHILD = f"""
 import sys
 import numpy as np
@@ -42,11 +46,24 @@ from ivastream.io import load_separator_config, read_wav
 from ivastream.separators import separate_stream
 from ivastream.stft import StftConfig, analyze
 
+solve = np.linalg.solve
+signs = np.random.default_rng(0)
+
+
+def solve_ulp(a, b):
+    x = solve(a, b)
+    return x * (1.0 + 2.0**-52 * signs.choice([-1.0, 1.0], x.shape))
+
+
 desk = read_wav(sys.argv[2]).samples
 noise = np.random.default_rng(int(sys.argv[1])).standard_normal(desk.shape)
+runs = [(1.0, solve, "")]
+if sys.argv[4:] == ["perturb"]:
+    runs += [(1.0 + 2.0**-52, solve, " ulp"), (1.0, solve_ulp, " solve ulp")]
 out = {{}}
 for source, x in (("desk", desk), ("noise", noise)):
-    for scale, tag in ((1.0, ""), (1.0 + 2.0**-52, " ulp")):
+    for scale, solver, tag in runs:
+        np.linalg.solve = solver
         for name in {ENGINES!r}:
             cfg = load_separator_config({str(CONFIGS)!r} + f"/{{name}}.json")
             frames = analyze(scale * x[: cfg.n_channels], StftConfig(fft_size=1024, hop=256))
@@ -85,21 +102,24 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             checkout = getattr(args, side)
             run(checkout / "src", ["-c", CHILD, str(args.seed), "sim/observations.wav",
-                                    f"{side}.npz"], work)
+                                    f"{side}.npz"] + (["perturb"] if side == "parent" else []),
+                work)
             with np.load(work / f"{side}.npz") as doc:
                 spectra[side] = {k: doc[k] for k in doc.files}
 
     parent, change = spectra["parent"], spectra["change"]
     table = {}
-    for name, ref in parent.items():
-        if name.endswith(" ulp"):
-            continue
+    for name in change:
+        ref = parent[name]
         scale = np.max(np.abs(ref))
         diff = np.max(np.abs(change[name] - ref)) / scale
         ulp = np.max(np.abs(parent[name + " ulp"] - ref)) / scale
-        table[name] = {"change": float(diff), "parent_one_ulp_input": float(ulp)}
+        solve_ulp = np.max(np.abs(parent[name + " solve ulp"] - ref)) / scale
+        table[name] = {"change": float(diff), "parent_one_ulp_input": float(ulp),
+                       "parent_one_ulp_solves": float(solve_ulp)}
         print(f"{name}: {diff:.3g} of the parent's largest entry; one ulp at the "
-              f"parent's input: {ulp:.3g} ({ref.shape[0]} frames)")
+              f"parent's input: {ulp:.3g}, in the parent's solves: {solve_ulp:.3g} "
+              f"({ref.shape[0]} frames)")
     if args.out:
         command = (f"python3 bench/engine_diff.py --parent <parent checkout> "
                    f"--change <change checkout> --seed {args.seed} "

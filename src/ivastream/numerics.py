@@ -11,10 +11,11 @@ Conventions
 * Hermitian solves apply trace-scaled diagonal loading
   ``A + loading * (trace(A)/K) * I`` so the regularization is invariant to
   the overall scale of ``A``
-* systems up to ``_SMALL_MAX`` x ``_SMALL_MAX`` are solved elementwise over
-  the batch, one numpy operation per elimination step for all bins at once;
-  larger ones, and any small one that fails the residual test, go to LAPACK
-  one matrix at a time.  Both are held to the same residual test
+* 2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX`` x ``_SMALL_MAX``,
+  are solved elementwise over the batch, one numpy operation per
+  elimination step for all bins at once; all others, and any small one
+  that fails the residual test, go to LAPACK one matrix at a time.  Both
+  are held to the same residual test
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, instead reports per
@@ -39,11 +40,12 @@ _SOLVE_RTOL = 1e-8
 # stream's DC bin fell back to the exact solve in half of overiva's frames
 _FIRST_ORDER_MAX = 0.1
 
-# largest K whose K x K systems are solved elementwise over the batch
-# (_small_solve) instead of by LAPACK, one matrix at a time.  At 513 random
-# systems per call, most of which swap pivot rows, the general solve breaks
-# even with LAPACK at K = 4 (within 10% either way) and loses from K = 5;
-# the Hermitian one, which needs no pivots, stays cheaper up to K = 9
+# largest K whose Hermitian positive definite K x K systems are solved
+# elementwise over the batch (_small_solve) instead of by LAPACK, one matrix
+# at a time: biiva's sub-filter systems are 3 x 3 at the desk and 4 x 4 at
+# M = 16 (measured cheaper than LAPACK up to K = 9).  General systems, which
+# would need pivots, take that path only at K = 2, in closed form: every
+# general solve of the shipped configs is on the 2 x 2 source block
 _SMALL_MAX = 4
 
 
@@ -185,23 +187,14 @@ def _cramer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray, pivot: bool) -> np.ndarray:
-    """``A^{-1} B`` for bins-last (K, K, n) ``a`` and (K, R, n) ``b`` by
-    unrolled Gaussian elimination on ``[A | B]``, with partial pivoting in
-    every system when ``pivot``.  Without pivoting, on Hermitian positive
-    definite ``A``, this is the root-free Cholesky factorization ``A = L D
-    L^H`` (the eliminated rows are ``D L^H``), stable without pivots."""
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A^{-1} B`` for bins-last (K, K, n) Hermitian positive definite
+    ``a`` and (K, R, n) ``b`` by unrolled Gaussian elimination on ``[A |
+    B]``: the root-free Cholesky factorization ``A = L D L^H`` (the
+    eliminated rows are ``D L^H``), stable without pivots."""
     k = a.shape[0]
     g = np.concatenate((a, b), axis=1)
     for j in range(k):
-        if pivot and j < k - 1:
-            mag = np.abs(g[j:, j])
-            swap = np.flatnonzero(mag[0] < mag.max(axis=0))  # systems whose pivot row moves
-            if swap.size:
-                p = j + np.argmax(mag[:, swap], axis=0)
-                row = g[p, j:, swap]
-                g[p, j:, swap] = g[j, j:, swap]
-                g[j, j:, swap] = row
         f = g[j + 1 :, j] / g[j, j]
         g[j + 1 :, j + 1 :] -= f[:, None] * g[j, j + 1 :]
     x = g[:, k:]
@@ -212,13 +205,13 @@ def _eliminate(a: np.ndarray, b: np.ndarray, pivot: bool) -> np.ndarray:
 
 
 def _small_solve(
-    a: np.ndarray, b: np.ndarray, shift: np.ndarray | None, hermitian: bool
+    a: np.ndarray, b: np.ndarray, shift: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each of the (..., K, K) systems ``(A + shift I) X = B``, ``K
-    <= _SMALL_MAX``, elementwise over the batch.  In a bins-last copy each
-    matrix entry is one contiguous row of all the systems, so every step
-    of :func:`_cramer2` (2 x 2) or :func:`_eliminate` (pivoting unless
-    ``hermitian``) is one numpy operation over all of them.  Returns ``X``
+    """Solve each of the (..., K, K) systems ``(A + shift I) X = B``, 2 x 2
+    or Hermitian positive definite up to ``_SMALL_MAX``, elementwise over
+    the batch.  In a bins-last copy each matrix entry is one contiguous row
+    of all the systems, so every step of :func:`_cramer2` (2 x 2) or
+    :func:`_eliminate` is one numpy operation over all of them.  Returns ``X``
     and, per system, whether it passed the residual test of
     :func:`_check_solution`, computed in the same layout."""
     batch, (k, r) = a.shape[:-2], b.shape[-2:]
@@ -233,7 +226,7 @@ def _small_solve(
     at = rows[:kk].reshape(k, k, n)
     bt, xt, rt = rows[kk:].reshape(3, k, r, n)
     with np.errstate(all="ignore"):
-        xt[...] = _cramer2(at, bt) if k == 2 else _eliminate(at, bt, pivot=not hermitian)
+        xt[...] = _cramer2(at, bt) if k == 2 else _eliminate(at, bt)
         np.subtract((at[:, :, None] * xt).sum(axis=1), bt, out=rt)
         sq = rows.real * rows.real
         sq += rows.imag * rows.imag
@@ -249,21 +242,21 @@ def _checked_solve(
 ) -> np.ndarray:
     """Residual-checked solve of ``(A + shift I) X = B`` for (..., K, K)
     ``A``, (..., K, R) ``B`` and a per-system diagonal ``shift`` (None for
-    none).  Systems up to ``_SMALL_MAX`` go through :func:`_small_solve`,
-    and only those it leaves unsolved through LAPACK; larger ones go
-    through LAPACK.  ``hermitian`` declares every ``A + shift I`` Hermitian
-    positive definite, so it is solved without pivoting."""
+    none).  2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX``, go
+    through :func:`_small_solve`, and only those it leaves unsolved through
+    LAPACK; all others go through LAPACK.  ``hermitian`` declares every ``A
+    + shift I`` Hermitian positive definite, so it needs no pivots."""
     k = a.shape[-1]
     if a.shape[-2] != k or b.shape[-2] != k:
         raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {b.shape[-2]} rows")
-    if k > _SMALL_MAX:
+    if k != 2 and not (hermitian and k <= _SMALL_MAX):
         return _lapack_solve(_shifted(a, shift), b, context)
     if a.shape[:-2] != b.shape[:-2]:
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         a = np.broadcast_to(a, batch + (k, k))
         b = np.broadcast_to(b, batch + b.shape[-2:])
         shift = None if shift is None else np.broadcast_to(shift, batch)
-    x, ok = _small_solve(a, b, shift, hermitian)
+    x, ok = _small_solve(a, b, shift)
     if not np.all(ok):
         bad = ~ok
         a_bad = _shifted(a[bad], None if shift is None else shift[bad])

@@ -242,33 +242,42 @@ def _solve(hermitian, a, b):
 
 _KINDS = pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
 _SMALL_KS = pytest.mark.parametrize("k", range(1, nx._SMALL_MAX + 1))
+# (hermitian, K) of the systems the small-system kernel solves
+_SMALL_CASES = pytest.mark.parametrize(
+    "hermitian, k",
+    [(False, 2)] + [(True, k) for k in range(1, nx._SMALL_MAX + 1)],
+    ids=lambda v: ("hermitian" if v else "general") if isinstance(v, bool) else str(v),
+)
 
 
 class TestSmallSystems:
-    """Systems up to ``_SMALL_MAX`` are solved elementwise over the batch."""
+    """2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX``, are solved
+    elementwise over the batch."""
 
-    @_KINDS
-    @_SMALL_KS
-    def test_matches_lapack_on_well_conditioned_stacks(self, monkeypatch, k, hermitian):
+    @_SMALL_CASES
+    def test_matches_lapack_on_well_conditioned_stacks(self, monkeypatch, hermitian, k):
         rng = np.random.default_rng(70 + k)
         a = _conditioned(rng, k, 10.0, hermitian)
         if not hermitian:
-            # permutation matrices with a tiny diagonal: accurate only with pivoting
-            perm = np.argsort(rng.random((_BINS // 2, k)), axis=-1)
-            a[: _BINS // 2] = 1e-9 * a[: _BINS // 2] + (perm[..., None] == np.arange(k))
+            # anti-diagonal matrices with a tiny diagonal
+            a[: _BINS // 2] = 1e-9 * a[: _BINS // 2] + np.eye(k)[::-1]
         b = _cplx(rng, _BINS, k, 3)
         _no_lapack(monkeypatch)
         assert _rel_err(_solve(hermitian, a, b), np.linalg.solve(a, b)) <= 1e-12
 
-    @_KINDS
-    @_SMALL_KS
-    def test_near_singular_stacks_pass_the_lapack_residual_bound(self, monkeypatch, k, hermitian):
+    @_SMALL_CASES
+    def test_near_singular_stacks_have_lapack_level_residuals(self, monkeypatch, hermitian, k):
+        # the acceptance bound screens out singular systems only; the kernel's
+        # backward error must stay within a few ulps, as LAPACK's does
         rng = np.random.default_rng(80 + k)
         a = _conditioned(rng, k, 1e10, hermitian)
         b = _cplx(rng, _BINS, k, 2)
         _no_lapack(monkeypatch)
         x = _solve(hermitian, a, b)
         nx._check_solution(a, x, b, "near-singular stack")
+        resid = np.sqrt(nx._sq_sum(a @ x - b, 2))
+        scale = np.sqrt(nx._sq_sum(a, 2) * nx._sq_sum(x, 2)) + np.sqrt(nx._sq_sum(b, 2))
+        assert np.max(resid / scale) <= 1e-15
 
     @_KINDS
     @_SMALL_KS
@@ -311,8 +320,8 @@ class TestSmallSystems:
         lapack = nx._lapack_solve
         sizes = []
 
-        def reject_bin_7(a, b, shift, hermitian):
-            x, ok = small(a, b, shift, hermitian)
+        def reject_bin_7(a, b, shift):
+            x, ok = small(a, b, shift)
             ok[7] = False
             return x, ok
 
@@ -322,25 +331,28 @@ class TestSmallSystems:
 
         monkeypatch.setattr(nx, "_small_solve", reject_bin_7)
         monkeypatch.setattr(nx, "_lapack_solve", counted)
-        w = _cplx(rng, _BINS, 3, 3)
+        w = _cplx(rng, _BINS, 2, 2)
         v = _random_pd(rng, _BINS, 3, 3)
         b = _cplx(rng, _BINS, 3)
-        loaded_w = w + nx.frobenius_shift(w, 1e-3)[:, None, None] * np.eye(3)
+        loaded_w = w + nx.frobenius_shift(w, 1e-3)[:, None, None] * np.eye(2)
         loaded_v = v + (1e-3 * np.trace(v, axis1=-2, axis2=-1).real / 3)[:, None, None] * np.eye(3)
         x = nx.solve_column(w, 1, loading=1e-3)
-        np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_w[7], np.eye(3)[:, 1]))
+        np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_w[7], np.eye(2)[:, 1]))
         x = nx.hermitian_solve(v, b, loading=1e-3)
         np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_v[7], b[7]))
         assert sizes == [1, 1]
 
-    @_KINDS
-    def test_larger_systems_keep_lapack(self, monkeypatch, hermitian):
+    @pytest.mark.parametrize(
+        "hermitian, k",
+        [(False, 1), (False, 3), (False, 4), (True, nx._SMALL_MAX + 1)],
+        ids=["general-1", "general-3", "general-4", "hermitian-above-max"],
+    )
+    def test_other_systems_keep_lapack(self, monkeypatch, hermitian, k):
         def fail(*args, **kwargs):
-            raise AssertionError("a large system went to the small-system kernel")
+            raise AssertionError("a system went to the small-system kernel")
 
         monkeypatch.setattr(nx, "_small_solve", fail)
         rng = np.random.default_rng(98)
-        k = nx._SMALL_MAX + 1
         a = _conditioned(rng, k, 10.0, hermitian)
         b = _cplx(rng, _BINS, k, 2)
         np.testing.assert_array_equal(_solve(hermitian, a, b), np.linalg.solve(a, b))
