@@ -4,14 +4,19 @@
         [--out BENCH.json --key cost_curve]
 
 Streams 64 seeded random spectra (I = 513 bins, N = 2 sources) through
-``separate_stream`` with projection back to microphone 0, for M in 4, 9,
-16 and 36: overiva, and biiva with sqrt(M) x sqrt(M) sub-filters.  Each
-checkout is measured in 3 rounds, the side that goes first alternating from
-round to round; a round is a fresh process that imports that checkout's
-``src/`` and times 3 streams per point, each from a fresh state, with BLAS
-pinned to one thread as in ``perfbench``.  Reports raw ms/frame: each
-round's median over its streams, and the median of the rounds.  With
-``--out`` the curve is stored in that JSON file under ``--key``.
+``process_frame`` and projection back to microphone 0, for M in 4, 9, 16
+and 36: overiva, and biiva with sqrt(M) x sqrt(M) sub-filters.  At each M
+the two engines take turns frame by frame, each from a fresh state, as
+``perfbench`` feeds its engines, and the one going first alternates from
+frame to frame; so a change in host speed reaches both alike.  Each checkout is
+measured in 5 rounds, the side that goes first alternating from round to
+round; a round is a fresh process that imports that checkout's ``src/``
+and runs 3 such interleaved streams per M, with BLAS pinned to one thread
+as in ``perfbench``.  Reports raw ms/frame, each round's median over its
+streams and the median of the rounds, and per M the ratio biiva / overiva
+of the same stream: per round the median over its streams, the median of
+the rounds, and in how many rounds biiva cost less.  With ``--out`` the
+curve is stored in that JSON file under ``--key``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ N_SOURCES = 2
 # (separators.INVERSE_REFRESH = 32), so the refresh solves are in the average
 N_FRAMES = 64
 REPEATS = 3
-ROUNDS = 3
+ROUNDS = 5
 SEED = 0
 
 
@@ -55,8 +60,26 @@ def spectra(m: int, stft) -> list:
     return [stft.SpectralFrame(bins=x[t], index=t, config=cfg) for t in range(N_FRAMES)]
 
 
+def interleaved(frames: list, configs: dict, separators) -> dict:
+    """One stream per engine from fresh states, the engines taking turns
+    frame by frame: {engine: ms/frame}."""
+    states = {engine: separators.init_state(cfg, N_BINS) for engine, cfg in configs.items()}
+    order = list(states)
+    spent = dict.fromkeys(order, 0.0)
+    for frame in frames:
+        for engine in order:
+            state = states[engine]
+            t0 = time.perf_counter()
+            est = separators.process_frame(state, frame)
+            separators.projection_back(state, est.y, 0)
+            spent[engine] += time.perf_counter() - t0
+        order.reverse()
+    return {engine: s * 1e3 / len(frames) for engine, s in spent.items()}
+
+
 def measure(src: Path) -> dict:
-    """One round on the package under ``src``: {"engine M": ms/frame}."""
+    """One round on the package under ``src``: {"engine M": ms/frame,
+    "ratio M": biiva / overiva}, each the median over the round's streams."""
     sys.path.insert(0, str(src.resolve()))
     from ivastream import separators, stft
 
@@ -68,13 +91,10 @@ def measure(src: Path) -> dict:
             "overiva": separators.SeparatorConfig(m, N_SOURCES, "overiva"),
             "biiva": separators.SeparatorConfig(m, N_SOURCES, "biiva", side, side),
         }
-        for engine, cfg in configs.items():
-            ms = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                separators.separate_stream(frames, cfg, reference_channel=0)
-                ms.append((time.perf_counter() - t0) * 1e3 / N_FRAMES)
-            out[f"{engine} {m}"] = statistics.median(ms)
+        streams = [interleaved(frames, configs, separators) for _ in range(REPEATS)]
+        for engine in configs:
+            out[f"{engine} {m}"] = statistics.median(ms[engine] for ms in streams)
+        out[f"ratio {m}"] = statistics.median(ms["biiva"] / ms["overiva"] for ms in streams)
     return out
 
 
@@ -107,15 +127,23 @@ def main(argv=None) -> int:
              "repeats_per_round": REPEATS, "rounds": ROUNDS,
              "biiva_sub_filters": "sqrt(M) x sqrt(M)"}
     for side, per_round in rounds.items():
-        curve = []
+        curve, ratios = [], []
         for point in per_round[0]:
-            engine, m = point.split()
+            kind, m = point.split()
             values = [round(rd[point], 3) for rd in per_round]
-            curve.append({"engine": engine, "M": int(m), "ms_per_frame_rounds": values,
+            if kind == "ratio":
+                ratios.append({"M": int(m), "biiva_over_overiva_rounds": values,
+                               "biiva_over_overiva": round(statistics.median(values), 3),
+                               "rounds_biiva_cheaper": sum(v < 1.0 for v in values)})
+                print(f"{side:6s} M={m:>3s} biiva/overiva {ratios[-1]['biiva_over_overiva']:6.3f} "
+                      f"rounds {values}", flush=True)
+                continue
+            curve.append({"engine": kind, "M": int(m), "ms_per_frame_rounds": values,
                           "ms_per_frame": round(statistics.median(values), 2)})
-            print(f"{side:6s} M={m:>3s} {engine:8s} {curve[-1]['ms_per_frame']:8.2f} ms/frame "
+            print(f"{side:6s} M={m:>3s} {kind:8s} {curve[-1]['ms_per_frame']:8.2f} ms/frame "
                   f"rounds {values}", flush=True)
         block[side] = curve
+        block[f"{side}_ratio"] = ratios
     if args.out:
         block["command"] = (f"python3 bench/cost_curve.py --parent <parent checkout> "
                             f"--change <change checkout> --out {args.out.name} --key {args.key}")

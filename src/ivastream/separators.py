@@ -14,11 +14,11 @@ that solve, and projection back's, to an N x N system (:func:`_source_block`).
 :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
 to 1; the two bilinear updates are the same IP step on the covariance and
 on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
-``Delta^H u``), and both read the same ``u``.  AuxIVA and OverIVA solve
-with the inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
-(as in online AuxIVA, Taniguchi et al., HSCMA 2014); the bilinear engine's
-lifted covariance changes with the held sub-filter every frame, so it
-solves exactly.
+``Delta^H u``), and both read the same ``u``.  OverIVA solves with the
+inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
+(as in online AuxIVA, Taniguchi et al., HSCMA 2014); AuxIVA's systems are
+N x N, and the bilinear engine's lifted covariance changes with the held
+sub-filter every frame, so both solve exactly.
 
 State layout per frequency bin ``i`` (states store all bins stacked):
 
@@ -26,8 +26,9 @@ State layout per frequency bin ``i`` (states store all bins stacked):
   transpose of source ``n``'s extraction filter, rows ``N..M`` form the
   noise block ``[J, -I]``
 * ``V[n, i]`` and ``C[i]`` are the weighted and unweighted covariance
-  recursions; ``P[n, i]`` tracks the inverse of ``V[n, i]`` scaled to unit
-  mean eigenvalue (AuxIVA and OverIVA)
+  recursions (``C`` only with a noise block, whose orthogonal constraint
+  reads it); ``P[n, i]`` tracks the inverse of ``V[n, i]`` scaled to unit
+  mean eigenvalue (OverIVA)
 * separated spectra are ``y[n, i] = W[i, n, :] @ x[i]``
 
 ``process_frame`` mutates one state and must be serialized per state;
@@ -62,8 +63,8 @@ WEIGHT_FLOOR = 1e-12
 
 # frames between refreshes of the tracked inverse P from a checked solve.
 # Rank-1 updates let P drift by rounding.  On a 30 s desk stream without
-# refreshes, 206 of overiva's and 1072 of auxiva's IP steps had bins whose
-# solution from P failed the residual test; with a refresh every 16 to 128
+# refreshes, 206 of overiva's IP steps had bins whose solution from P
+# failed the residual test; with a refresh every 16 to 128
 # frames none did (P's backward error as an inverse stayed at 1.3e-12 or
 # less).  At 128 frames P ended the stream 14x further from the checked
 # inverse than at 16 to 64.
@@ -124,8 +125,8 @@ class SeparatorState:
     n_bins: int
     W: np.ndarray  # (I, M, M)
     V: np.ndarray  # (N, I, M, M)
-    P: np.ndarray | None  # (N, I, M, M) tracked (V / (tr V / M))^{-1}; None for biiva
-    C: np.ndarray  # (I, M, M)
+    P: np.ndarray | None  # (N, I, M, M) tracked (V / (tr V / M))^{-1}; overiva only
+    C: np.ndarray | None  # (I, M, M); None without a noise block (auxiva)
     w1: np.ndarray | None  # (N, I, M1)
     w2: np.ndarray | None  # (N, I, M2)
     frame_index: int = 0
@@ -141,9 +142,11 @@ class SourceEstimate:
 
 def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
     """Fresh state: identity source rows (source ``n`` on channel ``n``),
-    noise block ``[0, -I]``, identity covariances and inverses.  The
-    bilinear engine's sub-filters are the unit vectors ``e_{n // M2}`` and
-    ``e_{n % M2}``, whose Kronecker product is that same row ``e_n``."""
+    noise block ``[0, -I]``, identity covariances, and identity tracked
+    inverses for overiva.  The spatial covariance ``C`` exists only with a
+    noise block.  The bilinear engine's sub-filters are the unit vectors
+    ``e_{n // M2}`` and ``e_{n % M2}``, whose Kronecker product is that same
+    row ``e_n``."""
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     m, n_src = config.n_channels, config.n_sources
@@ -159,8 +162,8 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
             w2[n, :, n % m2] = 1.0
     w_mat[:, n_src:, n_src:] = -np.eye(m - n_src)
     v = np.tile(np.eye(m, dtype=np.complex128), (n_src, n_bins, 1, 1))
-    p = None if config.algorithm is Algorithm.BIIVA else v.copy()
-    c = np.tile(np.eye(m, dtype=np.complex128), (n_bins, 1, 1))
+    p = v.copy() if config.algorithm is Algorithm.OVERIVA else None
+    c = np.tile(np.eye(m, dtype=np.complex128), (n_bins, 1, 1)) if n_src < m else None
     return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, w1=w1, w2=w2)
 
 
@@ -306,8 +309,9 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     ``S^T x = e_r`` for ``r < N`` or ``S^T x = c J[r - N]`` for a noise
     channel.  ``det W_l = (s - 1)^{M - N} det S``, so ``S`` is singular
     exactly when ``W_l`` is (``s``, ``loading`` times the RMS row norm of
-    ``W``, stays far below 1).  Without a noise block (M == N) ``S`` is
-    ``W_l`` itself.  Returns ``(S, J, c)``, ``c`` shaped (..., 1, 1).
+    ``W``, stays far below 1).  Returns ``(S, J, c)``, ``c`` shaped
+    (..., 1, 1).  Without a noise block (M == N) the callers solve ``W_l``
+    itself.
     """
     s = numerics.frobenius_shift(w, loading)[..., None, None]
     c = 1.0 / (1.0 - s)
@@ -318,7 +322,9 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
 
 def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.ndarray:
     """Column ``n < N`` of the loaded ``W^{-1}``, as ``numerics.solve_column``
-    gives it, through :func:`_source_block`."""
+    gives it, through :func:`_source_block` when there is a noise block."""
+    if n_src == w.shape[-1]:
+        return numerics.solve_column(w, n, loading)
     s_mat, j, c = _source_block(w, n_src, loading)
     u = numerics.solve_column(s_mat, n)
     return np.concatenate([u, c[..., 0] * np.einsum("...ij,...j->...i", j, u)], axis=-1)
@@ -327,15 +333,16 @@ def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.nda
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
     """Advance one stream by one frame and return the separated spectra.
 
-    Per frame: refresh the spatial covariance once; then per source in
-    ascending order compute the contrast weight from the carried-over
-    filter, refresh that source's weighted covariance and its tracked
-    inverse (from a checked solve every ``INVERSE_REFRESH`` frames), and run
-    the algorithm's filter update (writing the source's demixing row so
-    later sources see it); finally refresh the noise block, if there is
-    one, from the orthogonal constraint and emit ``y = W x``.  Real,
-    integer and single-precision bins are cast to complex128 first, so
-    they stream as their complex128 values do.
+    Per source in ascending order: compute the contrast weight from the
+    carried-over filter, refresh that source's weighted covariance and run
+    the algorithm's filter update, writing the source's demixing row so
+    later sources see it.  overiva's update first brings its tracked
+    inverse in step (from a checked solve every ``INVERSE_REFRESH``
+    frames); auxiva and biiva solve exactly.  Then, if there is a noise
+    block, refresh the spatial covariance and the noise block from the
+    orthogonal constraint.  Finally emit ``y = W x``.  Real, integer and
+    single-precision bins are cast to complex128 first, so they stream as
+    their complex128 values do.
     """
     cfg = state.config
     x = np.asarray(frame.bins, dtype=np.complex128)
@@ -350,20 +357,21 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     alpha = cfg.forgetting
     n_src = cfg.n_sources
     xxh = x[:, :, None] * x[:, None, :].conj()
-    update_weighted_cov(state.C, xxh, 1.0, alpha)
-    refresh = state.frame_index % INVERSE_REFRESH == 0
 
     for n in range(n_src):
         weight = contrast_weight(state, x, n)
         update_weighted_cov(state.V[n], xxh, weight, alpha)
         try:
-            if state.P is not None:
-                if refresh:
+            u = _inverse_column(state.W, n, n_src, cfg.loading)
+            if cfg.algorithm is Algorithm.AUXIVA:
+                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading).conj()
+            elif cfg.algorithm is Algorithm.OVERIVA:
+                if state.frame_index % INVERSE_REFRESH == 0:
                     state.P[n] = numerics.scaled_inverse(state.V[n], cfg.loading)
                 else:
                     update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading)
-            u = _inverse_column(state.W, n, n_src, cfg.loading)
-            if cfg.algorithm is Algorithm.BIIVA:
+                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
+            else:
                 # both sub-updates read the same pre-update W, hence one u
                 w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
                 w2 = bilinear_update_2(u, state.V[n], w1, cfg.loading)
@@ -372,14 +380,13 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                 state.w1[n] = w1 / scale
                 state.w2[n] = w2 * scale
                 state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
-            else:
-                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"frame {state.frame_index}, source {n}: {exc}"
             ) from exc
 
     if n_src < cfg.n_channels:
+        update_weighted_cov(state.C, xxh, 1.0, alpha)
         try:
             state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], cfg.loading)
         except SingularMatrixError as exc:
@@ -403,13 +410,16 @@ def projection_back(
     n_src, ref = cfg.n_sources, reference_channel
     if not 0 <= ref < cfg.n_channels:
         raise ValueError(f"reference channel {ref} out of range")
-    s_mat, j, c = _source_block(state.W, n_src, cfg.loading)
-    s_t = np.swapaxes(s_mat, -1, -2)
-    if ref < n_src:
-        row = numerics.solve_column(s_t, ref)
+    if n_src == cfg.n_channels:
+        row = numerics.solve_column(np.swapaxes(state.W, -1, -2), ref, cfg.loading)
     else:
-        row = numerics.solve_general(s_t, c * j[..., ref - n_src, :, None],
-                                     context="projection_back")[..., 0]
+        s_mat, j, c = _source_block(state.W, n_src, cfg.loading)
+        s_t = np.swapaxes(s_mat, -1, -2)
+        if ref < n_src:
+            row = numerics.solve_column(s_t, ref)
+        else:
+            row = numerics.solve_general(s_t, c * j[..., ref - n_src, :, None],
+                                         context="projection_back")[..., 0]
     return y * row.T[: y.shape[0]]
 
 

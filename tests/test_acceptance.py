@@ -76,9 +76,9 @@ def test_criterion_01_kronecker_and_lifting_identities():
 
 
 def _tracked_ip_update(u, v):
-    """``ip_update`` as auxiva and overiva run it: from the inverse that a
-    refresh puts in their tracked ``P``, with no bin falling back to the
-    exact solve (which would refresh ``P`` in place)."""
+    """``ip_update`` as overiva runs it: from the inverse that a refresh
+    puts in its tracked ``P``, with no bin falling back to the exact solve
+    (which would refresh ``P`` in place)."""
     p = numerics.scaled_inverse(v, 0.0)
     p0 = p.copy()
     w = sep.ip_update(u, v, 0.0, p)

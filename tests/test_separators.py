@@ -38,8 +38,8 @@ def _reachable_w(rng, n_bins, m, n_src):
 
 
 def _tracked_ip_update(u, v, loading=0.0):
-    """``ip_update`` as auxiva and overiva run it, from the inverse a refresh
-    puts in the tracked ``P``; checks that no bin needed the exact fallback
+    """``ip_update`` as overiva runs it, from the inverse a refresh puts in
+    the tracked ``P``; checks that no bin needed the exact fallback
     (which would have refreshed ``P`` in place)."""
     p = nx.scaled_inverse(v, loading)
     p0 = p.copy()
@@ -146,6 +146,8 @@ class TestInitState:
     def test_auxiva_has_no_noise_block(self):
         st = sep.init_state(SeparatorConfig(3, 3, "auxiva"), 2)
         np.testing.assert_array_equal(st.W, np.tile(np.eye(3), (2, 1, 1)))
+        # no tracked inverse, and no spatial covariance without a noise block
+        assert st.P is None and st.C is None
 
 
 class TestRecursions:
@@ -420,6 +422,28 @@ class TestProcessFrame:
         b = sep.separate_stream(frames, cfg)
         assert a.tobytes() == b.tobytes()
 
+    def test_auxiva_runs_no_overdetermined_machinery(self, monkeypatch):
+        # auxiva solves its IP steps exactly and has no noise block: over a
+        # refresh frame and the two after it, it neither keeps nor reads a
+        # tracked inverse nor reduces to a source block.  overiva, under the
+        # same spies, calls each of them
+        spied = [(sep, "update_inverse"), (nx, "scaled_inverse"),
+                 (nx, "solve_with_inverse"), (sep, "_source_block")]
+        calls = []
+        for module, name in spied:
+            def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        rng = np.random.default_rng(27)
+        for m, algo in [(2, "auxiva"), (4, "overiva")]:
+            calls.clear()
+            st = sep.init_state(SeparatorConfig(m, 2, algo), 6)
+            for frame in _spectral_frames(rng, 3, 6, m):
+                sep.process_frame(st, frame)
+            assert set(calls) == (set() if algo == "auxiva" else {name for _, name in spied})
+
     def test_singular_error_carries_frame_and_source_context(self):
         # loading off so the collapsed system is not quietly regularized
         st = sep.init_state(SeparatorConfig(2, 2, "auxiva", loading=0.0), 3)
@@ -571,21 +595,18 @@ class _SolveLog:
 
 
 def _exact_ip_update(monkeypatch):
-    """Make the engines solve every IP step exactly, as before the tracked
-    inverse: ``ip_update`` without ``p``."""
+    """Make overiva solve every IP step exactly, as auxiva and biiva do:
+    ``ip_update`` without ``p``."""
     ip_update = sep.ip_update
     monkeypatch.setattr(sep, "ip_update", lambda u, v, loading=0.0, p=None: ip_update(u, v, loading))
 
 
-_TRACKED = {
-    "auxiva": SeparatorConfig(2, 2, "auxiva"),
-    "overiva": SeparatorConfig(4, 2, "overiva"),
-}
+_TRACKED = {"overiva": SeparatorConfig(4, 2, "overiva")}
 
 
 @pytest.mark.parametrize("engine", _TRACKED)
 class TestTrackedInverse:
-    """auxiva and overiva solve their IP steps with the tracked inverse of
+    """overiva solves its IP steps with the tracked inverse of
     ``update_inverse``, refreshed every ``INVERSE_REFRESH`` frames and
     wherever ``ip_update`` rejects its solution."""
 
@@ -694,13 +715,22 @@ class TestSourceBlock:
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
     def test_without_noise_block_is_the_full_solve(self, loading):
-        # auxiva (M == N): S is the loaded W itself, so the solve is the same
+        # auxiva (M == N) has no noise block to eliminate: the column is the
+        # loaded full solve, bit for bit, and projection back reads the
+        # loaded full inverse
         rng = np.random.default_rng(26)
         w = _cplx(rng, 16, 3, 3)
         for n in range(3):
             np.testing.assert_array_equal(
                 sep._inverse_column(w, n, 3, loading), nx.solve_column(w, n, loading)
             )
+        st = sep.init_state(SeparatorConfig(3, 3, "auxiva", loading=loading), 16)
+        st.W = w
+        y = _cplx(rng, 3, 16)
+        winv = np.linalg.inv(w + nx.frobenius_shift(w, loading)[:, None, None] * np.eye(3))
+        for ref in range(3):
+            out = sep.projection_back(st, y, reference_channel=ref)
+            np.testing.assert_allclose(out, y * winv[:, ref, :].T, rtol=1e-10)
 
 
 class TestProjectionBack:
