@@ -32,8 +32,8 @@ from .io import (
     read_wav,
     write_wav,
 )
-from .metrics import (CSV_SENTINEL_DB, EvalConfig, convergence_curve, decompose,
-                      segment_samples, sir_sdr)
+from .metrics import (CSV_SENTINEL_DB, EvalConfig, ReferenceBases, convergence_curve,
+                      decompose, segment_samples, sir_sdr)
 from .separators import init_state, process_frame, projection_back
 from .stft import StftConfig, analyze, synthesize
 
@@ -237,12 +237,15 @@ def _finite_cost(sir: np.ndarray) -> np.ndarray:
     return np.clip(cost, -CSV_SENTINEL_DB, CSV_SENTINEL_DB)
 
 
-def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int):
+def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int, *,
+                 bases: ReferenceBases | None = None):
     """Match estimate rows to reference rows by final-segment SIR.
 
     The last segment is scored because online separators are still near
     pass-through at stream onset, where every output resembles the mixture
-    and the assignment degenerates to a coin flip.
+    and the assignment degenerates to a coin flip.  ``bases``, a memo over
+    these references, shares that segment's factorizations with other
+    calls on them.
 
     Returns an index array ``idx`` such that ``estimates[idx[j]]`` is the
     estimate assigned to reference ``j`` (assignment maximizes total SIR).
@@ -254,10 +257,15 @@ def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int):
             f"{est.shape[0]} estimates cannot be paired with {refs.shape[0]} references"
         )
     seg = min(segment_samples(eval_cfg, sample_rate), est.shape[1])
-    n = refs.shape[0]
+    bases = ReferenceBases.of(refs, eval_cfg.filter_length, bases)
+    n, stop = refs.shape
+    start = max(stop - seg, 0)
     sir = np.empty((n, n))
     for j in range(n):
-        sir[:, j] = sir_sdr(decompose(est[:, -seg:], refs[:, -seg:], eval_cfg.filter_length, j))[0]
+        basis = bases.get(start, stop, j)
+        sir[:, j] = sir_sdr(
+            decompose(est[:, -seg:], refs[:, start:], eval_cfg.filter_length, j, basis)
+        )[0]
     rows, cols = linear_sum_assignment(-_finite_cost(sir))
     idx = np.empty(n, dtype=int)
     idx[cols] = rows
@@ -288,8 +296,9 @@ def run_evaluate(
         )
     mix = mix_buf.samples[eval_cfg.reference_channel, :n]
 
-    idx = pair_sources(est, refs, eval_cfg, fs)
-    report = convergence_curve(est[idx], refs, mix, eval_cfg, fs)
+    bases = ReferenceBases(refs, eval_cfg.filter_length)
+    idx = pair_sources(est, refs, eval_cfg, fs, bases=bases)
+    report = convergence_curve(est[idx], refs, mix, eval_cfg, fs, bases=bases)
     out = _out_dir(out)
     report.to_csv(out / "report.csv")
     conv = ", ".join(
@@ -339,6 +348,8 @@ def run_benchmark(manifest_path, out_override=None) -> int:
         bundle = _synthesize_mixture(scenario, duration, rirs=rirs)
         mixture_ref = bundle.observations[eval_cfg.reference_channel]
         references = bundle.source_images[:, eval_cfg.reference_channel, :]
+        # one factorization per (segment, target) serves every engine's scoring
+        bases = ReferenceBases(references, eval_cfg.filter_length)
         for name, cfg in sep_cfgs.items():
             run_dir = _out_dir(out_root / f"{name}_seed{seed}")
             try:
@@ -347,9 +358,9 @@ def run_benchmark(manifest_path, out_override=None) -> int:
                 estimates, frame_times = _separate_signal(
                     obs, cfg, stft_cfg, eval_cfg.reference_channel
                 )
-                idx = pair_sources(estimates, references, eval_cfg, fs)
+                idx = pair_sources(estimates, references, eval_cfg, fs, bases=bases)
                 report = convergence_curve(
-                    estimates[idx], references, mixture_ref, eval_cfg, fs
+                    estimates[idx], references, mixture_ref, eval_cfg, fs, bases=bases
                 )
                 report.to_csv(run_dir / "report.csv")
                 write_wav(AudioBuffer(estimates[idx], fs), run_dir / "estimates.wav")

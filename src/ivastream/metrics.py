@@ -13,7 +13,9 @@ accuracy.  Ratios follow the usual conventions:
 
 Curves are computed over non-overlapping segments, each projected
 independently, with improvements reported against the unprocessed mixture
-at the reference channel.
+at the reference channel.  A ``ReferenceBases`` memo keeps the factored
+basis of each (segment, target), so every estimate scored against the same
+references (each engine of one benchmark seed) shares one factorization.
 """
 
 from __future__ import annotations
@@ -91,11 +93,105 @@ class Decomposition:
     n_samples: int
 
 
+@dataclass(frozen=True)
+class ReferenceBasis:
+    """The factored shifted-reference basis of one reference segment and
+    target, which ``decompose`` splits estimates against.
+
+    ``ref_spec`` holds the references' spectra at ``n_fft``, target row
+    first; ``factor`` is the Cholesky factor of their block-Toeplitz Gram.
+    """
+
+    ref_spec: np.ndarray
+    factor: tuple
+    n_samples: int
+    n_fft: int
+    filter_length: int
+    target_index: int
+
+
+def reference_basis(
+    references: np.ndarray, filter_length: int, target_index: int = 0
+) -> ReferenceBasis:
+    """Build and factor the basis of ``references`` (one row per source)
+    for the target ``target_index``, with shifts 0..filter_length-1.
+
+    A target out of range, a filter length under 1, a reference silent over
+    the segment or references whose shifts are rank deficient are a
+    ``ValueError``.
+    """
+    refs = np.atleast_2d(np.asarray(references, dtype=float))
+    n_refs, n_samples = refs.shape
+    if not 0 <= target_index < n_refs:
+        raise ValueError(f"target_index {target_index} out of range for {n_refs} references")
+    if filter_length < 1:
+        raise ValueError("filter_length must be >= 1")
+    energies = np.sum(refs**2, axis=1)
+    if np.any(energies == 0):
+        silent = int(np.nonzero(energies == 0)[0][0])
+        raise ValueError(f"reference {silent} is silent over this segment")
+
+    lags = filter_length
+    n_fft = next_fast_len(n_samples + lags)
+    order = [target_index] + [n for n in range(n_refs) if n != target_index]
+    ref_spec = rfft(refs[order], n_fft)
+    # Gram block (n, m) holds at (i, j) the correlation of ref_n with ref_m at lag i - j
+    shift = np.subtract.outer(np.arange(lags), np.arange(lags)) % n_fft
+    xcorr = irfft(ref_spec.conj() * ref_spec[:, None], n_fft)
+    gram = xcorr[:, :, shift].transpose(1, 2, 0, 3).reshape(n_refs * lags, -1)
+    try:
+        factor = cho_factor(gram)
+    except LinAlgError as exc:
+        raise ValueError(
+            "references are rank deficient over the allowed-distortion span"
+        ) from exc
+    return ReferenceBasis(ref_spec, factor, n_samples, n_fft, filter_length, target_index)
+
+
+class ReferenceBases:
+    """The bases of one stream's references, each built the first time its
+    (start, stop, target) is asked for and kept while the memo lives.
+
+    One memo per stream lets every estimate scored against the same
+    references share one factorization per segment and target.  A basis
+    that fails to build is not kept: asking for it again raises again.
+    """
+
+    def __init__(self, references: np.ndarray, filter_length: int):
+        self.references = np.atleast_2d(np.asarray(references, dtype=float))
+        self.filter_length = filter_length
+        self._bases: dict[tuple, ReferenceBasis] = {}
+
+    @classmethod
+    def of(
+        cls, references, filter_length: int, bases: ReferenceBases | None = None
+    ) -> ReferenceBases:
+        """``bases`` if given, after checking that it holds these references
+        at this filter length; else a new memo for them."""
+        if bases is None:
+            return cls(references, filter_length)
+        if bases.filter_length != filter_length or not np.array_equal(
+            bases.references, np.atleast_2d(references)
+        ):
+            raise ValueError("reference bases were built for other references or filter length")
+        return bases
+
+    def get(self, start: int, stop: int, target_index: int) -> ReferenceBasis:
+        """The basis of ``references[:, start:stop]`` for ``target_index``."""
+        key = (start, stop, target_index)
+        if key not in self._bases:
+            self._bases[key] = reference_basis(
+                self.references[:, start:stop], self.filter_length, target_index
+            )
+        return self._bases[key]
+
+
 def decompose(
     estimate: np.ndarray,
     references: np.ndarray,
     filter_length: int,
     target_index: int = 0,
+    basis: ReferenceBasis | None = None,
 ) -> Decomposition:
     """Project estimates onto shifted-reference spans.
 
@@ -109,7 +205,8 @@ def decompose(
     one Cholesky factorization of the block-Toeplitz Gram.  The target row
     is ordered first, so the leading L x L block of that factor is the
     factor of the target's own block.  Correlations and projections are
-    products at one FFT size.
+    products at one FFT size.  ``basis``, the ``reference_basis`` of these
+    references, filter length and target, skips building it again.
     """
     est = np.asarray(estimate, dtype=float)
     refs = np.atleast_2d(np.asarray(references, dtype=float))
@@ -118,39 +215,23 @@ def decompose(
         raise ValueError(
             f"estimate shape {est.shape} does not end in the reference length {n_samples}"
         )
-    if not 0 <= target_index < n_refs:
-        raise ValueError(f"target_index {target_index} out of range for {n_refs} references")
-    if filter_length < 1:
-        raise ValueError("filter_length must be >= 1")
-    energies = np.sum(refs**2, axis=1)
-    if np.any(energies == 0):
-        silent = int(np.nonzero(energies == 0)[0][0])
-        raise ValueError(f"reference {silent} is silent over this segment")
+    if basis is None:
+        basis = reference_basis(refs, filter_length, target_index)
+    elif (basis.ref_spec.shape[0], basis.n_samples, basis.filter_length,
+          basis.target_index) != (n_refs, n_samples, filter_length, target_index):
+        raise ValueError("basis was built for other references, filter length or target")
 
     lags = filter_length
     out_len = n_samples + lags - 1
-    n_fft = next_fast_len(n_samples + lags)
+    n_fft, ref_spec, factor = basis.n_fft, basis.ref_spec, basis.factor
     sig = est.reshape(-1, n_samples)
-    order = [target_index] + [n for n in range(n_refs) if n != target_index]
-    ref_spec = rfft(refs[order], n_fft)
-
-    def xcorr(spec):  # [k, n, d] = sum_u ref_n[u] x_k[u + d], x_k the signal of spec[k]
-        return irfft(ref_spec.conj() * spec[:, None], n_fft)
 
     def project(coef):  # sum_n ref_n convolved with coef[k, n], for each k
         n = coef.shape[1]
         return irfft(np.sum(ref_spec[:n] * rfft(coef, n_fft), axis=1), n_fft)[:, :out_len]
 
-    # Gram block (n, m) holds at (i, j) the correlation of ref_n with ref_m at lag i - j
-    shift = np.subtract.outer(np.arange(lags), np.arange(lags)) % n_fft
-    gram = xcorr(ref_spec)[:, :, shift].transpose(1, 2, 0, 3).reshape(n_refs * lags, -1)
-    rhs = xcorr(rfft(sig, n_fft))[..., :lags]  # (signals, references, lags)
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError as exc:
-        raise ValueError(
-            "references are rank deficient over the allowed-distortion span"
-        ) from exc
+    # [k, n, d] = sum_u ref_n[u] sig_k[u + d]
+    rhs = irfft(ref_spec.conj() * rfft(sig, n_fft)[:, None], n_fft)[..., :lags]
     coef_all = cho_solve(factor, rhs.reshape(len(sig), -1).T).T
     coef_tgt = cho_solve((factor[0][:lags, :lags], factor[1]), rhs[:, 0].T).T
     proj_all = project(coef_all.reshape(len(sig), n_refs, lags))
@@ -258,6 +339,8 @@ def convergence_curve(
     mixture: np.ndarray,
     config: EvalConfig,
     sample_rate: int,
+    *,
+    bases: ReferenceBases | None = None,
 ) -> EvalReport:
     """Segment-wise ratios for aligned estimates, one row per segment.
 
@@ -265,7 +348,8 @@ def convergence_curve(
     order; ``mixture`` is the unprocessed observation at the reference
     channel and anchors the improvement baselines.  Each segment is
     decomposed independently, with the estimate and the mixture of one
-    target split in one call.
+    target split in one call.  ``bases``, a memo over these references,
+    shares each segment's factorization with other calls on them.
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     refs = np.atleast_2d(np.asarray(references, dtype=float))
@@ -279,6 +363,7 @@ def convergence_curve(
     n_segments = n_samples // seg_len
     if n_segments < 1:
         raise ValueError("signal shorter than one evaluation segment")
+    bases = ReferenceBases.of(refs, config.filter_length, bases)
 
     sir = np.empty((n_segments, n_sources))
     sdr = np.empty((n_segments, n_sources))
@@ -289,8 +374,9 @@ def convergence_curve(
         ref_seg = refs[:, sl]
         for n in range(n_sources):
             pair = np.stack([est[n, sl], mix[sl]])
+            basis = bases.get(sl.start, sl.stop, n)
             (sir[s, n], sir0[s, n]), (sdr[s, n], sdr0[s, n]) = sir_sdr(
-                decompose(pair, ref_seg, config.filter_length, n)
+                decompose(pair, ref_seg, config.filter_length, n, basis)
             )
 
     tail = max(1, n_segments // 4)

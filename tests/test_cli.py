@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from ivastream import cli, metrics, roomsim
 from ivastream.cli import main
@@ -288,6 +289,26 @@ class TestEvaluate:
         assert main(["evaluate", refs, refs, *args]) == 2
         assert "segment of 1e-05 s is under one sample" in capsys.readouterr().err
 
+    # 3 whole segments, where the pairing scores the last one, and 3.5 segments,
+    # where the pairing range is a basis of its own
+    @pytest.mark.parametrize("n_samples, n_bases", [(3000, 3 * 2), (3500, 4 * 2)])
+    def test_shared_bases_give_the_same_pairing(self, monkeypatch, n_samples, n_bases):
+        rng = np.random.default_rng(41)
+        refs = rng.standard_normal((2, n_samples))
+        mix = refs.sum(axis=0)
+        est = np.stack([refs[1] + 0.2 * mix, refs[0] + 0.3 * mix])  # swapped order
+        cfg = metrics.EvalConfig(segment_seconds=1.0, filter_length=16)
+        alone = cli.pair_sources(est, refs, cfg, 1000)
+        assert_array_equal(alone, [1, 0])
+        factors = []
+        cho_factor = metrics.cho_factor
+        monkeypatch.setattr(metrics, "cho_factor", lambda *a: factors.append(a) or cho_factor(*a))
+        bases = metrics.ReferenceBases(refs, cfg.filter_length)
+        for _ in range(2):  # two engines of one seed
+            assert_array_equal(cli.pair_sources(est, refs, cfg, 1000, bases=bases), alone)
+            metrics.convergence_curve(est[alone], refs, mix, cfg, 1000, bases=bases)
+        assert len(factors) == n_bases
+
     def test_pairing_rejects_a_segment_under_one_sample(self, mixture_dir):
         refs = read_wav(mixture_dir / "reference_images.wav")
         cfg = metrics.EvalConfig(segment_seconds=0.00001, filter_length=8)
@@ -347,6 +368,15 @@ class TestBenchmark:
             trows = list(csv.DictReader(fh))
         assert len(trows) == 2
         assert all(float(r["real_time_factor"]) > 0 for r in trows)
+
+    def test_one_factorization_per_seed_segment_and_target(self, tmp_path, monkeypatch):
+        factors = []
+        cho_factor = metrics.cho_factor
+        monkeypatch.setattr(metrics, "cho_factor", lambda *a: factors.append(a) or cho_factor(*a))
+        separators = {"auxiva": "auxiva.json", "auxiva_again": "auxiva.json"}
+        assert main(["benchmark", _mini_manifest(tmp_path, separators=separators)]) == 0
+        # 2 seeds x 3 segments x 2 targets, shared by both engines' pairing and curves
+        assert len(factors) == 2 * 3 * 2
 
     def test_summary_is_deterministic_across_reruns(self, tmp_path):
         manifest = _mini_manifest(tmp_path)

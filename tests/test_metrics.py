@@ -3,6 +3,7 @@ cases and a dense least-squares oracle, ratio sentinels, segment curves,
 and the CSV boundary."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from ivastream.metrics import (
     Decomposition,
     EvalConfig,
     EvalReport,
+    ReferenceBases,
     convergence_curve,
     decompose,
+    reference_basis,
     segment_samples,
     sir_sdr,
 )
@@ -107,6 +110,13 @@ def test_decompose_input_validation():
         decompose(refs[0], refs, 8, target_index=2)
     with pytest.raises(ValueError, match="filter_length"):
         decompose(refs[0], refs, 0)
+    # a prebuilt basis must be the one of these references, span and target
+    with pytest.raises(ValueError, match="basis was built for other"):
+        decompose(refs[0], refs, 8, 1, reference_basis(refs, 8, 0))
+    with pytest.raises(ValueError, match="basis was built for other"):
+        decompose(refs[0], refs, 8, 0, reference_basis(refs, 16, 0))
+    with pytest.raises(ValueError, match="basis was built for other"):
+        decompose(refs[0, :100], refs[:, :100], 8, 0, reference_basis(refs[:, :200], 8, 0))
 
 
 def test_silent_reference_is_an_error():
@@ -114,6 +124,23 @@ def test_silent_reference_is_an_error():
     refs[1] = 0.0
     with pytest.raises(ValueError, match="reference 1 is silent"):
         decompose(refs[0], refs, 8)
+
+
+def test_silent_segment_raises_from_the_memo_on_every_call():
+    refs = _refs(9, n_samples=3000)
+    refs[1, 1000:2000] = 0.0
+    with pytest.raises(ValueError) as direct:
+        decompose(refs[0, 1000:2000], refs[:, 1000:2000], 8)
+    assert str(direct.value) == "reference 1 is silent over this segment"
+    bases = ReferenceBases(refs, 8)
+    for _ in range(2):  # a failed basis is not kept, so each caller hears of it
+        with pytest.raises(ValueError) as memo:
+            bases.get(1000, 2000, 0)
+        assert str(memo.value) == str(direct.value)
+    cfg = EvalConfig(segment_seconds=1.0, filter_length=8)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^reference 1 is silent over this segment$"):
+            convergence_curve(refs, refs, refs.sum(axis=0), cfg, 1000, bases=bases)
 
 
 def test_duplicate_references_are_rank_deficient():
@@ -232,6 +259,20 @@ def test_identity_separator_has_zero_improvement_everywhere():
     assert_allclose(report.converged_sir_improvement_db, 0.0, atol=0.0)
 
 
+@pytest.mark.parametrize("n_samples", [3000, 3400])  # whole segments, and a partial one
+def test_shared_bases_give_the_same_curves(n_samples):
+    refs = _refs(22, n_samples=n_samples)
+    mix = refs.sum(axis=0)
+    cfg = EvalConfig(segment_seconds=1.0, filter_length=16)
+    bases = ReferenceBases(refs, cfg.filter_length)
+    # the second estimate set is split against the bases the first one built
+    for est in (refs + 0.1 * mix, np.stack([mix, mix])):
+        alone = convergence_curve(est, refs, mix, cfg, sample_rate=1000)
+        shared = convergence_curve(est, refs, mix, cfg, sample_rate=1000, bases=bases)
+        for field in fields(EvalReport):
+            assert_array_equal(getattr(shared, field.name), getattr(alone, field.name))
+
+
 def test_segment_layout_matches_duration():
     refs = _refs(16, n_samples=30_000)
     mix = refs.sum(axis=0)
@@ -254,6 +295,10 @@ def test_curve_input_validation():
         convergence_curve(refs, refs, mix[:-1], cfg, sample_rate=1000)
     with pytest.raises(ValueError, match="shorter than one"):
         convergence_curve(refs, refs, mix, cfg, sample_rate=100_000)
+    # a memo serves only the references and span it was built for
+    for other in (ReferenceBases(refs[::-1], 8), ReferenceBases(refs, 16)):
+        with pytest.raises(ValueError, match="built for other references"):
+            convergence_curve(refs, refs, mix, cfg, sample_rate=1000, bases=other)
     # a segment that rounds to zero samples names itself, not a division error
     tiny = EvalConfig(segment_seconds=0.00001, filter_length=8)
     assert segment_samples(EvalConfig(segment_seconds=0.001), 1000) == 1
