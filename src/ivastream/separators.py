@@ -309,15 +309,36 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     ``S^T x = e_r`` for ``r < N`` or ``S^T x = c J[r - N]`` for a noise
     channel.  ``det W_l = (s - 1)^{M - N} det S``, so ``S`` is singular
     exactly when ``W_l`` is (``s``, ``loading`` times the RMS row norm of
-    ``W``, stays far below 1).  Returns ``(S, J, c)``, ``c`` shaped
-    (..., 1, 1).  Without a noise block (M == N) the callers solve ``W_l``
-    itself.
+    ``W``, stays far below 1).  Without a noise block (M == N) the callers
+    solve ``W_l`` itself.
+
+    Everything is formed bins-last, from one copy of the source rows
+    ``W_s = [A, B]`` and ``J`` in which each matrix entry is one contiguous
+    row over the bins (the leading axes of ``w`` flattened into one).  The
+    shift needs no pass over the M^2 entries of ``W``: the noise rows give
+    ``||W||_F^2 = ||W_s||_F^2 + ||J||_F^2 + (M - N)``.  ``B J`` is a sum
+    over the M - N axis.  Returns ``(S, J, c)``: ``S`` (..., N, N) is the
+    bins-first view of the bins-last (N, N, I) array, which
+    ``numerics._small_solve`` copies back contiguously; ``J`` is the
+    bins-last (M - N, N, I) copy and ``c`` has shape (I,).
     """
-    s = numerics.frobenius_shift(w, loading)[..., None, None]
+    batch, m = w.shape[:-2], w.shape[-1]
+    w = w.reshape((-1, m, m))
+    # bins-last rows of W_s and J, one block each
+    rows = np.empty((m * n_src + (m - n_src) * n_src, w.shape[0]), dtype=np.complex128)
+    w_s = rows[: m * n_src].reshape(n_src, m, -1)
+    j = rows[m * n_src :].reshape(m - n_src, n_src, -1)
+    w_s[...] = w[:, :n_src].transpose(1, 2, 0)
+    j[...] = w[:, n_src:, :n_src].transpose(1, 2, 0)
+    parts = np.einsum("kj,kj->j", rows.view(np.float64), rows.view(np.float64))
+    sq = parts[0::2] + parts[1::2]  # squared real and imaginary parts of each bin
+    s = loading * (np.sqrt(sq + (m - n_src)) / np.sqrt(m))
     c = 1.0 / (1.0 - s)
-    j = w[..., n_src:, :n_src]
-    bj = np.einsum("...ik,...kj->...ij", w[..., :n_src, n_src:], j)
-    return w[..., :n_src, :n_src] + s * np.eye(n_src) + c * bj, j, c
+    s_mat = (w_s[:, n_src:, None] * j).sum(axis=1)  # B J
+    s_mat *= c
+    s_mat += w_s[:, :n_src]
+    s_mat.reshape(n_src * n_src, -1)[:: n_src + 1] += s
+    return np.moveaxis(s_mat, -1, 0).reshape(batch + (n_src, n_src)), j, c
 
 
 def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.ndarray:
@@ -327,7 +348,10 @@ def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.nda
         return numerics.solve_column(w, n, loading)
     s_mat, j, c = _source_block(w, n_src, loading)
     u = numerics.solve_column(s_mat, n)
-    return np.concatenate([u, c[..., 0] * np.einsum("...ij,...j->...i", j, u)], axis=-1)
+    col = np.empty(w.shape[:-1], dtype=np.complex128)
+    col[..., :n_src] = u
+    col.reshape(-1, w.shape[-1])[:, n_src:] = ((j * u.reshape(-1, n_src).T).sum(axis=1) * c).T
+    return col
 
 
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
@@ -418,8 +442,8 @@ def projection_back(
         if ref < n_src:
             row = numerics.solve_column(s_t, ref)
         else:
-            row = numerics.solve_general(s_t, c * j[..., ref - n_src, :, None],
-                                         context="projection_back")[..., 0]
+            rhs = (c * j[ref - n_src]).T[..., None]
+            row = numerics.solve_general(s_t, rhs, context="projection_back")[..., 0]
     return y * row.T[: y.shape[0]]
 
 

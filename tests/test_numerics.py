@@ -342,6 +342,35 @@ class TestSmallSystems:
         np.testing.assert_array_equal(x[7], np.linalg.solve(loaded_v[7], b[7]))
         assert sizes == [1, 1]
 
+    @pytest.mark.parametrize("layout", ["transposed", "bins_last", "two_batch_axes", "broadcast"])
+    @pytest.mark.parametrize(
+        "solver, k",
+        [("solve_column", 2)] + [("hermitian_solve", k) for k in range(1, nx._SMALL_MAX + 1)],
+    )
+    def test_non_contiguous_input_solves_as_its_contiguous_copy(self, monkeypatch, layout, solver, k):
+        # projection back passes S^T as a swapped view, the source block is a
+        # bins-first view of a bins-last array, biiva stacks sources ahead of
+        # the bins and a shared system broadcasts with zero strides
+        rng = np.random.default_rng(100 + k)
+        a = _conditioned(rng, k, 10.0, solver == "hermitian_solve")
+        if layout == "transposed":
+            a = np.swapaxes(a, -1, -2)
+        elif layout == "bins_last":
+            a = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+        elif layout == "two_batch_axes":
+            a = np.swapaxes(np.stack([a, a[::-1], 2.0 * a], axis=1), 0, 1)
+        else:
+            a = np.broadcast_to(a[0], a.shape)
+        assert k == 1 or not a.flags.c_contiguous  # a 1 x 1 stack has one layout
+        b = _cplx(rng, *a.shape[:-1])
+        _no_lapack(monkeypatch)
+        for loading in (0.0, 1e-3):
+            if solver == "solve_column":
+                got = [nx.solve_column(x, 1, loading) for x in (a, np.ascontiguousarray(a))]
+            else:
+                got = [nx.hermitian_solve(x, b, loading) for x in (a, np.ascontiguousarray(a))]
+            np.testing.assert_array_equal(got[0], got[1])
+
     @pytest.mark.parametrize(
         "hermitian, k",
         [(False, 1), (False, 3), (False, 4), (True, nx._SMALL_MAX + 1)],

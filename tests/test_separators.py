@@ -689,29 +689,60 @@ class TestTrackedInverse:
         assert log.fallbacks() == []
 
 
+# (M, N) of the source-block tests: N = 3 takes LAPACK's general path
+_BLOCK_SIZES = [(4, 2), (9, 2), (9, 3), (16, 2)]
+
+
 class TestSourceBlock:
     """The N x N solves against the loaded M x M demixing matrix."""
+
+    @pytest.mark.parametrize("m, n_src", _BLOCK_SIZES)
+    @pytest.mark.parametrize("loading", [0.0, 1e-9, 1e-3])
+    def test_matches_the_dense_formula(self, m, n_src, loading):
+        rng = np.random.default_rng(23)
+        w = _reachable_w(rng, 16, m, n_src)
+        s_mat, j, c = sep._source_block(w, n_src, loading)
+        shift = nx.frobenius_shift(w, loading)
+        c_ref = 1.0 / (1.0 - shift)
+        a, b, j_ref = w[:, :n_src, :n_src], w[:, :n_src, n_src:], w[:, n_src:, :n_src]
+        s_ref = a + shift[:, None, None] * np.eye(n_src) + c_ref[:, None, None] * (b @ j_ref)
+        np.testing.assert_allclose(s_mat, s_ref, rtol=1e-13)
+        np.testing.assert_array_equal(np.moveaxis(j, -1, 0), j_ref)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-13)
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(27)
+        w = _reachable_w(rng, 12, 9, 2)
+        stacked = w.reshape(3, 4, 9, 9)
+        s_mat = sep._source_block(stacked, 2, 1e-3)[0]
+        assert s_mat.shape == (3, 4, 2, 2)
+        np.testing.assert_array_equal(s_mat.reshape(12, 2, 2), sep._source_block(w, 2, 1e-3)[0])
+        np.testing.assert_array_equal(sep._inverse_column(stacked, 1, 2, 1e-3).reshape(12, 9),
+                                      sep._inverse_column(w, 1, 2, 1e-3))
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
     def test_inverse_column_matches_full_solve(self, loading):
         rng = np.random.default_rng(24)
-        w = _reachable_w(rng, 16, 9, 2)
-        for n in range(2):
-            np.testing.assert_allclose(
-                sep._inverse_column(w, n, 2, loading), nx.solve_column(w, n, loading), rtol=1e-10
-            )
+        for m, n_src in _BLOCK_SIZES:
+            w = _reachable_w(rng, 16, m, n_src)
+            for n in range(n_src):
+                np.testing.assert_allclose(
+                    sep._inverse_column(w, n, n_src, loading), nx.solve_column(w, n, loading),
+                    rtol=1e-10,
+                )
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
     def test_projection_back_matches_loaded_inverse(self, loading):
         rng = np.random.default_rng(25)
-        st = sep.init_state(SeparatorConfig(9, 2, "overiva", loading=loading), 16)
-        st.W = _reachable_w(rng, 16, 9, 2)
-        y = _cplx(rng, 2, 16)
-        w_l = st.W + nx.frobenius_shift(st.W, loading)[:, None, None] * np.eye(9)
-        winv = np.linalg.inv(w_l)
-        for ref in range(9):
-            out = sep.projection_back(st, y, reference_channel=ref)
-            np.testing.assert_allclose(out, y * winv[:, ref, :2].T, rtol=1e-10)
+        for m, n_src in _BLOCK_SIZES:
+            st = sep.init_state(SeparatorConfig(m, n_src, "overiva", loading=loading), 16)
+            st.W = _reachable_w(rng, 16, m, n_src)
+            y = _cplx(rng, n_src, 16)
+            w_l = st.W + nx.frobenius_shift(st.W, loading)[:, None, None] * np.eye(m)
+            winv = np.linalg.inv(w_l)
+            for ref in range(m):
+                out = sep.projection_back(st, y, reference_channel=ref)
+                np.testing.assert_allclose(out, y * winv[:, ref, :n_src].T, rtol=1e-10)
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
     def test_without_noise_block_is_the_full_solve(self, loading):
