@@ -16,10 +16,11 @@ Conventions
   elimination step for all bins at once; all others, and any small one
   that fails the residual test, go to LAPACK one matrix at a time.  Both
   are held to the same residual test.  The elementwise solve works on a
-  bins-last buffer, which it fills with the transpose of each stack seen
-  as (bins, K * K) rows (``a.reshape(n, K * K).T``): one straight copy
-  when a caller's stack is itself a bins-first view of bins-last data, as
-  the engines' N x N source block is
+  bins-last buffer, which it fills with one strided copy of each stack
+  with its batch axes flattened and moved last
+  (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight copy when a
+  caller's stack is itself a bins-first view of bins-last data, as the
+  engines' N x N source block is
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, instead reports per
@@ -50,9 +51,12 @@ _FIRST_ORDER_MAX = 0.1
 # M = 16 (measured cheaper than LAPACK up to K = 9).  General systems, which
 # would need pivots, take that path only at K = 2, in closed form: every
 # general solve of the shipped configs is on the 2 x 2 source block.
-# _small_solve copies A and B into its bins-last buffer as the transposes of
-# their (bins, K * K) and (bins, K * R) reshapes, and reads X back as the
-# transpose of its (K * R, bins) rows, with no per-axis moves
+# _small_solve copies A and B into its bins-last buffer as their
+# (bins, K, K) and (bins, K, R) reshapes with the bins moved last, one
+# strided copy whatever the caller's strides (a (bins, K * K) reshape would
+# copy twice for the swapped views that projection back and the orthogonal
+# constraint pass), and reads X back as the transpose of its (K * R, bins)
+# rows
 _SMALL_MAX = 4
 
 
@@ -218,18 +222,17 @@ def _small_solve(
     or Hermitian positive definite up to ``_SMALL_MAX``, elementwise over
     the batch.  In a bins-last copy each matrix entry is one contiguous row
     of all the systems, so every step of :func:`_cramer2` (2 x 2) or
-    :func:`_eliminate` is one numpy operation over all of them.  The copy is
-    the transpose of ``a`` seen as (bins, K * K) rows, and of ``b`` as
-    (bins, K * R); any strides are accepted (``reshape`` copies where no view
-    exists).  Returns ``X`` and, per system, whether it passed the residual
+    :func:`_eliminate` is one numpy operation over all of them.  The copy
+    moves the flattened batch axis of ``a`` and ``b`` last; any strides are
+    accepted.  Returns ``X`` and, per system, whether it passed the residual
     test of :func:`_check_solution`, computed in the same layout."""
     batch, (k, r) = a.shape[:-2], b.shape[-2:]
     n = math.prod(batch)
     kk, kr = k * k, k * r
     # bins-last rows of A, B, X and the residual A X - B, one block each
     rows = np.empty((kk + 3 * kr, n), dtype=np.complex128)
-    rows[:kk] = a.reshape(n, kk).T
-    rows[kk : kk + kr] = b.reshape(n, kr).T
+    rows[:kk].reshape(k, k, n)[...] = a.reshape(n, k, k).transpose(1, 2, 0)
+    rows[kk : kk + kr].reshape(k, r, n)[...] = b.reshape(n, k, r).transpose(1, 2, 0)
     if shift is not None:
         rows[:kk : k + 1] += shift.reshape(n)
     at = rows[:kk].reshape(k, k, n)
