@@ -317,7 +317,7 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     row over the bins (the leading axes of ``w`` flattened into one).  The
     shift needs no pass over the M^2 entries of ``W``: the noise rows give
     ``||W||_F^2 = ||W_s||_F^2 + ||J||_F^2 + (M - N)``.  ``B J`` is a sum
-    over the M - N axis.  Returns ``(S, J, c)``: ``S`` (..., N, N) is the
+    over the M - N axis of products of bins-last rows.  Returns ``(S, J, c)``: ``S`` (..., N, N) is the
     bins-first view of the bins-last (N, N, I) array, which
     ``numerics._small_solve`` copies back contiguously; ``J`` is the
     bins-last (M - N, N, I) copy and ``c`` has shape (I,).
@@ -334,7 +334,9 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     sq = parts[0::2] + parts[1::2]  # squared real and imaginary parts of each bin
     s = loading * (np.sqrt(sq + (m - n_src)) / np.sqrt(m))
     c = 1.0 / (1.0 - s)
-    s_mat = (w_s[:, n_src:, None] * j).sum(axis=1)  # B J
+    # B J summed over the M - N axis; einsum rounds each entry as the
+    # bins-first product did (numpy's complex multiply may not)
+    s_mat = np.einsum("aki,kbi->abi", w_s[:, n_src:], j)
     s_mat *= c
     s_mat += w_s[:, :n_src]
     s_mat.reshape(n_src * n_src, -1)[:: n_src + 1] += s
