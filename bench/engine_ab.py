@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import importlib.util
 import json
 import os
@@ -158,11 +157,8 @@ def main(argv=None) -> int:
         parser.error("--out and --key go together")
 
     sys.path.insert(0, str(args.change.resolve() / "src"))
-    packages = {}
-    for side in SIDES:
-        name = f"ivastream_{side}"
-        load_package(getattr(args, side).resolve() / "src", name)
-        packages[side] = importlib.import_module(name)
+    packages = {side: load_package(getattr(args, side).resolve() / "src", f"ivastream_{side}")
+                for side in SIDES}
     scenes = {
         "desk": (desk_bins(args.seed), False),
         "m16": (inputs.far_field_grid(args.seed, M16_FRAMES).x, True),

@@ -8,11 +8,15 @@ the same arguments and the ``run_seconds`` of BENCHMARK.json, the side that
 goes first alternating from pair to pair.  Prints, per metric, each side's
 median and quartiles, the median ratio (change / parent) and how many pairs
 the change won (lower is better for every metric the benchmark reports;
-ties count for neither side).  Each engine's 99th-percentile frame time,
-which ``perfbench/run.py`` prints as an info line (``<engine>.frame_ms_p99``),
-is reported beside them as each side's median and quartiles only: it is no
-verdict metric of the benchmark.  With ``--out`` the runs and the summary
-are stored in that JSON file under ``--key``.
+ties count for neither side).  The info lines ``perfbench/run.py`` prints,
+each engine's 99th-percentile frame time (``<engine>.frame_ms_p99``), the
+unscaled times (``setup_raw_s``, ``wall_raw_s``, ``<engine>.rtf_raw``) and
+the median of the host probe the scaled times are divided by
+(``host.probe_ms``), are reported beside them as each side's median and
+quartiles only: they are no verdict metrics of the benchmark, but a probe
+that reads differently on the two sides shows there, and the raw times
+then tell whether a scaled gain is the code's.  With ``--out`` the runs and
+the summary are stored in that JSON file under ``--key``.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from pathlib import Path
 from record import store
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
-INFO = re.compile(r"^\S+ (\w+\.frame_ms_p99) = (\S+) ms$")
+INFO = re.compile(r"^\S+ (\w+\.frame_ms_p99|[\w.]+_raw(?:_s)?) = (\S+) \w+$")
+PROBE = re.compile(r"^host: ref_ms (\S+) ")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """One benchmark run; returns {metric: value} from its JSON result line
-    and {info name: value} from its frame-time info lines."""
+    and {info name: value} from its info lines and its host probe line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -46,6 +51,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     values = {k: m["value"] for k, m in result["metrics"].items()}
     values["failed_frac"] = result["failed"] / result["attempted"]
     info = {m[1]: float(m[2]) for m in map(INFO.match, lines) if m}
+    info.update({"host.probe_ms": float(m[1]) for m in map(PROBE.match, lines) if m})
     return values, info
 
 
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     for name, sides in info.items():
         pq, cq = sides["parent"], sides["change"]
         print(f"{args.workload} {name} (info): parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}] "
-              f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]")
+              f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}] ratio {cq[1] / pq[1]:.3f}")
     if args.out:
         command = (f"python3 bench/pairs.py --parent <parent checkout> --change <change checkout> "
                    f"--workload {args.workload} --seeds {args.seeds} --trace {args.trace} "
