@@ -14,7 +14,12 @@ schemas by that name):
   manifest's STFT; each engine reads its config's leading microphones;
 * ``m16``: ``M16_FRAMES`` frames of ``perfbench/inputs.far_field_grid``,
   the 4x4 far-field grid, with overiva and biiva widened to it as the
-  ``scale_m16`` workload does (biiva 4x4, auxiva on microphones 0 and 1).
+  ``scale_m16`` workload does (biiva 4x4, auxiva on microphones 0 and 1);
+* ``curve``: the cost curve, ``CURVE_FRAMES`` frames of seeded random
+  spectra (``CURVE_BINS`` bins, a per-frame, per-channel level so the
+  contrast weights change) at each M in ``CURVE_CHANNELS``, streamed by
+  overiva and by biiva with sqrt(M) x sqrt(M) sub-filters, N = 2, default
+  forgetting.
 
 Each side builds its configs as its own ``SeparatorConfig`` from
 ``configs/*.json``.  For each input, every engine of both sides streams the
@@ -25,7 +30,10 @@ reach both alike; the engines take turns within each frame.  Prints, per
 input and engine, each side's median ms/frame, their ratio (change /
 parent), the share of frames the change ran faster, and the largest
 difference between the two sides' outputs relative to the parent's largest
-entry.  With ``--out`` the table is stored under ``--key``.
+entry.  For the curve it also prints, per M and side, biiva's median
+ms/frame over overiva's: both engines of a side ran the same frames in the
+same process, interleaved, so the ratio is free of the drift between
+processes.  With ``--out`` the table is stored under ``--key``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import statistics
 import sys
@@ -56,6 +65,12 @@ ENGINES = ("auxiva", "overiva", "biiva")
 SIDES = ("parent", "change")
 DESK_SECONDS = 6.0
 M16_FRAMES = 180
+# two refresh periods of overiva's tracked inverse covariance
+# (separators.INVERSE_REFRESH = 32), so the refresh solves are in the median
+CURVE_FRAMES = 64
+CURVE_BINS = 513
+CURVE_CHANNELS = (4, 9, 16, 36)
+CURVE_SOURCES = 2
 REFERENCE_CHANNEL = 0
 
 
@@ -100,12 +115,31 @@ def desk_bins(seed: int) -> np.ndarray:
     return np.stack([f.bins for f in frames])
 
 
+def curve_configs(pkg, m: int) -> dict:
+    """overiva and biiva (sqrt(M) x sqrt(M)) at ``m`` channels, as this
+    side's ``SeparatorConfig``s."""
+    side = math.isqrt(m)
+    sep = pkg.separators
+    return {"overiva": sep.SeparatorConfig(m, CURVE_SOURCES, "overiva"),
+            "biiva": sep.SeparatorConfig(m, CURVE_SOURCES, "biiva", side, side)}
+
+
+def curve_bins(seed: int, m: int) -> np.ndarray:
+    """(T, I, M) circular Gaussian bins with a per-frame, per-channel level."""
+    rng = np.random.default_rng((seed, m))
+    level = np.exp(rng.standard_normal((CURVE_FRAMES, 1, m)))
+    shape = (CURVE_FRAMES, CURVE_BINS, m)
+    return level * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
-    """Stream ``bins`` through every engine of both sides, the sides taking
-    turns frame by frame; returns {engine: {side: (ms per frame, outputs)}}."""
+    """Stream ``bins`` through every engine of ``configs`` on both sides,
+    the sides taking turns frame by frame; returns {engine: {side: (ms per
+    frame, outputs)}}."""
+    engines = list(configs["parent"])
     n_frames, n_bins = bins.shape[:2]
     runs = {}
-    for engine in ENGINES:
+    for engine in engines:
         for side, pkg in packages.items():
             cfg = configs[side][engine]
             state = pkg.separators.init_state(cfg, n_bins)
@@ -116,7 +150,7 @@ def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
             runs[engine, side] = (pkg.separators, state, frames, np.empty(n_frames), out)
     order = list(SIDES)
     for t in range(n_frames):
-        for engine in ENGINES:
+        for engine in engines:
             for side in order:
                 sep, state, frames, ms, out = runs[engine, side]
                 t0 = time.perf_counter()
@@ -124,7 +158,7 @@ def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
                 out[t] = sep.projection_back(state, est.y, REFERENCE_CHANNEL)
                 ms[t] = (time.perf_counter() - t0) * 1e3
         order.reverse()
-    return {engine: {side: runs[engine, side][3:] for side in SIDES} for engine in ENGINES}
+    return {engine: {side: runs[engine, side][3:] for side in SIDES} for engine in engines}
 
 
 def compare(result: dict) -> dict:
@@ -142,6 +176,16 @@ def compare(result: dict) -> dict:
             "frames": len(ms_p),
             "max_rel_output_diff": float(np.max(np.abs(y_c - y_p)) / np.max(np.abs(y_p))),
         }
+    return table
+
+
+def report(scene: str, table: dict) -> dict:
+    """Print one input's rows of ``compare``; returns the table."""
+    for engine, row in table.items():
+        print(f"{scene:5s} {engine:8s} parent {row['parent_ms_per_frame']:7.3f} ms/frame "
+              f"change {row['change_ms_per_frame']:7.3f} ratio {row['ratio']:.3f} "
+              f"change faster in {row['change_faster_frames']:.0%} of {row['frames']} frames; "
+              f"output diff {row['max_rel_output_diff']:.3g}", flush=True)
     return table
 
 
@@ -163,16 +207,20 @@ def main(argv=None) -> int:
         "desk": (desk_bins(args.seed), False),
         "m16": (inputs.far_field_grid(args.seed, M16_FRAMES).x, True),
     }
-    block = {"seed": args.seed, "desk_seconds": DESK_SECONDS, "m16_frames": M16_FRAMES}
+    block = {"seed": args.seed, "desk_seconds": DESK_SECONDS, "m16_frames": M16_FRAMES,
+             "curve_frames": CURVE_FRAMES, "curve_bins": CURVE_BINS}
     for scene, (bins, m16) in scenes.items():
         configs = {side: side_configs(pkg, m16) for side, pkg in packages.items()}
-        table = compare(interleaved(bins, packages, configs))
-        block[scene] = table
-        for engine, row in table.items():
-            print(f"{scene:4s} {engine:8s} parent {row['parent_ms_per_frame']:7.3f} ms/frame "
-                  f"change {row['change_ms_per_frame']:7.3f} ratio {row['ratio']:.3f} "
-                  f"change faster in {row['change_faster_frames']:.0%} of {row['frames']} frames; "
-                  f"output diff {row['max_rel_output_diff']:.3g}", flush=True)
+        block[scene] = report(scene, compare(interleaved(bins, packages, configs)))
+    block["curve"] = []
+    for m in CURVE_CHANNELS:
+        configs = {side: curve_configs(pkg, m) for side, pkg in packages.items()}
+        table = report(f"M={m}", compare(interleaved(curve_bins(args.seed, m), packages, configs)))
+        ratios = {side: round(table["biiva"][f"{side}_ms_per_frame"]
+                              / table["overiva"][f"{side}_ms_per_frame"], 3) for side in SIDES}
+        block["curve"].append({"M": m, **table, "biiva_over_overiva": ratios})
+        print(f"M={m:<3d} biiva/overiva parent {ratios['parent']:.3f} "
+              f"change {ratios['change']:.3f}", flush=True)
     if args.out:
         block["command"] = (f"python3 bench/engine_ab.py --parent <parent checkout> "
                             f"--change <change checkout> --seed {args.seed} "

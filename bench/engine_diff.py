@@ -3,9 +3,10 @@
     python3 bench/engine_diff.py --parent ../parent --change . [--seed 5] \
         [--out BENCH.json --key equivalence]
 
-Two seeded 3 s, 9-channel inputs: the desk scenario simulated with the
-change's package, and i.i.d. Gaussian noise.  In one fresh process per
-checkout with one BLAS thread, each input's STFT (1024/256, 184 frames)
+Two seeded 6 s, 9-channel inputs: the desk scenario simulated with the
+change's package (the desk stream of ``bench/engine_ab.py``, through a
+float32 WAV), and i.i.d. Gaussian noise.  In one fresh process per
+checkout with one BLAS thread, each input's STFT (1024/256, 372 frames)
 streams through every engine's shipped config in ``configs/`` (auxiva on
 microphones 0 and 1), raw and with projection back to microphone 0.  Prints,
 per input, engine and output, the largest absolute difference between the
@@ -15,7 +16,10 @@ scaled by ``1 + 2**-52``, and for the input with every ``np.linalg.solve``
 result of the parent scaled entrywise by ``1 +- 2**-52`` (seeded random
 signs): how far one rounding step at the input, or in each solve, carries
 through the recursion.  A change to the solvers whose difference stays at
-the last measure is no less accurate than the parent's own rounding.  With
+the last measure is no less accurate than the parent's own rounding.
+biiva's solves at the desk are all 2 x 2 or 3 x 3 and solved elementwise,
+so none of them reaches ``np.linalg.solve`` and its reference in the
+parent's solves reads 0; its reference is the one ulp at the input.  With
 ``--out`` the table is stored under ``--key``.
 """
 
@@ -35,7 +39,7 @@ from record import store
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ENGINES = ("auxiva", "overiva", "biiva")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-DURATION_S = 3.0
+DURATION_S = 6.0
 
 # run in a fresh process against one checkout's package:
 # argv = seed, mixture wav, output npz, "perturb" to add the one-ulp runs

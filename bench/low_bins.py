@@ -2,10 +2,10 @@
 
     python3 bench/low_bins.py [--seed 5] [--out BENCH.json --key low_bins]
 
-Simulates the 3 s desk input of ``bench/engine_diff.py`` (the desk scenario
-at the seed, STFT 1024/256, 184 frames) and streams it through every
-engine's shipped config in ``configs/`` (auxiva on microphones 0 and 1)
-with projection back to microphone 0.  The package's solvers are wrapped to
+Simulates a 3 s desk input as ``bench/engine_diff.py`` simulates its 6 s
+one (the desk scenario at the seed, STFT 1024/256, 184 frames) and streams
+it through every engine's shipped config in ``configs/`` (auxiva on
+microphones 0 and 1) with projection back to microphone 0.  The package's solvers are wrapped to
 record, per frame and bin:
 
 * the 2-norm condition number of each source's weighted covariance ``V_n``

@@ -48,7 +48,11 @@ _FIRST_ORDER_MAX = 0.1
 # largest K whose Hermitian positive definite K x K systems are solved
 # elementwise over the batch (_small_solve) instead of by LAPACK, one matrix
 # at a time: biiva's sub-filter systems are 3 x 3 at the desk and 4 x 4 at
-# M = 16 (measured cheaper than LAPACK up to K = 9).  General systems, which
+# M = 16.  For 513 systems with one right-hand side the elementwise solve
+# measured cheaper than LAPACK with its residual check up to K = 6 (0.39 vs
+# 0.52 ms at K = 6); from K ~ 9 LAPACK wins (0.86 vs 0.89 ms), and with K
+# right-hand sides it wins by far (2.33 vs 3.76 ms at K = 9), so overiva's
+# refreshes of its tracked inverse stay on LAPACK.  General systems, which
 # would need pivots, take that path only at K = 2, in closed form: every
 # general solve of the shipped configs is on the 2 x 2 source block.
 # _small_solve copies A and B into its bins-last buffer as their
@@ -110,21 +114,41 @@ def lift_right(a: np.ndarray, m2: int) -> np.ndarray:
     )
 
 
-def congruence(d: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Congruence transform ``D^H V D`` for Hermitian ``V``.
+def congruence(v: np.ndarray, held: np.ndarray, side: str) -> np.ndarray:
+    """Congruence transform ``Delta^H V Delta`` of Hermitian (..., M, M)
+    ``V`` through the lift of a held sub-filter, without forming the lift.
 
-    The result is re-symmetrized so downstream code can rely on exact
-    Hermitian structure.
+    ``side`` names the lift: ``"left"`` for ``Delta = lift_left(held, M1) =
+    I_{M1} (x) held`` (``held`` of length ``M2``, result M1 x M1),
+    ``"right"`` for ``Delta = lift_right(held, M2) = held (x) I_{M2}``
+    (``held`` of length ``M1``, result M2 x M2); ``M1 M2 == M`` and leading
+    axes broadcast.  With ``V`` viewed as (..., M1, M2, M1, M2) the
+    transform is ``sum conj(held) V held`` over both M2 axes (left) or both
+    M1 axes (right), two batched matrix-vector products that never touch
+    the zeros of ``Delta``.  The result is re-symmetrized so downstream
+    code can rely on exact Hermitian structure.
     """
-    d = np.asarray(d)
     v = np.asarray(v)
-    if d.shape[-2] != v.shape[-1] or v.shape[-2] != v.shape[-1]:
+    held = np.asarray(held)
+    batch, m, k = v.shape[:-2], v.shape[-1], held.shape[-1]
+    if v.shape[-2] != m or k == 0 or m % k:
         raise ValueError(
-            f"congruence: D is {d.shape[-2]}x{d.shape[-1]}, V is "
-            f"{v.shape[-2]}x{v.shape[-1]}; V must be square with D's row count"
+            f"congruence: V is {v.shape[-2]}x{m}, held sub-filter has length {k}; "
+            f"V must be square with the length dividing its order"
         )
-    dh = np.conj(np.swapaxes(d, -1, -2))
-    out = dh @ v @ d
+    other = m // k
+    if side == "left":
+        # T[a, q, b] = sum_q' V[a, q, b, q'] held[q'], then conj(held) over q
+        t = np.matmul(v.reshape(batch + (m * other, k)), held[..., None])
+        second = held.conj()
+    elif side == "right":
+        # T[c, p', d] = sum_p conj(held[p]) V[p, c, p', d], then held over p'
+        t = np.matmul(held.conj()[..., None, :], v.reshape(batch + (k, other * m)))
+        second = held
+    else:
+        raise ValueError(f"congruence: side must be 'left' or 'right', not {side!r}")
+    out = np.matmul(second[..., None, None, :], t.reshape(t.shape[:-2] + (other, k, other)))
+    out = out.reshape(out.shape[:-3] + (other, other))
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 

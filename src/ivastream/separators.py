@@ -14,7 +14,10 @@ that solve, and projection back's, to an N x N system (:func:`_source_block`).
 :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
 to 1; the two bilinear updates are the same IP step on the covariance and
 on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
-``Delta^H u``), and both read the same ``u``.  OverIVA solves with the
+``Delta^H u``), and both read the same ``u``.  The lifted covariance is
+contracted through the Kronecker structure of ``Delta`` (``V`` viewed as
+M1 x M2 x M1 x M2): O(M^2) per bin and sub-filter, where the dense
+product with the M x M1 lift costs O(M^2 M1).  OverIVA solves with the
 inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
 (as in online AuxIVA, Taniguchi et al., HSCMA 2014); AuxIVA's systems are
 N x N, and the bilinear engine's lifted covariance changes with the held
@@ -281,10 +284,11 @@ def bilinear_update_1(
 ) -> np.ndarray:
     """Alternating IP update of the first sub-filter, second one held fixed:
     the IP step on ``V`` and ``u = W^{-1} e_n`` lifted through
-    ``Delta = I (x) w2``."""
+    ``Delta = I (x) w2``, the covariance by the structured
+    :func:`numerics.congruence` and ``Delta^H u`` through the lift."""
     delta = numerics.lift_left(w2, v.shape[-1] // w2.shape[-1])  # (..., M, M1)
     rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
-    return ip_update(rhs, numerics.congruence(delta, v), loading)
+    return ip_update(rhs, numerics.congruence(v, w2, "left"), loading)
 
 
 def bilinear_update_2(
@@ -294,7 +298,7 @@ def bilinear_update_2(
     lifted through ``Delta = w1 (x) I``."""
     delta = numerics.lift_right(w1, v.shape[-1] // w1.shape[-1])  # (..., M, M2)
     rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
-    return ip_update(rhs, numerics.congruence(delta, v), loading)
+    return ip_update(rhs, numerics.congruence(v, w1, "right"), loading)
 
 
 def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -92,35 +92,67 @@ class TestLifting:
             np.testing.assert_array_equal(out[i], nx.lift_left(b[i], 2))
 
 
+def _dense_lift_oracle(v, held, side):
+    """``Delta^H V Delta`` with the dense lift of ``held``, re-symmetrized."""
+    m = v.shape[-1]
+    lift = nx.lift_left if side == "left" else nx.lift_right
+    delta = lift(held, m // held.shape[-1])
+    out = np.conj(np.swapaxes(delta, -1, -2)) @ v @ delta
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+
+
 class TestCongruence:
-    def test_matches_dense_triple_product(self):
+    SIZES = [(3, 3), (4, 4), (6, 6), (2, 8), (8, 2), (9, 1), (1, 9)]
+
+    def test_matches_dense_lift_oracle(self):
+        # both sides, every factorization, two leading batch axes
         rng = np.random.default_rng(31)
-        v = _random_pd(rng, 10, 6, 6)
-        d = _cplx(rng, 10, 6, 2)
-        out = nx.congruence(d, v)
-        oracle = np.conj(np.swapaxes(d, -1, -2)) @ v @ d
-        oracle = 0.5 * (oracle + np.conj(np.swapaxes(oracle, -1, -2)))
-        np.testing.assert_allclose(out, oracle, rtol=1e-13, atol=1e-13)
+        for m1, m2 in self.SIZES:
+            v = _random_pd(rng, 2, 5, m1 * m2, m1 * m2)
+            for side, k, other in (("left", m2, m1), ("right", m1, m2)):
+                held = _cplx(rng, 2, 5, k)
+                out = nx.congruence(v, held, side)
+                oracle = _dense_lift_oracle(v, held, side)
+                assert out.shape == (2, 5, other, other)
+                scale = np.abs(oracle).max()
+                np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-14 * scale)
+
+    def test_held_broadcasts_over_batch(self):
+        rng = np.random.default_rng(34)
+        v = _random_pd(rng, 4, 6, 6)
+        held = _cplx(rng, 3)
+        np.testing.assert_array_equal(
+            nx.congruence(v, held, "left"),
+            nx.congruence(v, np.broadcast_to(held, (4, 3)), "left"),
+        )
 
     def test_output_is_hermitian(self):
         rng = np.random.default_rng(32)
-        v = _random_pd(rng, 4, 8, 8)
-        d = _cplx(rng, 4, 8, 3)
-        out = nx.congruence(d, v)
-        np.testing.assert_array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
+        for m1, m2 in self.SIZES:
+            v = _random_pd(rng, 4, m1 * m2, m1 * m2)
+            for side, k in (("left", m2), ("right", m1)):
+                out = nx.congruence(v, _cplx(rng, 4, k), side)
+                np.testing.assert_array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
 
-    def test_preserves_positive_definiteness_on_full_rank_maps(self):
+    def test_preserves_positive_definiteness(self):
+        # a nonzero held sub-filter makes the lift full column rank
         rng = np.random.default_rng(33)
-        v = _random_pd(rng, 6, 6)
-        d = _cplx(rng, 6, 4)
-        out = nx.congruence(d, v)
-        assert np.linalg.eigvalsh(out).min() > 0
+        for m1, m2 in self.SIZES:
+            v = _random_pd(rng, 6, m1 * m2, m1 * m2)
+            for side, k in (("left", m2), ("right", m1)):
+                out = nx.congruence(v, _cplx(rng, 6, k), side)
+                assert np.linalg.eigvalsh(out).min() > 0
 
-    def test_rejects_mismatched_shapes(self):
-        v = np.eye(4, dtype=complex)
-        d = np.zeros((3, 2), dtype=complex)
+    def test_rejects_bad_shapes_and_side(self):
+        v = np.eye(6, dtype=complex)
         with pytest.raises(ValueError):
-            nx.congruence(d, v)
+            nx.congruence(v, np.ones(4, dtype=complex), "left")  # 4 does not divide 6
+        with pytest.raises(ValueError):
+            nx.congruence(v, np.ones(4, dtype=complex), "right")
+        with pytest.raises(ValueError):
+            nx.congruence(np.ones((6, 3), dtype=complex), np.ones(3, dtype=complex), "left")
+        with pytest.raises(ValueError):
+            nx.congruence(v, np.ones(3, dtype=complex), "middle")
 
 
 class TestHermitianSolve:
