@@ -17,17 +17,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from record import store
+from record import CONFIGS, parse_args, run_cli, store
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ENGINES = ("overiva", "biiva")
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def commands() -> list[list[str]]:
@@ -55,15 +51,11 @@ def write_manifest(path: Path) -> None:
 
 def run(src: Path) -> dict[str, str]:
     """Run every command against the package in ``src``; {path: sha256}."""
-    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    env.update({var: "1" for var in THREAD_VARS})
-    env.pop("IVASTREAM_OUTPUT_ROOT", None)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_manifest(work / "manifest.json")
         for args in commands():
-            subprocess.run([sys.executable, "-m", "ivastream.cli", *args], cwd=work, env=env,
-                           check=True, stdout=subprocess.DEVNULL)
+            run_cli(src, args, work)
         return {
             str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(work.rglob("*"))
@@ -74,11 +66,7 @@ def run(src: Path) -> dict[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="directory holding ivastream/")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--key", help="name of this table in --out")
-    args = parser.parse_args(argv)
-    if (args.out is None) != (args.key is None):
-        parser.error("--out and --key go together")
+    args = parse_args(parser, argv)
     hashes = run(args.src)
     for path, digest in hashes.items():
         print(f"{digest} {path}")

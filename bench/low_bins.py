@@ -2,11 +2,12 @@
 
     python3 bench/low_bins.py [--seed 5] [--out BENCH.json --key low_bins]
 
-Simulates a 3 s desk input as ``bench/engine_diff.py`` simulates its 6 s
-one (the desk scenario at the seed, STFT 1024/256, 184 frames) and streams
-it through every engine's shipped config in ``configs/`` (auxiva on
-microphones 0 and 1) with projection back to microphone 0.  The package's solvers are wrapped to
-record, per frame and bin:
+Streams ``record.desk_bins`` at the seed, the desk stream that
+``bench/engine_ab.py`` and ``perfbench``'s ``stream_desk`` run (the shipped
+desk scene, 6 s, STFT 1024/256, 372 frames), through every engine's shipped
+config in ``configs/`` (auxiva on microphones 0 and 1) with projection back
+to microphone 0.  The package's solvers are wrapped to record, per frame
+and bin:
 
 * the 2-norm condition number of each source's weighted covariance ``V_n``
   after the frame;
@@ -27,26 +28,17 @@ largest condition number over frames, and each event's count.  With
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from collections import defaultdict
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from record import CONFIGS, DESK_SECONDS, desk_bins, parse_args, store
 
-import numpy as np  # noqa: E402 - after the BLAS thread pin
+import numpy as np  # after record's BLAS thread pin
 
-from record import store  # noqa: E402
+sys.path.insert(0, str(CONFIGS.parent / "src"))
+from ivastream import io, numerics, separators, stft  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-from ivastream import cli, io, numerics, separators, stft  # noqa: E402
-
-CONFIGS = ROOT / "configs"
 ENGINES = ("auxiva", "overiva", "biiva")
-DURATION_S = 3.0
 LOW_BINS = (0, 1, 2)
 
 
@@ -126,30 +118,21 @@ def summarize(rec: Recorder, n_frames: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--key", help="name of this table in --out")
-    args = parser.parse_args(argv)
-    if (args.out is None) != (args.key is None):
-        parser.error("--out and --key go together")
+    args = parse_args(parser, argv)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cli.main(["simulate", str(CONFIGS / "desk_scenario.json"), "--out", tmp,
-                  "--duration", str(DURATION_S), "--seed", str(args.seed)])
-        desk = io.read_wav(Path(tmp) / "observations.wav").samples
-    stft_cfg = stft.StftConfig(fft_size=1024, hop=256)
-    rec = Recorder(stft_cfg.n_bins)
+    desk = desk_bins(args.seed)
+    n_frames, n_bins = desk.shape[:2]
+    rec = Recorder(n_bins)
     install(rec)
-    n_frames = 0
     for engine in ENGINES:
         rec.engine = engine
         cfg = io.load_separator_config(CONFIGS / f"{engine}.json")
-        frames = stft.analyze(desk[: cfg.n_channels], stft_cfg)
-        state = separators.init_state(cfg, stft_cfg.n_bins)
-        for frame in frames:
-            est = separators.process_frame(state, frame)
+        state = separators.init_state(cfg, n_bins)
+        for t in range(n_frames):
+            est = separators.process_frame(
+                state, stft.SpectralFrame(bins=desk[t, :, : cfg.n_channels], index=t))
             separators.projection_back(state, est.y, 0)
             rec.conditions("V", state.V)
-        n_frames = len(frames)
 
     table = summarize(rec, n_frames)
     for engine, rows in table.items():
@@ -165,7 +148,7 @@ def main(argv=None) -> int:
         store(args.out, args.key, {
             "command": f"python3 bench/low_bins.py --seed {args.seed} --out {args.out.name} "
                        f"--key {args.key}",
-            "input": f"desk scenario, seed {args.seed}, {DURATION_S} s, STFT 1024/256",
+            "input": f"desk scenario, seed {args.seed}, {DESK_SECONDS} s, STFT 1024/256",
             "table": table})
     return 0
 

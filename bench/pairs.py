@@ -29,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from record import store
+from record import parse_args, store
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 INFO = re.compile(r"^\S+ (\w+\.frame_ms_p99|[\w.]+_raw(?:_s)?) = (\S+) \w+$")
@@ -104,11 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 941-950 or 3,7")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--key", help="name of this measurement in --out")
-    args = parser.parse_args(argv)
-    if (args.out is None) != (args.key is None):
-        parser.error("--out and --key go together")
+    args = parse_args(parser, argv)
     seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
 
     runs = []

@@ -22,17 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from record import store
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from record import CONFIGS, parse_args, run_cli, store
 
 
 def cli_args(manifest: Path, seed: int, seconds: float, command: str, work: Path) -> list[str]:
@@ -53,11 +48,7 @@ def cli_args(manifest: Path, seed: int, seconds: float, command: str, work: Path
 def peak_rss_mb(src: Path, args: list[str], work: Path) -> float:
     """Run ``python -m ivastream.cli *args`` from ``work`` with the package
     in ``src``; the peak RSS of that child in MB (Linux reports KiB)."""
-    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
-    env.update({var: "1" for var in THREAD_VARS})
-    env.pop("IVASTREAM_OUTPUT_ROOT", None)
-    subprocess.run([sys.executable, "-m", "ivastream.cli", *args], cwd=work, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    run_cli(src, args, work)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
@@ -68,11 +59,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--command", choices=("benchmark", "simulate"), default="benchmark")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--key", help="name of this measurement in --out")
-    args = parser.parse_args(argv)
-    if (args.out is None) != (args.key is None):
-        parser.error("--out and --key go together")
+    args = parse_args(parser, argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         run = cli_args(args.manifest, args.seed, args.seconds, args.command, work)

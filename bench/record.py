@@ -1,14 +1,67 @@
-"""Shared by the bench scripts: the host a measurement ran on, and a JSON
-results file that collects one block per measurement under its own key."""
+"""Shared by the bench scripts: BLAS pinned to one thread (importing this
+module sets the pin, so a script imports it before numpy loads BLAS), the
+seeded desk stream, the ``--out``/``--key`` pair, the child-process CLI
+runner, the host a measurement ran on, and a JSON results file that
+collects one block per measurement under its own key."""
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402 - after the BLAS thread pin
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DESK_SECONDS = 6.0
+
+
+def desk_bins(seed: int) -> np.ndarray:
+    """(T, I, M) STFT of the desk mixture, as ``perfbench``'s ``stream_desk``
+    builds it: the shipped desk scene (``configs/desk_scenario.json``) at
+    ``seed`` with the seed's speech-like talkers, ``DESK_SECONDS`` long,
+    analysed with the desk manifest's STFT, by the ``ivastream`` package on
+    ``sys.path``."""
+    from ivastream import cli, io, roomsim, stft
+
+    manifest = json.loads((CONFIGS / "desk_manifest.json").read_text())
+    scenario = dataclasses.replace(io.load_scenario(CONFIGS / "desk_scenario.json"), seed=seed)
+    fs = scenario.room.sample_rate
+    n_samples = int(round(DESK_SECONDS * fs))
+    talkers = np.stack([cli.speechlike_signal((seed, k), n_samples, fs)
+                        for k in range(scenario.n_sources)])
+    bundle = roomsim.mix(scenario, talkers)
+    frames = stft.analyze(bundle.observations, stft.StftConfig(sample_rate=fs, **manifest["stft"]))
+    return np.stack([f.bins for f in frames])
+
+
+def parse_args(parser: argparse.ArgumentParser, argv=None) -> argparse.Namespace:
+    """Add the ``--out``/``--key`` pair to ``parser`` and parse ``argv``."""
+    parser.add_argument("--out", type=Path, help="JSON results file")
+    parser.add_argument("--key", help="name of this measurement in --out")
+    args = parser.parse_args(argv)
+    if (args.out is None) != (args.key is None):
+        parser.error("--out and --key go together")
+    return args
+
+
+def run_cli(src: Path, args: list[str], cwd: Path) -> None:
+    """Run ``python -m ivastream.cli *args`` in a child process from ``cwd``
+    with the package in ``src``, one BLAS thread (the pin above) and no
+    ``IVASTREAM_OUTPUT_ROOT``, so relative ``--out`` paths land in ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": str(src.resolve())}
+    env.pop("IVASTREAM_OUTPUT_ROOT", None)
+    subprocess.run([sys.executable, "-m", "ivastream.cli", *args], cwd=cwd, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
 
 
 def host() -> dict:

@@ -252,10 +252,8 @@ def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int, 
     """
     est = np.atleast_2d(estimates)
     refs = np.atleast_2d(references)
-    if est.shape[0] != refs.shape[0]:
-        raise ValueError(
-            f"{est.shape[0]} estimates cannot be paired with {refs.shape[0]} references"
-        )
+    if est.shape != refs.shape:
+        raise ValueError(f"estimates {est.shape} and references {refs.shape} differ")
     seg = min(segment_samples(eval_cfg, sample_rate), est.shape[1])
     bases = ReferenceBases.of(refs, eval_cfg.filter_length, bases)
     n, stop = refs.shape

@@ -12,10 +12,10 @@ Every filter update starts from ``u = W^{-1} e_n``, solved once per source
 and frame.  With more channels than sources the noise rows ``[J, -I]`` reduce
 that solve, and projection back's, to an N x N system (:func:`_source_block`).
 :func:`ip_update` solves ``V w = u`` and normalizes ``w^H V w``
-to 1; the two bilinear updates are the same IP step on the covariance and
+to 1; :func:`bilinear_update` is the same IP step on the covariance and
 on ``u`` lifted through the held sub-filter (``Delta^H V Delta`` and
-``Delta^H u``), and both read the same ``u``.  The lifted covariance is
-contracted through the Kronecker structure of ``Delta`` (``V`` viewed as
+``Delta^H u``), and both sub-filter updates read the same ``u``.  The
+lifted covariance is contracted through the Kronecker structure of ``Delta`` (``V`` viewed as
 M1 x M2 x M1 x M2): O(M^2) per bin and sub-filter, where the dense
 product with the M x M1 lift costs O(M^2 M1).  OverIVA solves with the
 inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
@@ -100,8 +100,8 @@ class SeparatorConfig:
             raise ValueError("n_sources must be >= 1")
         if not 0.0 < self.forgetting < 1.0:
             raise ValueError("forgetting factor must be in (0, 1)")
-        if self.loading < 0:
-            raise ValueError("loading must be >= 0")
+        if not (np.isfinite(self.loading) and self.loading >= 0):
+            raise ValueError(f"loading must be finite and >= 0, not {self.loading}")
         if algo is Algorithm.AUXIVA:
             if self.n_channels != self.n_sources:
                 raise ValueError("auxiva is determined: n_channels must equal n_sources")
@@ -279,26 +279,19 @@ def oc_update(c: np.ndarray, w_src: np.ndarray, loading: float = 0.0) -> np.ndar
     return np.swapaxes(jt, -1, -2)
 
 
-def bilinear_update_1(
-    u: np.ndarray, v: np.ndarray, w2: np.ndarray, loading: float = 0.0
+def bilinear_update(
+    u: np.ndarray, v: np.ndarray, held: np.ndarray, side: str, loading: float = 0.0
 ) -> np.ndarray:
-    """Alternating IP update of the first sub-filter, second one held fixed:
-    the IP step on ``V`` and ``u = W^{-1} e_n`` lifted through
-    ``Delta = I (x) w2``, the covariance by the structured
-    :func:`numerics.congruence` and ``Delta^H u`` through the lift."""
-    delta = numerics.lift_left(w2, v.shape[-1] // w2.shape[-1])  # (..., M, M1)
+    """Alternating IP update of one sub-filter, the other one ``held`` fixed:
+    the IP step on ``V`` and ``u = W^{-1} e_n`` lifted through the ``side``
+    lift of :func:`numerics.congruence`, ``Delta = I (x) w2`` (``"left"``,
+    updating ``w1``) or ``w1 (x) I`` (``"right"``, updating ``w2``); the
+    covariance by the structured congruence and ``Delta^H u`` through the
+    lift."""
+    lift = numerics.lift_left if side == "left" else numerics.lift_right
+    delta = lift(held, v.shape[-1] // held.shape[-1])  # (..., M, M / len(held))
     rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
-    return ip_update(rhs, numerics.congruence(v, w2, "left"), loading)
-
-
-def bilinear_update_2(
-    u: np.ndarray, v: np.ndarray, w1: np.ndarray, loading: float = 0.0
-) -> np.ndarray:
-    """Mirror of bilinear_update_1 for the second sub-filter (first fixed),
-    lifted through ``Delta = w1 (x) I``."""
-    delta = numerics.lift_right(w1, v.shape[-1] // w1.shape[-1])  # (..., M, M2)
-    rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
-    return ip_update(rhs, numerics.congruence(v, w1, "right"), loading)
+    return ip_update(rhs, numerics.congruence(v, held, side), loading)
 
 
 def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,8 +396,8 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                 state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
             else:
                 # both sub-updates read the same pre-update W, hence one u
-                w1 = bilinear_update_1(u, state.V[n], state.w2[n], cfg.loading)
-                w2 = bilinear_update_2(u, state.V[n], w1, cfg.loading)
+                w1 = bilinear_update(u, state.V[n], state.w2[n], "left", cfg.loading)
+                w2 = bilinear_update(u, state.V[n], w1, "right", cfg.loading)
                 # move the scale into w2 so w1 stays unit-norm
                 scale = np.linalg.norm(w1, axis=-1)[..., None]
                 state.w1[n] = w1 / scale

@@ -111,11 +111,11 @@ def test_criterion_02_update_normalization_contracts():
         w_mat = _cplx(rng, 250, m, m)
         v = _random_pd(rng, 250, m, m)
         w2 = _cplx(rng, 250, m2)
-        w1n = sep.bilinear_update_1(numerics.solve_column(w_mat, 0), v, w2)
+        w1n = sep.bilinear_update(numerics.solve_column(w_mat, 0), v, w2, "left")
         lifted1 = _dense_congruence(numerics.lift_left(w2, m1), v)
         assert np.abs(_quad(w1n, lifted1) - 1.0).max() <= 1e-10
         w1 = _cplx(rng, 250, m1)
-        w2n = sep.bilinear_update_2(numerics.solve_column(w_mat, 1), v, w1)
+        w2n = sep.bilinear_update(numerics.solve_column(w_mat, 1), v, w1, "right")
         lifted2 = _dense_congruence(numerics.lift_right(w1, m2), v)
         assert np.abs(_quad(w2n, lifted2) - 1.0).max() <= 1e-10
     assert time.perf_counter() - t0 < 10.0
@@ -145,24 +145,23 @@ def test_criterion_04_bilinear_stationarity_residual():
     # column) to 1e-9 relative, with zero diagonal loading; 500 cases, and
     # the public update must point along the same solution
     rng = np.random.default_rng(104)
-    for lift, m1, m2, n in (
-        (numerics.lift_left, 3, 3, 0),
-        (numerics.lift_right, 2, 3, 1),
-    ):
+    for side, m1, m2, n in (("left", 3, 3, 0), ("right", 2, 3, 1)):
         m = m1 * m2
         w_mat = _cplx(rng, 250, m, m)
         v = _random_pd(rng, 250, m, m)
-        sub_len = m2 if lift is numerics.lift_left else m1
-        fixed = _cplx(rng, 250, sub_len)
-        delta = lift(fixed, m1 if lift is numerics.lift_left else m2)
+        if side == "left":
+            fixed = _cplx(rng, 250, m2)
+            delta = numerics.lift_left(fixed, m1)
+        else:
+            fixed = _cplx(rng, 250, m1)
+            delta = numerics.lift_right(fixed, m2)
         u = numerics.solve_column(w_mat, n, 0.0)
         v_sub = _dense_congruence(delta, v)
         rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
         w_un = numerics.hermitian_solve(v_sub, rhs, 0.0)
         resid = np.linalg.norm(np.matmul(v_sub, w_un[..., None])[..., 0] - rhs, axis=-1)
         assert (resid / np.linalg.norm(rhs, axis=-1)).max() <= 1e-9
-        update = sep.bilinear_update_1 if lift is numerics.lift_left else sep.bilinear_update_2
-        w_pub = update(u, v, fixed)
+        w_pub = sep.bilinear_update(u, v, fixed, side)
         scaled = w_pub * np.sqrt(_quad(w_un, v_sub))[..., None]
         rel = np.abs(scaled - w_un) / np.linalg.norm(w_un, axis=-1, keepdims=True)
         assert rel.max() <= 1e-9

@@ -221,19 +221,22 @@ class TestSeparate:
 
     def test_invalid_override_is_rejected(self, tmp_path, mixture_dir, capsys):
         cfg = _auxiva_config(tmp_path)
-        code = main(
-            [
-                "separate",
-                str(mixture_dir / "observations.wav"),
-                cfg,
-                "--out",
-                str(tmp_path / "sep"),
-                "--forgetting",
-                "1.5",
-            ]
-        )
-        assert code == 2
-        assert "forgetting" in capsys.readouterr().err
+        # a non-finite loading passes the schema's minimum; the stream would
+        # then die at frame 0 in the solves
+        for flag, value in (("forgetting", "1.5"), ("loading", "nan"), ("loading", "inf")):
+            code = main(
+                [
+                    "separate",
+                    str(mixture_dir / "observations.wav"),
+                    cfg,
+                    "--out",
+                    str(tmp_path / "sep"),
+                    f"--{flag}",
+                    value,
+                ]
+            )
+            assert code == 2
+            assert flag in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -314,6 +317,14 @@ class TestEvaluate:
         cfg = metrics.EvalConfig(segment_seconds=0.00001, filter_length=8)
         with pytest.raises(ValueError, match="under one sample"):
             cli.pair_sources(refs.samples, refs.samples, cfg, refs.sample_rate)
+
+    def test_pairing_rejects_estimates_of_another_length(self):
+        # the last segment of a shorter estimate would be scored against
+        # another stretch of the references
+        refs = np.random.default_rng(43).standard_normal((2, 8000))
+        cfg = metrics.EvalConfig(segment_seconds=1.0, filter_length=16)
+        with pytest.raises(ValueError, match=r"estimates \(2, 3000\) and references \(2, 8000\)"):
+            cli.pair_sources(refs[:, 5000:], refs, cfg, 1000)
 
 
 def _mini_manifest(tmp_path, **overrides):

@@ -279,11 +279,11 @@ class TestBilinearUpdates:
         v = _random_pd(rng, 20, 6, 6)
         w2 = _cplx(rng, 20, 2)
         u = nx.solve_column(w_mat, 0)
-        w1 = sep.bilinear_update_1(u, v, w2)
+        w1 = sep.bilinear_update(u, v, w2, "left")
         v1 = _dense_congruence(nx.lift_left(w2, 3), v)
         q1 = np.einsum("...m,...mk,...k->...", w1.conj(), v1, w1).real
         assert np.max(np.abs(q1 - 1.0)) <= 1e-10
-        w2b = sep.bilinear_update_2(u, v, w1)
+        w2b = sep.bilinear_update(u, v, w1, "right")
         v2 = _dense_congruence(nx.lift_right(w1, 2), v)
         q2 = np.einsum("...m,...mk,...k->...", w2b.conj(), v2, w2b).real
         assert np.max(np.abs(q2 - 1.0)) <= 1e-10
@@ -301,7 +301,7 @@ class TestBilinearUpdates:
         q = np.einsum("...m,...mk,...k->...", w1_raw.conj(), v_sub, w1_raw).real
         # normalization constant may differ by summation order, hence allclose
         np.testing.assert_allclose(
-            sep.bilinear_update_1(u, v, w2),
+            sep.bilinear_update(u, v, w2, "left"),
             w1_raw / np.sqrt(q)[..., None],
             rtol=1e-13,
             atol=1e-300,
@@ -313,7 +313,7 @@ class TestBilinearUpdates:
         v = np.eye(4, dtype=complex)[None]
         w1 = np.zeros((1, 2), dtype=complex)
         w1[0, 0] = 1.0
-        w2 = sep.bilinear_update_2(nx.solve_column(w_mat, 0), v, w1)
+        w2 = sep.bilinear_update(nx.solve_column(w_mat, 0), v, w1, "right")
         np.testing.assert_allclose(w2, [[1.0, 0.0]], atol=1e-14)
 
     def test_scalar_second_factor_matches_ip_direction(self):
@@ -324,7 +324,7 @@ class TestBilinearUpdates:
         v = _random_pd(rng, 8, 4, 4)
         w2 = np.ones((8, 1), dtype=complex)
         u = nx.solve_column(w_mat, 2)
-        w1 = sep.bilinear_update_1(u, v, w2)
+        w1 = sep.bilinear_update(u, v, w2, "left")
         w_ip = sep.ip_update(u, v)
         cos = np.abs(np.einsum("...m,...m->...", w1.conj(), w_ip)) / (
             np.linalg.norm(w1, axis=-1) * np.linalg.norm(w_ip, axis=-1)
