@@ -32,8 +32,8 @@ from .io import (
     read_wav,
     write_wav,
 )
-from .metrics import (CSV_SENTINEL_DB, EvalConfig, ReferenceBases, convergence_curve,
-                      decompose, segment_samples, sir_sdr)
+from .metrics import (CSV_SENTINEL_DB, EvalConfig, convergence_curve, decompose,
+                      segment_samples, sir_sdr)
 from .separators import init_state, process_frame, projection_back
 from .stft import StftConfig, analyze, synthesize
 
@@ -237,36 +237,34 @@ def _finite_cost(sir: np.ndarray) -> np.ndarray:
     return np.clip(cost, -CSV_SENTINEL_DB, CSV_SENTINEL_DB)
 
 
-def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int, *,
-                 bases: ReferenceBases | None = None):
+def pair_sources(estimates, references, eval_cfg: EvalConfig, sample_rate: int):
     """Match estimate rows to reference rows by final-segment SIR.
 
     The last segment is scored because online separators are still near
     pass-through at stream onset, where every output resembles the mixture
-    and the assignment degenerates to a coin flip.  ``bases``, a memo over
-    these references, shares that segment's factorizations with other
-    calls on them.
+    and the assignment degenerates to a coin flip.  ``estimates`` are
+    (..., n_sources, T), one estimate set per leading index, all split
+    against a target's references in one call.
 
-    Returns an index array ``idx`` such that ``estimates[idx[j]]`` is the
-    estimate assigned to reference ``j`` (assignment maximizes total SIR).
+    Returns an index array ``idx`` of shape (..., n_sources) such that
+    ``estimates[..., idx[j], :]`` is the estimate assigned to reference
+    ``j`` (assignment maximizes the set's total SIR).
     """
     est = np.atleast_2d(estimates)
     refs = np.atleast_2d(references)
-    if est.shape != refs.shape:
+    if est.shape[-2:] != refs.shape:
         raise ValueError(f"estimates {est.shape} and references {refs.shape} differ")
-    seg = min(segment_samples(eval_cfg, sample_rate), est.shape[1])
-    bases = ReferenceBases.of(refs, eval_cfg.filter_length, bases)
-    n, stop = refs.shape
-    start = max(stop - seg, 0)
-    sir = np.empty((n, n))
+    seg = min(segment_samples(eval_cfg, sample_rate), est.shape[-1])
+    n = refs.shape[0]
+    sir = np.empty(est.shape[:-1] + (n,))
     for j in range(n):
-        basis = bases.get(start, stop, j)
-        sir[:, j] = sir_sdr(
-            decompose(est[:, -seg:], refs[:, start:], eval_cfg.filter_length, j, basis)
+        sir[..., j] = sir_sdr(
+            decompose(est[..., -seg:], refs[:, -seg:], eval_cfg.filter_length, j)
         )[0]
-    rows, cols = linear_sum_assignment(-_finite_cost(sir))
-    idx = np.empty(n, dtype=int)
-    idx[cols] = rows
+    idx = np.empty(sir.shape[:-1], dtype=int)
+    for k in np.ndindex(sir.shape[:-2]):
+        rows, cols = linear_sum_assignment(-_finite_cost(sir[k]))
+        idx[k][cols] = rows
     return idx
 
 
@@ -294,9 +292,8 @@ def run_evaluate(
         )
     mix = mix_buf.samples[eval_cfg.reference_channel, :n]
 
-    bases = ReferenceBases(refs, eval_cfg.filter_length)
-    idx = pair_sources(est, refs, eval_cfg, fs, bases=bases)
-    report = convergence_curve(est[idx], refs, mix, eval_cfg, fs, bases=bases)
+    idx = pair_sources(est, refs, eval_cfg, fs)
+    report = convergence_curve(est[idx], refs, mix, eval_cfg, fs)
     out = _out_dir(out)
     report.to_csv(out / "report.csv")
     conv = ", ".join(
@@ -346,38 +343,56 @@ def run_benchmark(manifest_path, out_override=None) -> int:
         bundle = _synthesize_mixture(scenario, duration, rirs=rirs)
         mixture_ref = bundle.observations[eval_cfg.reference_channel]
         references = bundle.source_images[:, eval_cfg.reference_channel, :]
-        # one factorization per (segment, target) serves every engine's scoring
-        bases = ReferenceBases(references, eval_cfg.filter_length)
+        errors, separated = {}, {}
         for name, cfg in sep_cfgs.items():
-            run_dir = _out_dir(out_root / f"{name}_seed{seed}")
+            _out_dir(out_root / f"{name}_seed{seed}")
             try:
                 # configs with fewer channels read the leading microphones
                 obs = bundle.observations[: cfg.n_channels]
                 estimates, frame_times = _separate_signal(
                     obs, cfg, stft_cfg, eval_cfg.reference_channel
                 )
-                idx = pair_sources(estimates, references, eval_cfg, fs, bases=bases)
-                report = convergence_curve(
-                    estimates[idx], references, mixture_ref, eval_cfg, fs, bases=bases
-                )
-                report.to_csv(run_dir / "report.csv")
-                write_wav(AudioBuffer(estimates[idx], fs), run_dir / "estimates.wav")
+                if estimates.shape != references.shape:
+                    raise ValueError(
+                        f"estimates {estimates.shape} and references {references.shape} differ"
+                    )
+                separated[name] = estimates, frame_times
+            except Exception as exc:  # noqa: BLE001 - record, keep sweeping
+                errors[name] = str(exc)
+
+        # every engine is scored in one stacked pass, one split per (segment, target)
+        if separated:
+            try:
+                stacked = np.stack([estimates for estimates, _ in separated.values()])
+                idx = pair_sources(stacked, references, eval_cfg, fs)
+                aligned = np.take_along_axis(stacked, idx[..., None], axis=1)
+                report = convergence_curve(aligned, references, mixture_ref, eval_cfg, fs)
+            except Exception as exc:  # noqa: BLE001 - the error fails every scored engine
+                errors.update(dict.fromkeys(separated, str(exc)))
+                separated = {}
+
+        for k, (name, (estimates, frame_times)) in enumerate(separated.items()):
+            run, run_dir = report[k], out_root / f"{name}_seed{seed}"
+            try:
+                run.to_csv(run_dir / "report.csv")
+                write_wav(AudioBuffer(aligned[k], fs), run_dir / "estimates.wav")
                 meta = {
                     "algorithm": name,
                     "seed": int(seed),
-                    "pairing": idx.tolist(),
-                    "converged_sir_improvement_db": report.converged_sir_improvement_db.tolist(),
-                    "converged_sdr_improvement_db": report.converged_sdr_improvement_db.tolist(),
+                    "pairing": idx[k].tolist(),
+                    "converged_sir_improvement_db": run.converged_sir_improvement_db.tolist(),
+                    "converged_sdr_improvement_db": run.converged_sdr_improvement_db.tolist(),
                     **bundle.gains,
                     **_measured_baselines(bundle),
                 }
                 _write_json(run_dir / "meta.json", meta)
                 wall, n_frames = sum(frame_times), len(frame_times)
                 timing_rows.append([name, int(seed), n_frames, wall, n_frames / max(wall, 1e-12),
-                                    wall / (obs.shape[1] / fs)])
-                reports[name].append(report)
+                                    wall / (estimates.shape[1] / fs)])
+                reports[name].append(run)
             except Exception as exc:  # noqa: BLE001 - record, keep sweeping
-                failures.append([name, int(seed), str(exc)])
+                errors[name] = str(exc)
+        failures += [[name, int(seed), errors[name]] for name in sep_cfgs if name in errors]
 
     _write_summary(out_root / "summary.csv", reports)
     _write_csv(out_root / "timing.csv", TIMING_COLUMNS, timing_rows)

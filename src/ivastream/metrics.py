@@ -13,15 +13,15 @@ accuracy.  Ratios follow the usual conventions:
 
 Curves are computed over non-overlapping segments, each projected
 independently, with improvements reported against the unprocessed mixture
-at the reference channel.  A ``ReferenceBases`` memo keeps the factored
-basis of each (segment, target), so every estimate scored against the same
-references (each engine of one benchmark seed) shares one factorization.
+at the reference channel.  Estimate sets stacked along leading axes (each
+engine of one benchmark seed) are split together, so they share one
+factorization per segment and target.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -93,105 +93,11 @@ class Decomposition:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class ReferenceBasis:
-    """The factored shifted-reference basis of one reference segment and
-    target, which ``decompose`` splits estimates against.
-
-    ``ref_spec`` holds the references' spectra at ``n_fft``, target row
-    first; ``factor`` is the Cholesky factor of their block-Toeplitz Gram.
-    """
-
-    ref_spec: np.ndarray
-    factor: tuple
-    n_samples: int
-    n_fft: int
-    filter_length: int
-    target_index: int
-
-
-def reference_basis(
-    references: np.ndarray, filter_length: int, target_index: int = 0
-) -> ReferenceBasis:
-    """Build and factor the basis of ``references`` (one row per source)
-    for the target ``target_index``, with shifts 0..filter_length-1.
-
-    A target out of range, a filter length under 1, a reference silent over
-    the segment or references whose shifts are rank deficient are a
-    ``ValueError``.
-    """
-    refs = np.atleast_2d(np.asarray(references, dtype=float))
-    n_refs, n_samples = refs.shape
-    if not 0 <= target_index < n_refs:
-        raise ValueError(f"target_index {target_index} out of range for {n_refs} references")
-    if filter_length < 1:
-        raise ValueError("filter_length must be >= 1")
-    energies = np.sum(refs**2, axis=1)
-    if np.any(energies == 0):
-        silent = int(np.nonzero(energies == 0)[0][0])
-        raise ValueError(f"reference {silent} is silent over this segment")
-
-    lags = filter_length
-    n_fft = next_fast_len(n_samples + lags)
-    order = [target_index] + [n for n in range(n_refs) if n != target_index]
-    ref_spec = rfft(refs[order], n_fft)
-    # Gram block (n, m) holds at (i, j) the correlation of ref_n with ref_m at lag i - j
-    shift = np.subtract.outer(np.arange(lags), np.arange(lags)) % n_fft
-    xcorr = irfft(ref_spec.conj() * ref_spec[:, None], n_fft)
-    gram = xcorr[:, :, shift].transpose(1, 2, 0, 3).reshape(n_refs * lags, -1)
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError as exc:
-        raise ValueError(
-            "references are rank deficient over the allowed-distortion span"
-        ) from exc
-    return ReferenceBasis(ref_spec, factor, n_samples, n_fft, filter_length, target_index)
-
-
-class ReferenceBases:
-    """The bases of one stream's references, each built the first time its
-    (start, stop, target) is asked for and kept while the memo lives.
-
-    One memo per stream lets every estimate scored against the same
-    references share one factorization per segment and target.  A basis
-    that fails to build is not kept: asking for it again raises again.
-    """
-
-    def __init__(self, references: np.ndarray, filter_length: int):
-        self.references = np.atleast_2d(np.asarray(references, dtype=float))
-        self.filter_length = filter_length
-        self._bases: dict[tuple, ReferenceBasis] = {}
-
-    @classmethod
-    def of(
-        cls, references, filter_length: int, bases: ReferenceBases | None = None
-    ) -> ReferenceBases:
-        """``bases`` if given, after checking that it holds these references
-        at this filter length; else a new memo for them."""
-        if bases is None:
-            return cls(references, filter_length)
-        if bases.filter_length != filter_length or not np.array_equal(
-            bases.references, np.atleast_2d(references)
-        ):
-            raise ValueError("reference bases were built for other references or filter length")
-        return bases
-
-    def get(self, start: int, stop: int, target_index: int) -> ReferenceBasis:
-        """The basis of ``references[:, start:stop]`` for ``target_index``."""
-        key = (start, stop, target_index)
-        if key not in self._bases:
-            self._bases[key] = reference_basis(
-                self.references[:, start:stop], self.filter_length, target_index
-            )
-        return self._bases[key]
-
-
 def decompose(
     estimate: np.ndarray,
     references: np.ndarray,
     filter_length: int,
     target_index: int = 0,
-    basis: ReferenceBasis | None = None,
 ) -> Decomposition:
     """Project estimates onto shifted-reference spans.
 
@@ -205,8 +111,7 @@ def decompose(
     one Cholesky factorization of the block-Toeplitz Gram.  The target row
     is ordered first, so the leading L x L block of that factor is the
     factor of the target's own block.  Correlations and projections are
-    products at one FFT size.  ``basis``, the ``reference_basis`` of these
-    references, filter length and target, skips building it again.
+    products at one FFT size.
     """
     est = np.asarray(estimate, dtype=float)
     refs = np.atleast_2d(np.asarray(references, dtype=float))
@@ -215,23 +120,39 @@ def decompose(
         raise ValueError(
             f"estimate shape {est.shape} does not end in the reference length {n_samples}"
         )
-    if basis is None:
-        basis = reference_basis(refs, filter_length, target_index)
-    elif (basis.ref_spec.shape[0], basis.n_samples, basis.filter_length,
-          basis.target_index) != (n_refs, n_samples, filter_length, target_index):
-        raise ValueError("basis was built for other references, filter length or target")
+    if not 0 <= target_index < n_refs:
+        raise ValueError(f"target_index {target_index} out of range for {n_refs} references")
+    if filter_length < 1:
+        raise ValueError("filter_length must be >= 1")
+    energies = np.sum(refs**2, axis=1)
+    if np.any(energies == 0):
+        silent = int(np.nonzero(energies == 0)[0][0])
+        raise ValueError(f"reference {silent} is silent over this segment")
 
     lags = filter_length
     out_len = n_samples + lags - 1
-    n_fft, ref_spec, factor = basis.n_fft, basis.ref_spec, basis.factor
+    n_fft = next_fast_len(n_samples + lags)
     sig = est.reshape(-1, n_samples)
+    order = [target_index] + [n for n in range(n_refs) if n != target_index]
+    ref_spec = rfft(refs[order], n_fft)
+
+    def xcorr(spec):  # [k, n, d] = sum_u ref_n[u] x_k[u + d], x_k the signal of spec[k]
+        return irfft(ref_spec.conj() * spec[:, None], n_fft)
 
     def project(coef):  # sum_n ref_n convolved with coef[k, n], for each k
         n = coef.shape[1]
         return irfft(np.sum(ref_spec[:n] * rfft(coef, n_fft), axis=1), n_fft)[:, :out_len]
 
-    # [k, n, d] = sum_u ref_n[u] sig_k[u + d]
-    rhs = irfft(ref_spec.conj() * rfft(sig, n_fft)[:, None], n_fft)[..., :lags]
+    # Gram block (n, m) holds at (i, j) the correlation of ref_n with ref_m at lag i - j
+    shift = np.subtract.outer(np.arange(lags), np.arange(lags)) % n_fft
+    gram = xcorr(ref_spec)[:, :, shift].transpose(1, 2, 0, 3).reshape(n_refs * lags, -1)
+    rhs = xcorr(rfft(sig, n_fft))[..., :lags]  # (signals, references, lags)
+    try:
+        factor = cho_factor(gram)
+    except LinAlgError as exc:
+        raise ValueError(
+            "references are rank deficient over the allowed-distortion span"
+        ) from exc
     coef_all = cho_solve(factor, rhs.reshape(len(sig), -1).T).T
     coef_tgt = cho_solve((factor[0][:lags, :lags], factor[1]), rhs[:, 0].T).T
     proj_all = project(coef_all.reshape(len(sig), n_refs, lags))
@@ -270,10 +191,11 @@ def sir_sdr(decomposition: Decomposition):
 class EvalReport:
     """Per-segment ratios plus run-level summaries.
 
-    Arrays are (n_segments, n_sources); baselines are the same ratios
-    computed on the unprocessed mixture at the reference channel, so
-    improvement = value - baseline.  Converged values average the final
-    quarter of the segments.
+    Arrays are (n_segments, n_sources), behind any leading axes of stacked
+    estimate sets; baselines are the same ratios computed on the
+    unprocessed mixture at the reference channel, so improvement = value -
+    baseline.  Converged values average the final quarter of the segments.
+    ``report[k]`` is the report of set ``k``.
     """
 
     t_start_s: np.ndarray
@@ -288,11 +210,16 @@ class EvalReport:
 
     @property
     def n_segments(self) -> int:
-        return self.sir_db.shape[0]
+        return self.sir_db.shape[-2]
 
     @property
     def n_sources(self) -> int:
-        return self.sir_db.shape[1]
+        return self.sir_db.shape[-1]
+
+    def __getitem__(self, k) -> EvalReport:
+        per_set = ("sir_db", "sdr_db", "converged_sir_db", "converged_sdr_db",
+                   "converged_sir_improvement_db", "converged_sdr_improvement_db")
+        return replace(self, **{name: getattr(self, name)[k] for name in per_set})
 
     @property
     def sir_improvement_db(self) -> np.ndarray:
@@ -339,60 +266,58 @@ def convergence_curve(
     mixture: np.ndarray,
     config: EvalConfig,
     sample_rate: int,
-    *,
-    bases: ReferenceBases | None = None,
 ) -> EvalReport:
     """Segment-wise ratios for aligned estimates, one row per segment.
 
-    ``estimates`` and ``references`` are (n_sources, T) with matched source
-    order; ``mixture`` is the unprocessed observation at the reference
-    channel and anchors the improvement baselines.  Each segment is
-    decomposed independently, with the estimate and the mixture of one
-    target split in one call.  ``bases``, a memo over these references,
-    shares each segment's factorization with other calls on them.
+    ``estimates`` are (..., n_sources, T), one estimate set per leading
+    index, and ``references`` (n_sources, T), with matched source order;
+    ``mixture`` is the unprocessed observation at the reference channel and
+    anchors the improvement baselines.  Each segment is decomposed
+    independently, with every set's estimate of one target and the mixture
+    split in one call.
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     refs = np.atleast_2d(np.asarray(references, dtype=float))
     mix = np.asarray(mixture, dtype=float).reshape(-1)
-    if est.shape != refs.shape:
+    if est.shape[-2:] != refs.shape:
         raise ValueError(f"estimates {est.shape} and references {refs.shape} differ")
-    if mix.shape[0] != est.shape[1]:
+    if mix.shape[0] != est.shape[-1]:
         raise ValueError("mixture length does not match the estimates")
-    n_sources, n_samples = est.shape
+    n_sources, n_samples = refs.shape
     seg_len = segment_samples(config, sample_rate)
     n_segments = n_samples // seg_len
     if n_segments < 1:
         raise ValueError("signal shorter than one evaluation segment")
-    bases = ReferenceBases.of(refs, config.filter_length, bases)
 
-    sir = np.empty((n_segments, n_sources))
-    sdr = np.empty((n_segments, n_sources))
-    sir0 = np.empty((n_segments, n_sources))
-    sdr0 = np.empty((n_segments, n_sources))
+    sets = est.reshape(-1, n_sources, n_samples)
+    # row k holds set k's ratios, the last row the mixture's
+    sir = np.empty((len(sets) + 1, n_segments, n_sources))
+    sdr = np.empty_like(sir)
     for s in range(n_segments):
         sl = slice(s * seg_len, (s + 1) * seg_len)
-        ref_seg = refs[:, sl]
         for n in range(n_sources):
-            pair = np.stack([est[n, sl], mix[sl]])
-            basis = bases.get(sl.start, sl.stop, n)
-            (sir[s, n], sir0[s, n]), (sdr[s, n], sdr0[s, n]) = sir_sdr(
-                decompose(pair, ref_seg, config.filter_length, n, basis)
+            signals = np.concatenate([sets[:, n, sl], mix[None, sl]])
+            sir[:, s, n], sdr[:, s, n] = sir_sdr(
+                decompose(signals, refs[:, sl], config.filter_length, n)
             )
+    sir0, sdr0 = sir[-1], sdr[-1]
+    sir = sir[:-1].reshape(est.shape[:-2] + sir0.shape)
+    sdr = sdr[:-1].reshape(sir.shape)
 
     tail = max(1, n_segments // 4)
     t_start = np.arange(n_segments) * seg_len / float(sample_rate)
 
     with np.errstate(invalid="ignore"):  # inf - inf is a flagged NaN, not a bug
-        conv_dsir = (sir[-tail:] - sir0[-tail:]).mean(axis=0)
-        conv_dsdr = (sdr[-tail:] - sdr0[-tail:]).mean(axis=0)
+        conv_dsir = (sir[..., -tail:, :] - sir0[-tail:]).mean(axis=-2)
+        conv_dsdr = (sdr[..., -tail:, :] - sdr0[-tail:]).mean(axis=-2)
     return EvalReport(
         t_start_s=t_start,
         sir_db=sir,
         sdr_db=sdr,
         sir_baseline_db=sir0,
         sdr_baseline_db=sdr0,
-        converged_sir_db=sir[-tail:].mean(axis=0),
-        converged_sdr_db=sdr[-tail:].mean(axis=0),
+        converged_sir_db=sir[..., -tail:, :].mean(axis=-2),
+        converged_sdr_db=sdr[..., -tail:, :].mean(axis=-2),
         converged_sir_improvement_db=conv_dsir,
         converged_sdr_improvement_db=conv_dsdr,
     )

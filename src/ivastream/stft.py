@@ -107,7 +107,8 @@ def synthesize(frames: list[SpectralFrame], cfg: StftConfig, n_samples: int | No
 
     ``n_samples`` trims or zero-pads the result to a target length (e.g. to
     match the analyzed signal); by default the natural length
-    ``(n_frames - 1) * hop + fft_size`` is returned.
+    ``(n_frames - 1) * hop + fft_size`` is returned.  A negative
+    ``n_samples`` is a ``ValueError``.
 
     Returns
     -------
@@ -115,6 +116,8 @@ def synthesize(frames: list[SpectralFrame], cfg: StftConfig, n_samples: int | No
     """
     if not frames:
         raise ValueError("synthesize requires at least one frame")
+    if n_samples is not None and n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     for f in frames:
         if f.config != cfg:
             raise ValueError(f"frame {f.index} was produced under a different StftConfig")

@@ -16,16 +16,14 @@ import pytest
 
 from ivastream import cli, numerics, roomsim
 from ivastream import separators as sep
-from ivastream.metrics import Decomposition, decompose, sir_sdr
+from ivastream.metrics import decompose, sir_sdr
 from ivastream.roomsim import ArrayGeometry, Room, Scenario
 from ivastream.separators import SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig, analyze, synthesize
 
+from oracles import _cplx, _dense_congruence, _dense_decompose, _random_pd
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-def _cplx(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _unit(rng, n):
@@ -33,22 +31,9 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _random_pd(rng, *shape):
-    k = shape[-1]
-    a = _cplx(rng, *shape)
-    return a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(k)
-
-
 def _quad(w, v):
     """Real quadratic form w^H V w over leading batch axes."""
     return np.einsum("...m,...mk,...k->...", np.conj(w), v, w).real
-
-
-def _dense_congruence(delta, v):
-    """Oracle for the lifted covariance: ``Delta^H V Delta`` with the dense
-    lift ``delta``, re-symmetrized."""
-    out = np.conj(np.swapaxes(delta, -1, -2)) @ v @ delta
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 def _spectral_frames(rng, n_frames, n_bins, n_channels):
@@ -300,24 +285,6 @@ def test_criterion_10_online_prefix_causality():
         full = sep.separate_stream(frames, config, reference_channel=0)
         part = sep.separate_stream(frames[:half], config, reference_channel=0)
         assert full[:half].tobytes() == part.tobytes()
-
-
-def _dense_decompose(est, refs, lags, target_index):
-    """Brute-force oracle: explicit shifted-copy basis and lstsq projections."""
-    n_refs, n_samples = refs.shape
-    out_len = n_samples + lags - 1
-    basis = np.zeros((out_len, n_refs * lags))
-    for n in range(n_refs):
-        for tau in range(lags):
-            basis[tau : tau + n_samples, n * lags + tau] = refs[n]
-    padded = np.zeros(out_len)
-    padded[:n_samples] = est
-    coef_all, *_ = np.linalg.lstsq(basis, padded, rcond=None)
-    sub = basis[:, target_index * lags : (target_index + 1) * lags]
-    coef_tgt, *_ = np.linalg.lstsq(sub, padded, rcond=None)
-    proj_all = basis @ coef_all
-    proj_tgt = sub @ coef_tgt
-    return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all, n_samples)
 
 
 def test_criterion_11_metrics_energy_and_oracle():

@@ -1,4 +1,5 @@
-"""``bench/engine_ab.py`` on one checkout against itself, cut to a few frames."""
+"""``bench/engine_ab.py`` on one checkout against itself, cut to a few
+frames, and ``bench/pairs.py``'s verdict arithmetic."""
 
 import importlib
 import json
@@ -10,13 +11,18 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
-    # importing the bench scripts pins BLAS in os.environ and engine_ab puts
-    # checkouts on sys.path; monkeypatch undoes both after the test
+def _bench_module(monkeypatch, name):
+    """Import ``bench/<name>.py``.  Importing the bench scripts pins BLAS in
+    os.environ and engine_ab puts checkouts on sys.path; monkeypatch undoes
+    both after the test."""
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "1")
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    engine_ab = importlib.import_module("engine_ab")
+    return importlib.import_module(name)
+
+
+def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
+    engine_ab = _bench_module(monkeypatch, "engine_ab")
     monkeypatch.setattr(importlib.import_module("record"), "DESK_SECONDS", 0.1)
     for name, value in (("M16_FRAMES", 3), ("CURVE_FRAMES", 3), ("CURVE_BINS", 5),
                         ("CURVE_CHANNELS", (4, 9))):
@@ -36,3 +42,17 @@ def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
                 assert diffs["change"] == 0.0
                 refs = [diffs["parent_one_ulp_input"], diffs["parent_one_ulp_solves"]]
                 assert np.all(np.isfinite(refs)) and min(refs) >= 0.0
+
+
+def test_pairs_verdict_arithmetic(monkeypatch):
+    pairs = _bench_module(monkeypatch, "pairs")
+    assert pairs.parse_seeds("941-943,7") == [941, 942, 943, 7]
+    assert pairs.quartiles([2.5]) == [2.5, 2.5, 2.5]
+    # lower wins; the tied pair counts for neither side
+    runs = [{"parent": {"wall_s": p}, "change": {"wall_s": c}}
+            for p, c in ((10.0, 9.0), (10.0, 10.0), (10.0, 11.0), (8.0, 6.0))]
+    verdict = pairs.summarize(runs)["wall_s"]
+    assert (verdict["change_wins"], verdict["parent_wins"], verdict["pairs"]) == (2, 1, 4)
+    assert verdict["parent_q1_median_q3"] == [9.5, 10.0, 10.0]
+    assert verdict["change_q1_median_q3"] == [8.25, 9.5, 10.25]
+    assert verdict["median_ratio"] == 9.5 / 10.0 and verdict["parent_iqr"] == 0.5

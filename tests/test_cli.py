@@ -292,25 +292,25 @@ class TestEvaluate:
         assert main(["evaluate", refs, refs, *args]) == 2
         assert "segment of 1e-05 s is under one sample" in capsys.readouterr().err
 
-    # 3 whole segments, where the pairing scores the last one, and 3.5 segments,
-    # where the pairing range is a basis of its own
-    @pytest.mark.parametrize("n_samples, n_bases", [(3000, 3 * 2), (3500, 4 * 2)])
-    def test_shared_bases_give_the_same_pairing(self, monkeypatch, n_samples, n_bases):
+    # 3 whole segments, and 3.5 segments, where the pairing window is no segment
+    @pytest.mark.parametrize("n_samples", [3000, 3500])
+    def test_stacked_pairing_matches_per_set_calls(self, monkeypatch, n_samples):
         rng = np.random.default_rng(41)
         refs = rng.standard_normal((2, n_samples))
         mix = refs.sum(axis=0)
-        est = np.stack([refs[1] + 0.2 * mix, refs[0] + 0.3 * mix])  # swapped order
+        swapped = np.stack([refs[1] + 0.2 * mix, refs[0] + 0.3 * mix])
+        sets = np.stack([swapped, swapped[::-1], mix + 0.1 * rng.standard_normal((2, n_samples))])
         cfg = metrics.EvalConfig(segment_seconds=1.0, filter_length=16)
-        alone = cli.pair_sources(est, refs, cfg, 1000)
-        assert_array_equal(alone, [1, 0])
+        alone = [cli.pair_sources(est, refs, cfg, 1000) for est in sets]
+        assert_array_equal(alone[0], [1, 0])
+        assert_array_equal(alone[1], [0, 1])
         factors = []
         cho_factor = metrics.cho_factor
         monkeypatch.setattr(metrics, "cho_factor", lambda *a: factors.append(a) or cho_factor(*a))
-        bases = metrics.ReferenceBases(refs, cfg.filter_length)
-        for _ in range(2):  # two engines of one seed
-            assert_array_equal(cli.pair_sources(est, refs, cfg, 1000, bases=bases), alone)
-            metrics.convergence_curve(est[alone], refs, mix, cfg, 1000, bases=bases)
-        assert len(factors) == n_bases
+        stacked = cli.pair_sources(sets, refs, cfg, 1000)
+        assert_array_equal(stacked, alone)
+        assert len(factors) == 2  # one per target, whatever the number of sets
+        assert_array_equal(cli.pair_sources(sets[None], refs, cfg, 1000), [alone])
 
     def test_pairing_rejects_a_segment_under_one_sample(self, mixture_dir):
         refs = read_wav(mixture_dir / "reference_images.wav")
@@ -381,13 +381,38 @@ class TestBenchmark:
         assert all(float(r["real_time_factor"]) > 0 for r in trows)
 
     def test_one_factorization_per_seed_segment_and_target(self, tmp_path, monkeypatch):
-        factors = []
-        cho_factor = metrics.cho_factor
+        factors, splits = [], []
+        cho_factor, decompose = metrics.cho_factor, metrics.decompose
         monkeypatch.setattr(metrics, "cho_factor", lambda *a: factors.append(a) or cho_factor(*a))
+        for module in (cli, metrics):
+            monkeypatch.setattr(
+                module, "decompose", lambda *args: splits.append(args) or decompose(*args)
+            )
         separators = {"auxiva": "auxiva.json", "auxiva_again": "auxiva.json"}
         assert main(["benchmark", _mini_manifest(tmp_path, separators=separators)]) == 0
-        # 2 seeds x 3 segments x 2 targets, shared by both engines' pairing and curves
-        assert len(factors) == 2 * 3 * 2
+        # per seed, both engines stacked: one split per target for the pairing
+        # and one per (segment, target) for the curves, each its own factorization
+        assert len(splits) == len(factors) == 2 * (2 + 3 * 2)
+        for seed in (0, 1):  # the same engine twice, scored in one stack, scores the same
+            first, again = (tmp_path / "bench" / f"{name}_seed{seed}" / "report.csv"
+                            for name in separators)
+            assert again.read_bytes() == first.read_bytes()
+
+    def test_engine_of_another_shape_fails_alone(self, tmp_path):
+        _write_json(tmp_path / "one.json", {"algorithm": "overiva", "n_channels": 2,
+                                            "n_sources": 1})
+        separators = {"one": "one.json", "auxiva": "auxiva.json"}
+        manifest = _mini_manifest(tmp_path, separators=separators)
+        assert main(["benchmark", manifest]) == 1
+        root = tmp_path / "bench"
+        with open(root / "failures.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["algorithm"], r["seed"]) for r in rows] == [("one", "0"), ("one", "1")]
+        assert all(r["error"] == "estimates (1, 24000) and references (2, 24000) differ"
+                   for r in rows)
+        assert not (root / "one_seed0" / "report.csv").exists()
+        with open(root / "summary.csv") as fh:
+            assert {(r["algorithm"], r["n_runs"]) for r in csv.DictReader(fh)} == {("auxiva", "2")}
 
     def test_summary_is_deterministic_across_reruns(self, tmp_path):
         manifest = _mini_manifest(tmp_path)
@@ -419,6 +444,27 @@ class TestBenchmark:
                 "n_runs",
             ]
         )
+
+    def test_scoring_error_fails_every_engine_of_the_seed(self, tmp_path, monkeypatch):
+        # one stacked curve per seed: the second is seed 1's, for both engines
+        curves = []
+        curve = cli.convergence_curve
+
+        def fail_the_second(*args):
+            curves.append(args)
+            if len(curves) == 2:
+                raise ValueError("scoring failed")
+            return curve(*args)
+
+        monkeypatch.setattr(cli, "convergence_curve", fail_the_second)
+        separators = {"auxiva": "auxiva.json", "auxiva_again": "auxiva.json"}
+        assert main(["benchmark", _mini_manifest(tmp_path, separators=separators)]) == 1
+        with open(tmp_path / "bench" / "failures.csv") as fh:
+            rows = [(r["algorithm"], r["seed"], r["error"]) for r in csv.DictReader(fh)]
+        assert rows == [(name, "1", "scoring failed") for name in separators]
+        for name in separators:
+            assert (tmp_path / "bench" / f"{name}_seed0" / "report.csv").exists()
+            assert not (tmp_path / "bench" / f"{name}_seed1" / "report.csv").exists()
 
     def test_missing_referenced_file_is_a_config_error(self, tmp_path, capsys):
         manifest = _mini_manifest(tmp_path, separators={"auxiva": "nope.json"})

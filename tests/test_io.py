@@ -266,6 +266,8 @@ def test_manifest_schema_rejects_unknown_keys_and_bad_types(tmp_path):
         ({"evaluation": {"segment_seconds": "2"}}, r"\$\.evaluation\.segment_seconds"),
         ({"stft": {"window": "hann"}}, r"\$\.stft: .*'window' was unexpected"),
         ({"seeds": []}, r"\$\.seeds"),
+        # a repeated seed would run twice into one directory and count twice
+        ({"seeds": [3, 3]}, r"\$\.seeds: .*non-unique"),
     ]
     for extra, match in cases:
         path = _write_json(tmp_path, "manifest.json", {**base, **extra})

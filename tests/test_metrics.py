@@ -15,13 +15,13 @@ from ivastream.metrics import (
     Decomposition,
     EvalConfig,
     EvalReport,
-    ReferenceBases,
     convergence_curve,
     decompose,
-    reference_basis,
     segment_samples,
     sir_sdr,
 )
+
+from oracles import _dense_decompose
 
 
 def _refs(seed, n_sources=2, n_samples=4000, silent_tail=0):
@@ -110,13 +110,6 @@ def test_decompose_input_validation():
         decompose(refs[0], refs, 8, target_index=2)
     with pytest.raises(ValueError, match="filter_length"):
         decompose(refs[0], refs, 0)
-    # a prebuilt basis must be the one of these references, span and target
-    with pytest.raises(ValueError, match="basis was built for other"):
-        decompose(refs[0], refs, 8, 1, reference_basis(refs, 8, 0))
-    with pytest.raises(ValueError, match="basis was built for other"):
-        decompose(refs[0], refs, 8, 0, reference_basis(refs, 16, 0))
-    with pytest.raises(ValueError, match="basis was built for other"):
-        decompose(refs[0, :100], refs[:, :100], 8, 0, reference_basis(refs[:, :200], 8, 0))
 
 
 def test_silent_reference_is_an_error():
@@ -126,21 +119,12 @@ def test_silent_reference_is_an_error():
         decompose(refs[0], refs, 8)
 
 
-def test_silent_segment_raises_from_the_memo_on_every_call():
+def test_silent_segment_is_an_error_of_the_curve():
     refs = _refs(9, n_samples=3000)
     refs[1, 1000:2000] = 0.0
-    with pytest.raises(ValueError) as direct:
-        decompose(refs[0, 1000:2000], refs[:, 1000:2000], 8)
-    assert str(direct.value) == "reference 1 is silent over this segment"
-    bases = ReferenceBases(refs, 8)
-    for _ in range(2):  # a failed basis is not kept, so each caller hears of it
-        with pytest.raises(ValueError) as memo:
-            bases.get(1000, 2000, 0)
-        assert str(memo.value) == str(direct.value)
     cfg = EvalConfig(segment_seconds=1.0, filter_length=8)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="^reference 1 is silent over this segment$"):
-            convergence_curve(refs, refs, refs.sum(axis=0), cfg, 1000, bases=bases)
+    with pytest.raises(ValueError, match="^reference 1 is silent over this segment$"):
+        convergence_curve(np.stack([refs, refs]), refs, refs.sum(axis=0), cfg, 1000)
 
 
 def test_duplicate_references_are_rank_deficient():
@@ -148,24 +132,6 @@ def test_duplicate_references_are_rank_deficient():
     refs[1] = refs[0]
     with pytest.raises(ValueError, match="rank deficient"):
         decompose(refs[0], refs, 8)
-
-
-def _dense_decompose(est, refs, lags, target_index):
-    """Brute-force oracle: explicit shifted-copy basis and lstsq projections."""
-    n_refs, n_samples = refs.shape
-    out_len = n_samples + lags - 1
-    basis = np.zeros((out_len, n_refs * lags))
-    for n in range(n_refs):
-        for tau in range(lags):
-            basis[tau : tau + n_samples, n * lags + tau] = refs[n]
-    padded = np.zeros(out_len)
-    padded[:n_samples] = est
-    coef_all, *_ = np.linalg.lstsq(basis, padded, rcond=None)
-    sub = basis[:, target_index * lags : (target_index + 1) * lags]
-    coef_tgt, *_ = np.linalg.lstsq(sub, padded, rcond=None)
-    proj_all = basis @ coef_all
-    proj_tgt = sub @ coef_tgt
-    return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all, n_samples)
 
 
 @pytest.mark.parametrize("target_index", [0, 1])
@@ -260,17 +226,22 @@ def test_identity_separator_has_zero_improvement_everywhere():
 
 
 @pytest.mark.parametrize("n_samples", [3000, 3400])  # whole segments, and a partial one
-def test_shared_bases_give_the_same_curves(n_samples):
+def test_stacked_sets_match_per_set_curves(n_samples):
     refs = _refs(22, n_samples=n_samples)
     mix = refs.sum(axis=0)
+    noise = np.random.default_rng(23).standard_normal(refs.shape)
+    sets = np.stack([refs + 0.1 * mix, np.stack([mix, mix]), refs[::-1] + 0.5 * noise])
     cfg = EvalConfig(segment_seconds=1.0, filter_length=16)
-    bases = ReferenceBases(refs, cfg.filter_length)
-    # the second estimate set is split against the bases the first one built
-    for est in (refs + 0.1 * mix, np.stack([mix, mix])):
+    stacked = convergence_curve(sets, refs, mix, cfg, sample_rate=1000)
+    assert stacked.sir_db.shape == (3, 3, 2) and stacked.converged_sdr_db.shape == (3, 2)
+    assert stacked.t_start_s.shape == (3,) and stacked.sir_baseline_db.shape == (3, 2)
+    for k, est in enumerate(sets):
         alone = convergence_curve(est, refs, mix, cfg, sample_rate=1000)
-        shared = convergence_curve(est, refs, mix, cfg, sample_rate=1000, bases=bases)
         for field in fields(EvalReport):
-            assert_array_equal(getattr(shared, field.name), getattr(alone, field.name))
+            assert_array_equal(getattr(stacked[k], field.name), getattr(alone, field.name))
+    # any leading axes stack
+    nested = convergence_curve(sets.reshape(3, 1, 2, n_samples), refs, mix, cfg, 1000)
+    assert_array_equal(nested.sdr_db[:, 0], stacked.sdr_db)
 
 
 def test_segment_layout_matches_duration():
@@ -295,10 +266,8 @@ def test_curve_input_validation():
         convergence_curve(refs, refs, mix[:-1], cfg, sample_rate=1000)
     with pytest.raises(ValueError, match="shorter than one"):
         convergence_curve(refs, refs, mix, cfg, sample_rate=100_000)
-    # a memo serves only the references and span it was built for
-    for other in (ReferenceBases(refs[::-1], 8), ReferenceBases(refs, 16)):
-        with pytest.raises(ValueError, match="built for other references"):
-            convergence_curve(refs, refs, mix, cfg, sample_rate=1000, bases=other)
+    with pytest.raises(ValueError, match=r"estimates \(2, 1, 2000\) and references"):
+        convergence_curve(np.stack([refs[:1], refs[1:]]), refs, mix, cfg, sample_rate=1000)
     # a segment that rounds to zero samples names itself, not a division error
     tiny = EvalConfig(segment_seconds=0.00001, filter_length=8)
     assert segment_samples(EvalConfig(segment_seconds=0.001), 1000) == 1

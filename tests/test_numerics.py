@@ -6,20 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import ivastream.numerics as nx
 
-
-def _cplx(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import _cplx, _random_pd
 
 
 def _unit(rng, m):
     v = _cplx(rng, m)
     return v / np.linalg.norm(v)
-
-
-def _random_pd(rng, *shape):
-    k = shape[-1]
-    a = _cplx(rng, *shape)
-    return a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(k)
 
 
 class TestKron:

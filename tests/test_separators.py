@@ -12,28 +12,13 @@ import ivastream.stft as stft
 from ivastream.separators import Algorithm, SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig
 
-
-def _cplx(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _random_pd(rng, *shape):
-    k = shape[-1]
-    a = _cplx(rng, *shape)
-    return a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(k)
+from oracles import _cplx, _dense_congruence, _random_pd
 
 
 def _assert_hermitian(a, rtol):
     """``A == A^H`` to within ``rtol`` of the largest entry."""
     dev = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max()
     assert dev <= rtol * np.abs(a).max()
-
-
-def _dense_congruence(delta, v):
-    """Oracle for the lifted covariance: ``Delta^H V Delta`` with the dense
-    lift ``delta``, re-symmetrized."""
-    out = np.conj(np.swapaxes(delta, -1, -2)) @ v @ delta
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 def _reachable_w(rng, n_bins, m, n_src):

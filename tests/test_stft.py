@@ -160,6 +160,15 @@ def test_synthesize_natural_length_and_padding():
     np.testing.assert_array_equal(shorter, rec[:, :100])
 
 
+def test_synthesize_rejects_a_negative_length():
+    # a negative length would slice from the end and drop samples silently
+    cfg = StftConfig(fft_size=64, hop=16)
+    frames = stft.analyze(np.random.default_rng(6).standard_normal((1, 4096)), cfg)
+    with pytest.raises(ValueError, match="n_samples must be >= 0, got -100"):
+        stft.synthesize(frames, cfg, -100)
+    assert stft.synthesize(frames, cfg, 0).shape == (1, 0)
+
+
 def test_synthesize_rejects_mismatched_frames():
     cfg = StftConfig(fft_size=64, hop=16)
     other = StftConfig(fft_size=128, hop=32)
