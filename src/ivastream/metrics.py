@@ -82,15 +82,14 @@ class Decomposition:
     """Orthogonal split of an estimate, or of each stacked one, on the
     convolution domain.
 
-    All three parts have the estimate's leading shape and length
-    ``n_samples + filter_length - 1``, and sum exactly to the zero-padded
-    estimate.
+    All three parts have the estimate's leading shape, are
+    ``filter_length - 1`` samples longer than it, and sum exactly to the
+    zero-padded estimate.
     """
 
     target: np.ndarray
     interference: np.ndarray
     artifact: np.ndarray
-    n_samples: int
 
 
 def decompose(
@@ -164,7 +163,6 @@ def decompose(
         target=proj_tgt.reshape(shape),
         interference=(proj_all - proj_tgt).reshape(shape),
         artifact=(padded - proj_all).reshape(shape),
-        n_samples=n_samples,
     )
 
 

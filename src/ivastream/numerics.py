@@ -153,13 +153,11 @@ def congruence(v: np.ndarray, held: np.ndarray, side: str) -> np.ndarray:
 
 
 def _sq_sum(x: np.ndarray, n_axes: int) -> np.ndarray:
-    """Squared 2-norm over the trailing ``n_axes`` axes; real/imag views
-    avoid the temporaries ``np.linalg.norm`` allocates on complex input."""
+    """Squared 2-norm over the trailing ``n_axes`` axes of a complex array;
+    real/imag views avoid the temporaries ``np.linalg.norm`` allocates."""
     subs = "ij"[:n_axes]
     expr = f"...{subs},...{subs}->..."
-    if np.iscomplexobj(x):
-        return np.einsum(expr, x.real, x.real) + np.einsum(expr, x.imag, x.imag)
-    return np.einsum(expr, x, x)
+    return np.einsum(expr, x.real, x.real) + np.einsum(expr, x.imag, x.imag)
 
 
 def real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

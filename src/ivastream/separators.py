@@ -212,9 +212,11 @@ def update_inverse(
     With ``t`` the new trace scale, the scaled recursion is ``V / t <-
     a (V / t) + b x x^H`` with ``b = (1 - alpha) weight / t`` and ``a = 1 -
     b |x|^2 / M``, so by Sherman-Morrison ``P <- (P - b z z^H / (a + b x^H
-    z)) / a`` with ``z = P x``.  Bins where ``a`` or that denominator is not
-    positive and finite take ``P`` from the updated ``V`` by
-    :func:`numerics.scaled_inverse` instead.
+    z)) / a`` with ``z = P x``.  ``a`` and the denominator stay positive
+    unless rounding breaks them; a bin where it does is left with a ``P``
+    whose solution fails :func:`numerics.solve_with_inverse`'s residual
+    test, so :func:`ip_update` re-solves that bin exactly and refreshes its
+    ``P``.
     """
     m = v.shape[-1]
     x = np.ascontiguousarray(x)  # numerics.real_dot reads its float view
@@ -226,9 +228,6 @@ def update_inverse(
     z_scaled = z * (b / (a * den))[..., None]
     p.view(np.float64)[...] *= (1.0 / a)[..., None, None]
     p -= z_scaled[..., :, None] * z[..., None, :].conj()
-    bad = ~((a > 0.0) & (den > 0.0) & np.isfinite(den))
-    if np.any(bad):
-        p[bad] = numerics.scaled_inverse(v[bad], loading)
 
 
 def ip_update(

@@ -38,4 +38,4 @@ def _dense_decompose(est, refs, lags, target_index):
     coef_tgt, *_ = np.linalg.lstsq(sub, padded, rcond=None)
     proj_all = basis @ coef_all
     proj_tgt = sub @ coef_tgt
-    return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all, n_samples)
+    return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all)
