@@ -201,9 +201,7 @@ def update_weighted_cov(v: np.ndarray, xxh: np.ndarray, weight: float, alpha: fl
     v += ((1.0 - alpha) * weight) * xxh
 
 
-def update_inverse(
-    p: np.ndarray, v: np.ndarray, x: np.ndarray, weight: float, alpha: float, loading: float
-) -> None:
+def update_inverse(p: np.ndarray, v: np.ndarray, x: np.ndarray, weight: float, alpha: float) -> None:
     """Keep ``P = (V / t)^{-1}``, ``t = tr(V) / M``, in step with
     ``update_weighted_cov(v, x x^H, weight, alpha)``, in place; call it
     after that update.  Scaling ``V`` to unit mean eigenvalue keeps ``P``
@@ -391,7 +389,7 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                 if state.frame_index % INVERSE_REFRESH == 0:
                     state.P[n] = numerics.scaled_inverse(state.V[n], cfg.loading)
                 else:
-                    update_inverse(state.P[n], state.V[n], x, weight, alpha, cfg.loading)
+                    update_inverse(state.P[n], state.V[n], x, weight, alpha)
                 state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
             else:
                 # both sub-updates read the same pre-update W, hence one u
