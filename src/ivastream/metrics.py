@@ -215,6 +215,8 @@ class EvalReport:
         return self.sir_db.shape[-1]
 
     def __getitem__(self, k) -> EvalReport:
+        if self.sir_db.ndim < 3:
+            raise TypeError("a report of one estimate set has no set axis to index")
         per_set = ("sir_db", "sdr_db", "converged_sir_db", "converged_sdr_db",
                    "converged_sir_improvement_db", "converged_sdr_improvement_db")
         return replace(self, **{name: getattr(self, name)[k] for name in per_set})

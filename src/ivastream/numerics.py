@@ -394,6 +394,8 @@ def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:
     """Column ``n`` (0-based) of ``W^{-1}`` via a linear solve, with
     Frobenius-scaled loading ``loading * (||W||_F / sqrt(M)) * I``."""
     w = np.asarray(w, dtype=np.complex128)
+    if loading < 0:
+        raise ValueError("loading must be nonnegative")
     m = w.shape[-1]
     if w.shape[-2] != m:
         raise ValueError("solve_column: W must be square")
@@ -410,5 +412,7 @@ def solve_general(a: np.ndarray, b: np.ndarray, loading: float = 0.0, context: s
     """Solve ``A X = B`` for general square ``A`` with Frobenius-scaled loading."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
+    if loading < 0:
+        raise ValueError("loading must be nonnegative")
     shift = frobenius_shift(a, loading) if loading > 0 else None
     return _checked_solve(a, b, context, shift)

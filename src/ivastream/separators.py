@@ -118,6 +118,8 @@ class SeparatorConfig:
                     f"sub_len_1 * sub_len_2 = {self.sub_len_1 * self.sub_len_2} "
                     f"must equal n_channels = {self.n_channels}"
                 )
+        elif self.sub_len_1 is not None or self.sub_len_2 is not None:
+            raise ValueError(f"sub_len_1 and sub_len_2 are for biiva only, not {algo.value}")
 
 
 @dataclass

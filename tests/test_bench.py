@@ -1,11 +1,14 @@
-"""``bench/engine_ab.py`` on one checkout against itself, cut to a few
-frames, and ``bench/pairs.py``'s verdict arithmetic."""
+"""``bench/engine_ab.py`` on one checkout against itself and
+``bench/low_bins.py``, both cut to a few frames, and ``bench/pairs.py``'s
+verdict arithmetic."""
 
 import importlib
 import json
 from pathlib import Path
 
 import numpy as np
+
+from ivastream import numerics, separators
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -42,6 +45,24 @@ def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
                 assert diffs["change"] == 0.0
                 refs = [diffs["parent_one_ulp_input"], diffs["parent_one_ulp_solves"]]
                 assert np.all(np.isfinite(refs)) and min(refs) >= 0.0
+
+
+def test_low_bins_records_every_engine(tmp_path, monkeypatch):
+    low_bins = _bench_module(monkeypatch, "low_bins")
+    monkeypatch.setattr(importlib.import_module("record"), "DESK_SECONDS", 0.1)
+    # the script wraps these solvers and never restores them
+    for module, name in ((separators, "_source_block"), (numerics, "hermitian_solve"),
+                         (numerics, "solve_with_inverse"), (numerics, "_small_solve")):
+        monkeypatch.setattr(module, name, getattr(module, name))
+    out = tmp_path / "bench.json"
+    assert low_bins.main(["--out", str(out), "--key", "k"]) == 0
+
+    table = json.loads(out.read_text())["k"]["table"]
+    assert set(table) == set(low_bins.ENGINES)
+    for rows in table.values():
+        assert set(rows["cond V"]) == {"bin 0", "bin 1", "bin 2", "median bin"}
+    for name in ("loading gate closed", "solution from P rejected"):
+        assert set(table["overiva"][name]) == {"bin 0", "bin 1", "bin 2", "median bin", "all bins"}
 
 
 def test_pairs_verdict_arithmetic(monkeypatch):

@@ -220,6 +220,21 @@ def test_separator_biiva_product_constraint_is_a_load_error(tmp_path):
         load_separator_config(_write_json(tmp_path, "bad.json", doc))
 
 
+@pytest.mark.parametrize("algo, m", [("overiva", 9), ("auxiva", 2)])
+def test_separator_sub_filter_lengths_only_for_biiva(tmp_path, algo, m):
+    doc = {"algorithm": algo, "n_channels": m, "n_sources": 2, "sub_len_1": 3, "sub_len_2": 5}
+    with pytest.raises(ConfigError, match="for biiva only"):
+        load_separator_config(_write_json(tmp_path, "bad.json", doc))
+
+
+def test_separator_algorithm_override_keeps_sub_filter_lengths(tmp_path):
+    # a biiva file cannot be run as overiva by overriding its algorithm alone
+    doc = {"algorithm": "biiva", "n_channels": 9, "n_sources": 2, "sub_len_1": 3, "sub_len_2": 3}
+    path = _write_json(tmp_path, "biiva.json", doc)
+    with pytest.raises(ConfigError, match="for biiva only"):
+        load_separator_config(path, {"algorithm": "overiva"})
+
+
 def test_separator_schema_rejects_unknown_keys_and_bad_enum(tmp_path):
     with pytest.raises(ConfigError, match="unexpected"):
         load_separator_config(

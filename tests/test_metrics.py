@@ -242,6 +242,15 @@ def test_stacked_sets_match_per_set_curves(n_samples):
     # any leading axes stack
     nested = convergence_curve(sets.reshape(3, 1, 2, n_samples), refs, mix, cfg, 1000)
     assert_array_equal(nested.sdr_db[:, 0], stacked.sdr_db)
+    assert nested[2][0].n_segments == stacked.n_segments
+
+
+def test_report_of_one_set_cannot_be_indexed():
+    refs = _refs(24, n_samples=3000)
+    mix = refs.sum(axis=0)
+    report = convergence_curve(refs, refs, mix, EvalConfig(segment_seconds=1.0, filter_length=16), 1000)
+    with pytest.raises(TypeError, match="no set axis"):
+        report[0]
 
 
 def test_segment_layout_matches_duration():

@@ -213,6 +213,10 @@ class TestSolveColumn:
             nx.solve_column(w + shift, 1),
         )
 
+    def test_negative_loading_raises(self):
+        with pytest.raises(ValueError, match="loading must be nonnegative"):
+            nx.solve_column(np.eye(3, dtype=complex), 0, loading=-1.0)
+
     def test_singular_raises(self):
         w = np.ones((2, 2), dtype=complex)
         with pytest.raises(nx.SingularMatrixError):
@@ -220,6 +224,11 @@ class TestSolveColumn:
 
 
 class TestSolveGeneral:
+    def test_negative_loading_raises(self):
+        eye = np.eye(3, dtype=complex)
+        with pytest.raises(ValueError, match="loading must be nonnegative"):
+            nx.solve_general(eye, eye, loading=-1.0)
+
     def test_matrix_rhs(self):
         rng = np.random.default_rng(61)
         a = _cplx(rng, 6, 3, 3)

@@ -23,6 +23,7 @@ from ivastream.roomsim import (
     pink_noise,
     place_noise_sources,
     scenario_rirs,
+    t60_eyring,
     t60_to_reflection,
     _directional_t60,
     _image_delays,
@@ -227,6 +228,20 @@ def test_fractional_delay_support_is_centred(delay):
 def test_default_image_order_covers_decay_path():
     room = Room((7.0, 8.0, 3.5), 0.5)
     assert default_image_order(room, 0.15) == int(np.ceil(343.0 * 0.15 / 7.0)) + 1
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.6, 0.85])
+def test_unset_image_order_follows_eyring_and_truncates_below_60_db(beta):
+    # a room given reflections but no order takes the default order of its
+    # Eyring T60; three more orders add less than -60 dB of the RIR's energy
+    src, mic = (1.5, 2.0, 1.2), (4.0, 3.0, 1.4)
+    room = Room((6.0, 5.0, 3.0), beta)
+    order = default_image_order(room, t60_eyring(room))
+    h = image_source_rir(room, src, mic)
+    assert h.tobytes() == image_source_rir(replace(room, max_image_order=order), src, mic).tobytes()
+    longer = image_source_rir(replace(room, max_image_order=order + 3), src, mic)
+    added = longer - np.pad(h, (0, len(longer) - len(h)))
+    assert 10.0 * np.log10(np.sum(added**2) / np.sum(h**2)) < -60.0
 
 
 # ---------------------------------------------------------------------------

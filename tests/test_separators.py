@@ -101,6 +101,16 @@ class TestConfig:
             SeparatorConfig(6, 2, "biiva")
         SeparatorConfig(6, 2, "biiva", 3, 2)  # fine
 
+    @pytest.mark.parametrize("m, algo, kwargs", [
+        (9, "overiva", {"sub_len_1": 3, "sub_len_2": 5}),
+        (9, "overiva", {"sub_len_1": 3, "sub_len_2": 3}),
+        (2, "auxiva", {"sub_len_1": 7}),
+        (2, "auxiva", {"sub_len_2": 1}),
+    ])
+    def test_sub_filter_lengths_only_for_biiva(self, m, algo, kwargs):
+        with pytest.raises(ValueError, match="for biiva only"):
+            SeparatorConfig(m, 2, algo, **kwargs)
+
     def test_forgetting_bounds(self):
         with pytest.raises(ValueError):
             SeparatorConfig(4, 2, "overiva", forgetting=0.0)
