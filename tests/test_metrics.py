@@ -248,7 +248,8 @@ def test_stacked_sets_match_per_set_curves(n_samples):
 def test_report_of_one_set_cannot_be_indexed():
     refs = _refs(24, n_samples=3000)
     mix = refs.sum(axis=0)
-    report = convergence_curve(refs, refs, mix, EvalConfig(segment_seconds=1.0, filter_length=16), 1000)
+    cfg = EvalConfig(segment_seconds=1.0, filter_length=16)
+    report = convergence_curve(refs, refs, mix, cfg, sample_rate=1000)
     with pytest.raises(TypeError, match="no set axis"):
         report[0]
 
