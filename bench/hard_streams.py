@@ -117,8 +117,7 @@ def main(argv=None) -> int:
     from ivastream import io, numerics, separators, stft
 
     repairs = Repairs(separators, numerics)
-    shipped = {e: io.load_separator_config(CONFIGS / f"{e}.json")
-               for e in ("auxiva", "overiva", "biiva")}
+    shipped = io.load_separator_config(CONFIGS / "overiva.json")
 
     def small(engine, forgetting):
         m = {"auxiva": 2, "overiva": 9, "biiva": 9}[engine]
@@ -133,9 +132,9 @@ def main(argv=None) -> int:
         print(f"{name:18s} {engine:8s} " + "; ".join(
             f"{k} {v}" for k, v in row.items() if k not in ("sha256", "error")), flush=True)
 
-    run("desk", "overiva", desk_bins(1), shipped["overiva"])
+    run("desk", "overiva", desk_bins(1), shipped)
     for seed in DESK_SEEDS:
-        run(f"desk30_seed{seed}", "overiva", desk_bins(seed, DESK_SWEEP_SECONDS), shipped["overiva"])
+        run(f"desk30_seed{seed}", "overiva", desk_bins(seed, DESK_SWEEP_SECONDS), shipped)
     rows, cols = inputs.GRID
     m16 = separators.SeparatorConfig(rows * cols, 2, "overiva")
     run("m16", "overiva", inputs.far_field_grid(1, M16_FRAMES).x, m16)
