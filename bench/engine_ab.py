@@ -84,7 +84,10 @@ ULP = 2.0**-52
 
 
 def load_package(src: Path, name: str):
-    """Import ``src/ivastream`` as the package ``name``."""
+    """Import ``src/ivastream`` as the package ``name``, afresh: submodules
+    left in ``sys.modules`` by an earlier load would not be bound to it."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
     init = src / "ivastream" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init,
                                                   submodule_search_locations=[str(init.parent)])

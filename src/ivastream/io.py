@@ -144,12 +144,15 @@ def load_scenario(path) -> Scenario:
     doc = _load_validated(path, "scenario.schema.json")
     r = doc["room"]
     sample_rate = int(r.get("sample_rate", 16000))
-    if "t60" in r:
-        room = Room.from_t60(r["dimensions"], r["t60"], sample_rate)
-        if "max_image_order" in r:
-            room = Room(room.dimensions, room.reflection, sample_rate, r["max_image_order"])
-    else:
-        room = Room(r["dimensions"], r["reflection"], sample_rate, r.get("max_image_order"))
+    try:
+        if "t60" in r:
+            room = Room.from_t60(r["dimensions"], r["t60"], sample_rate)
+            if "max_image_order" in r:
+                room = Room(room.dimensions, room.reflection, sample_rate, r["max_image_order"])
+        else:
+            room = Room(r["dimensions"], r["reflection"], sample_rate, r.get("max_image_order"))
+    except ValueError as exc:  # JSON NaN and Infinity pass the schema's bounds
+        raise ConfigError(f"{path}: {exc}") from exc
 
     a = doc["array"]
     if "positions" in a:

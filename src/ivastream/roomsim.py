@@ -27,7 +27,10 @@ from scipy.signal import fftconvolve
 
 SPEED_OF_SOUND = 343.0
 SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
-_IMAGE_BLOCK = 1024  # images per windowed-sinc block: 81k taps stay in cache
+# images per windowed-sinc block: its tap values, divisors and tap indices
+# (three 512 x 81 buffers of 8-byte numbers, 1 MB) stay in a 2 MB L2 cache
+_IMAGE_BLOCK = 512
+_T60_ROWS = 128  # decay-curve samples per block of the directional T60 law
 _HALF = (SINC_TAPS - 1) // 2
 _HANN_RATE = np.pi / (_HALF + 0.5)  # Hann window 0.5 (1 + cos(rate t)) at tap offset t
 _TAP_T = np.arange(-_HALF, _HALF + 1.0)  # tap j's sample offset from rint(delay)
@@ -47,8 +50,8 @@ NOISE_MAX_TRIES = 20000
 
 def _as_dimensions(dims) -> tuple:
     out = tuple(float(v) for v in dims)
-    if len(out) != 3 or any(v <= 0 for v in out):
-        raise ValueError(f"room dimensions must be 3 positive lengths, got {dims}")
+    if len(out) != 3 or not all(0.0 < v < np.inf for v in out):
+        raise ValueError(f"room dimensions must be 3 positive finite lengths, got {dims}")
     return out
 
 
@@ -59,8 +62,8 @@ def _as_reflection(reflection) -> tuple:
         arr = np.full(6, arr.item())
     if arr.size != 6:
         raise ValueError("reflection must be a scalar or 6 per-wall values")
-    if np.any(arr < 0) or np.any(arr >= 1):
-        raise ValueError("reflection coefficients must satisfy 0 <= beta < 1")
+    if not np.all((arr >= 0) & (arr < 1)):  # NaN fails both
+        raise ValueError(f"reflection coefficients must satisfy 0 <= beta < 1, got {reflection}")
     return tuple(float(v) for v in arr)
 
 
@@ -142,6 +145,10 @@ class Scenario:
         noise = np.asarray(self.noise_positions, dtype=float).reshape(-1, 3)
         if src.shape[0] < 1 or src.shape[1] != 3:
             raise ValueError("need at least one source position with 3 coordinates")
+        for name in ("isir_db", "isnr_db", "white_exponent"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):  # isnr_db None: no noise
+                raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "source_positions", src)
         object.__setattr__(self, "noise_positions", noise)
         self.array.validate_inside(self.room)
@@ -188,7 +195,12 @@ def _directional_t60(beta: float, dims, n_dirs: int = 512) -> float:
     log_e = 2.0 * np.log(max(beta, 1e-12)) * SPEED_OF_SOUND  # energy log-decay per second, per unit g
     t_hi = 8.0 * -6.907755 / (log_e * float(g.mean()))
     t = np.linspace(0.0, t_hi, 3000)
-    energy = np.exp(log_e * t[:, None] * g[None, :]).mean(axis=-1)
+    # in row blocks: each row's exponentials and pairwise mean are the same,
+    # and a block's temporaries stay in cache instead of faulting in 12 MB
+    energy = np.empty_like(t)
+    for i in range(0, t.size, _T60_ROWS):
+        rows = slice(i, i + _T60_ROWS)
+        energy[rows] = np.exp(log_e * t[rows, None] * g[None, :]).mean(axis=-1)
     edc = np.cumsum(energy[::-1])[::-1]
     db = 10.0 * np.log10(edc / edc[0])
     hi, lo = T60_FIT_DB
@@ -209,8 +221,8 @@ def t60_to_reflection(t60: float, room: Room) -> float:
     and Eyring inversions both land outside +-20% of the backward-integration
     measurement for parts of the 0.15-0.5 s range in desk-sized rooms).
     """
-    if t60 <= 0:
-        raise ValueError("T60 must be positive")
+    if not 0.0 < t60 < np.inf:  # NaN fails both
+        raise ValueError(f"T60 must be a positive finite time in seconds, got {t60}")
     target = t60 / _LATTICE_DECAY_CORRECTION
     # Scaling ln(beta) only rescales the decay curve in time, so one reference
     # evaluation fixes the whole family: t60(beta) = k / (-2 c ln beta).
@@ -318,11 +330,17 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     # depend on the blocking
     out = np.zeros(n_samples + _HALF)
     offsets = np.arange(SINC_TAPS)
+    rows = min(_IMAGE_BLOCK, delay.size)
+    vals_buf, div_buf = np.empty((rows, SINC_TAPS)), np.empty((rows, SINC_TAPS))
+    taps_buf = np.empty((rows, SINC_TAPS), dtype=np.int64)
     for lo in range(0, delay.size, _IMAGE_BLOCK):
-        block = slice(lo, lo + _IMAGE_BLOCK)
-        vals = coef[block] @ _TAP_TABLE
-        vals /= _TAP_T - reduced[block, None]
-        taps = nearest[block, None] + offsets
+        k = min(_IMAGE_BLOCK, delay.size - lo)
+        block = slice(lo, lo + k)
+        vals, div, taps = vals_buf[:k], div_buf[:k], taps_buf[:k]
+        np.matmul(coef[block], _TAP_TABLE, out=vals)
+        np.subtract(_TAP_T, reduced[block, None], out=div)
+        vals /= div
+        np.add(nearest[block, None], offsets, out=taps)
         np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
     np.add.at(out, nearest[whole] + _HALF, amp[whole])
     return out[_HALF:]
@@ -445,8 +463,13 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     src_rirs, noise_rirs = scenario_rirs(scenario) if rirs is None else rirs
     n_mics = scenario.array.n_channels
 
-    # (N, M, L) RIRs against (N, 1, T) signals, truncated to the signal length
-    images = fftconvolve(src_rirs, targets[:, None, :], axes=-1)[..., :n_samples]
+    def convolved(h, x):  # (M, L) RIRs against one signal, cut to its length
+        return fftconvolve(h, x[None], axes=-1)[:, :n_samples]
+
+    # one emitter at a time, so one untruncated convolution is held at once
+    images = np.empty((n_src, n_mics, n_samples))
+    for k, (h, x) in enumerate(zip(src_rirs, targets)):
+        images[k] = convolved(h, x)
     # interferer gains against the target's image at mic 0
     e_img = np.sum(images[:, 0] ** 2, axis=1)
     if e_img[0] == 0:
@@ -456,7 +479,7 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
         raise ValueError(f"source {k} has zero image energy at the reference mic")
     gains = np.sqrt(e_img[0] * 10.0 ** (-scenario.isir_db / 10.0) / e_img)
     gains[0] = 1.0
-    images = images * gains[:, None, None]
+    images *= gains[:, None, None]
 
     rng = np.random.default_rng(scenario.seed)
     sigma_v = 0.0
@@ -465,9 +488,10 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     k_noise = noise_rirs.shape[0]
     if scenario.isnr_db is not None:
         if k_noise:
-            pink = np.stack([pink_noise(rng, n_samples) for _ in range(k_noise)])
-            v_point = fftconvolve(noise_rirs, pink[:, None, :], axes=-1)[..., :n_samples]
-            v_point = v_point.sum(axis=0)
+            # pink clips drawn and summed in emitter order
+            v_point = convolved(noise_rirs[0], pink_noise(rng, n_samples))
+            for h in noise_rirs[1:]:
+                v_point += convolved(h, pink_noise(rng, n_samples))
         else:
             v_point = np.zeros((n_mics, n_samples))
         v_white = rng.standard_normal((n_mics, n_samples))

@@ -1,8 +1,10 @@
 """Helpers shared by several test suites: random complex inputs and the
-dense oracles that fast kernels are checked against."""
+reference forms (dense, one-shot or unbuffered) that fast kernels are
+checked against."""
 
 import numpy as np
 
+from ivastream import roomsim
 from ivastream.metrics import Decomposition
 
 
@@ -39,3 +41,47 @@ def _dense_decompose(est, refs, lags, target_index):
     proj_all = basis @ coef_all
     proj_tgt = sub @ coef_tgt
     return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all)
+
+
+def _allocating_rir(room, src, mic, block=1024):
+    """Oracle for ``roomsim.image_source_rir``'s windowed-sinc loop as it was
+    before its buffers were reused: the same closed-form taps, with fresh tap
+    values, divisors and tap indices for every ``block`` images."""
+    delay, amp = roomsim._image_delays(room, np.asarray(src, float), np.asarray(mic, float))
+    half = roomsim._HALF
+    n_samples = int(np.ceil(delay.max())) + half + 1
+    nearest = np.rint(delay).astype(np.int64)
+    reduced = delay - nearest
+    g = -np.sin(np.pi * reduced) * amp / (2.0 * np.pi)
+    whole = np.abs(reduced) <= np.spacing(delay)
+    g[whole] = 0.0
+    reduced[whole] = 0.5
+    angle = roomsim._HANN_RATE * reduced
+    coef = np.stack([g, g * np.cos(angle), g * np.sin(angle)], axis=-1)
+    out = np.zeros(n_samples + half)
+    offsets = np.arange(roomsim.SINC_TAPS)
+    for lo in range(0, delay.size, block):
+        rows = slice(lo, lo + block)
+        vals = coef[rows] @ roomsim._TAP_TABLE
+        vals /= roomsim._TAP_T - reduced[rows, None]
+        taps = nearest[rows, None] + offsets
+        np.add.at(out, taps.ravel(), vals.ravel())
+    np.add.at(out, nearest[whole] + half, amp[whole])
+    return out[half:]
+
+
+def _one_shot_directional_t60(beta, dims, n_dirs=512):
+    """Oracle for ``roomsim._directional_t60``: every decay-curve sample's
+    exponentials in one (3000, n_dirs) array."""
+    u = np.abs(roomsim._fibonacci_sphere(n_dirs))
+    g = (u / np.asarray(dims, dtype=float)).sum(axis=-1)
+    log_e = 2.0 * np.log(max(beta, 1e-12)) * roomsim.SPEED_OF_SOUND
+    t_hi = 8.0 * -6.907755 / (log_e * float(g.mean()))
+    t = np.linspace(0.0, t_hi, 3000)
+    energy = np.exp(log_e * t[:, None] * g[None, :]).mean(axis=-1)
+    edc = np.cumsum(energy[::-1])[::-1]
+    db = 10.0 * np.log10(edc / edc[0])
+    hi, lo = roomsim.T60_FIT_DB
+    m = (db <= hi) & (db >= lo)
+    slope, _ = np.polyfit(t[m], db[m], 1)
+    return float(-60.0 / slope)

@@ -1,6 +1,6 @@
-"""``bench/engine_ab.py`` on one checkout against itself and
-``bench/low_bins.py``, both cut to a few frames, and ``bench/pairs.py``'s
-verdict arithmetic."""
+"""``bench/engine_ab.py`` and ``bench/rir_ab.py`` on one checkout against
+itself and ``bench/low_bins.py``, cut to a few frames or a short T60, and
+``bench/pairs.py``'s verdict arithmetic."""
 
 import importlib
 import json
@@ -77,3 +77,18 @@ def test_pairs_verdict_arithmetic(monkeypatch):
     assert verdict["parent_q1_median_q3"] == [9.5, 10.0, 10.0]
     assert verdict["change_q1_median_q3"] == [8.25, 9.5, 10.25]
     assert verdict["median_ratio"] == 9.5 / 10.0 and verdict["parent_iqr"] == 0.5
+
+
+def test_rir_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
+    rir_ab = _bench_module(monkeypatch, "rir_ab")
+    monkeypatch.setattr(rir_ab, "MICS", (0,))
+    monkeypatch.setattr(rir_ab, "FROM_T60_ROUNDS", 1)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--t60", "0.05,0.08",
+            "--out", str(out), "--key", "k"]
+    assert rir_ab.main(argv) == 0
+    rows = json.loads(out.read_text())["k"]["rows"]
+    assert [row["t60"] for row in rows] == [0.05, 0.08]
+    for row in rows:
+        assert row["reflection_identical"] and row["rirs_identical"]
+        assert row["rir"]["change_faster"].endswith("/5")  # the desk: 2 sources, 3 noises

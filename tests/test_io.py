@@ -2,6 +2,7 @@
 scenario, separator and manifest loading."""
 
 import json
+import re
 import wave
 from pathlib import Path
 
@@ -167,6 +168,32 @@ def test_scenario_domain_violation_is_wrapped(tmp_path):
     doc = _scene_doc(sources=[[99.0, 1.0, 1.0]])
     with pytest.raises(ConfigError, match="outside the room"):
         load_scenario(_write_json(tmp_path, "scene.json", doc))
+
+
+_ROOM = {"dimensions": [6.0, 5.0, 3.0]}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"room": {"dimensions": [6.0, float("nan"), 3.0], "reflection": 0.5}}, "dimensions"),
+        ({"room": {"dimensions": [6.0, float("inf"), 3.0], "reflection": 0.5}}, "dimensions"),
+        ({"room": {**_ROOM, "reflection": float("nan")}}, "reflection"),
+        ({"room": {**_ROOM, "t60": float("nan")}}, "T60"),
+        ({"room": {**_ROOM, "t60": float("inf")}}, "T60"),
+        ({"isir_db": float("nan")}, "isir_db"),
+        ({"isnr_db": float("nan")}, "isnr_db"),
+        ({"white_exponent": float("-inf")}, "white_exponent"),
+    ],
+    ids=["nan-dimension", "inf-dimension", "nan-reflection", "nan-t60", "inf-t60",
+         "nan-isir", "nan-isnr", "inf-white-exponent"],
+)
+def test_scenario_rejects_json_nan_and_infinity(tmp_path, overrides, field):
+    # JSON NaN and Infinity pass the schema's number bounds
+    path = _write_json(tmp_path, "scene.json", _scene_doc(**overrides))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*{field}"):
+        load_scenario(path)
 
 
 def test_scenario_rejects_invalid_json(tmp_path):

@@ -28,7 +28,9 @@ from ivastream.roomsim import (
     _directional_t60,
     _image_delays,
 )
-from ivastream.io import load_scenario
+from ivastream.io import ConfigError, load_scenario
+
+from oracles import _allocating_rir, _one_shot_directional_t60
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,35 @@ def test_scenario_rejects_outside_positions():
         Scenario(room, arr, np.array([[5.0, 1.0, 1.0]]), np.zeros((0, 3)))
     with pytest.raises(ValueError, match="noise position"):
         Scenario(room, arr, np.array([[1.0, 1.0, 1.0]]), np.array([[1.0, 9.0, 1.0]]))
+
+
+@pytest.mark.parametrize("dims", [(7.0, np.nan, 3.5), (np.inf, 8.0, 3.5), (7.0, 8.0, -np.inf)])
+def test_room_rejects_non_finite_dimensions(dims):
+    with pytest.raises(ValueError, match="room dimensions must be 3 positive finite"):
+        Room(dims, 0.5)
+
+
+@pytest.mark.parametrize("reflection", [np.nan, [0.5] * 5 + [np.nan]])
+def test_room_rejects_nan_reflection(reflection):
+    with pytest.raises(ValueError, match="reflection coefficients must satisfy"):
+        Room((7.0, 8.0, 3.5), reflection)
+
+
+@pytest.mark.parametrize("t60", [np.nan, np.inf])
+def test_t60_must_be_finite(t60):
+    with pytest.raises(ValueError, match="T60 must be a positive finite"):
+        Room.from_t60((7.0, 8.0, 3.5), t60)
+    with pytest.raises(ValueError, match="T60 must be a positive finite"):
+        t60_to_reflection(t60, Room((7.0, 8.0, 3.5), 0.5))
+
+
+@pytest.mark.parametrize("name, value", [("isir_db", np.nan), ("isir_db", -np.inf),
+                                         ("isnr_db", np.nan), ("white_exponent", np.inf)])
+def test_scenario_rejects_non_finite_levels(name, value):
+    room = Room((4.0, 4.0, 3.0), 0.5)
+    arr = ArrayGeometry(np.array([[2.0, 2.0, 1.0]]))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Scenario(room, arr, np.array([[1.0, 1.0, 1.0]]), np.zeros((0, 3)), **{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +244,33 @@ def test_kernel_matches_one_shot_reference(room, src, mic):
     ref = _one_shot_rir(room, src, mic)
     assert h.shape == ref.shape
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block", [1024, 100])
+@pytest.mark.parametrize(
+    "room, src, mic",
+    [
+        (_DESK.room, _DESK.source_positions[1], _DESK.array.positions[8]),
+        (Room.from_t60(_DESK.room.dimensions, 0.3), _DESK.source_positions[0],
+         _DESK.array.positions[4]),
+        (Room((3.0, 4.0, 2.5), 0.9, max_image_order=1), (1.0, 1.0, 1.0), (2.0, 3.0, 1.0)),
+        (Room((4.0, 5.0, 3.0), 0.7, max_image_order=3), (1.0, 1.0, 1.0), (1.5, 1.0, 1.0)),
+    ],
+    ids=["desk", "desk-order-16", "sub-block", "order-3"],
+)
+def test_kernel_equals_the_per_block_allocating_loop(room, src, mic, block):
+    # reused buffers and another block size change no bit: every tap is the
+    # same product and quotient, and add.at sums each bin in image order
+    h = image_source_rir(room, src, mic)
+    assert h.tobytes() == _allocating_rir(room, src, mic, block).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(7.0, 8.0, 3.5), (4.0, 5.0, 3.0), (20.0, 15.0, 4.0),
+                                  (0.5, 0.5, 0.5)])
+@pytest.mark.parametrize("beta", [1e-13, 0.3, 0.6, 0.95])
+def test_directional_t60_equals_the_one_shot_law(dims, beta):
+    # row blocks give each decay-curve sample the same exponentials and mean
+    assert _directional_t60(beta, dims) == _one_shot_directional_t60(beta, dims)
 
 
 @pytest.mark.parametrize("delay", [160.3, 160.7, 20.3])
@@ -428,8 +486,8 @@ def test_mix_is_deterministic_and_seed_sensitive():
 
 
 def test_mix_matches_one_convolution_per_emitter():
-    # the loop that mix's two batched convolutions replace, on three sources
-    # and two point noises; the pink clips are drawn in emitter order
+    # one convolution per emitter written out, on three sources and two
+    # point noises; the pink clips are drawn in emitter order
     base = _desk_scenario(isir_db=-2.0)
     scen = replace(
         base,
