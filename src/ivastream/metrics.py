@@ -57,8 +57,10 @@ class EvalConfig:
     reference_channel: int = 0
 
     def __post_init__(self):
-        if self.segment_seconds <= 0:
-            raise ValueError("segment_seconds must be positive")
+        if not (np.isfinite(self.segment_seconds) and self.segment_seconds > 0):
+            raise ValueError(
+                f"segment_seconds must be finite and positive, got {self.segment_seconds}"
+            )
         if self.filter_length < 1:
             raise ValueError("filter_length must be >= 1")
         if self.reference_channel < 0:

@@ -12,15 +12,17 @@ Conventions
   ``A + loading * (trace(A)/K) * I`` so the regularization is invariant to
   the overall scale of ``A``
 * 2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX`` x ``_SMALL_MAX``,
-  are solved elementwise over the batch, one numpy operation per
-  elimination step for all bins at once; all others, and any small one
-  that fails the residual test, go to LAPACK one matrix at a time.  Both
-  are held to the same residual test.  The elementwise solve works on a
-  bins-last buffer, which it fills with one strided copy of each stack
-  with its batch axes flattened and moved last
-  (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight copy when a
-  caller's stack is itself a bins-first view of bins-last data, as the
-  engines' N x N source block is
+  are solved elementwise over the batch, one numpy operation per step for
+  all bins at once; all others, and any small one that fails the residual
+  test, go to LAPACK one matrix at a time.  Both are held to the same
+  residual test.  A 2 x 2 system is solved on its four entries, each one
+  contiguous row over the bins: Cramer's rule, the residual and its test,
+  with a unit right-hand side ``e_n`` (:func:`solve_column`) never formed.
+  Larger Hermitian ones are eliminated in a bins-last buffer, which is
+  filled with one strided copy of each stack with its batch axes flattened
+  and moved last (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight
+  copy when a caller's stack is itself a bins-first view of bins-last
+  data, as the engines' N x N source block is
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, instead reports per
@@ -55,12 +57,19 @@ _FIRST_ORDER_MAX = 0.1
 # refreshes of its tracked inverse stay on LAPACK.  General systems, which
 # would need pivots, take that path only at K = 2, in closed form: every
 # general solve of the shipped configs is on the 2 x 2 source block.
-# _small_solve copies A and B into its bins-last buffer as their
-# (bins, K, K) and (bins, K, R) reshapes with the bins moved last, one
-# strided copy whatever the caller's strides (a (bins, K * K) reshape would
-# copy twice for the swapped views that projection back and the orthogonal
-# constraint pass), and reads X back as the transpose of its (K * R, bins)
-# rows
+# _small_solve copies A and B into bins-last rows as their (bins, K, K) and
+# (bins, K, R) reshapes with the bins moved last, one strided copy whatever
+# the caller's strides (a (bins, K * K) reshape would copy twice for the
+# swapped views that projection back and the orthogonal constraint pass),
+# and reads X back as the transpose of its (K * R, bins) rows.  At K = 2
+# (_solve_2x2) the rows are the four entries, B unless it is a unit column,
+# X and the residual, and each step pairs rows.  On 513 bins (2-core Xeon,
+# interleaved calls) a loaded solve_column took 92 us, an unloaded one on a
+# swapped view 70 us and a loaded hermitian_solve 92 us, against 118, 100
+# and 117 us in the rows of K > 2, with A X a broadcast product summed over
+# K and the unit column formed as a B.  Working on strided views of
+# the entries instead, with no row copy, was slower (84 against 53 us for
+# the unit-column kernel alone)
 _SMALL_MAX = 4
 
 
@@ -108,10 +117,10 @@ def lift_right(a: np.ndarray, m2: int) -> np.ndarray:
     if m2 < 1:
         raise ValueError("m2 must be >= 1")
     m1 = a.shape[-1]
-    blocks = a[..., :, None, None] * np.eye(m2)
-    return blocks.reshape(a.shape[:-1] + (m1 * m2, m2)).astype(
-        np.result_type(a, np.complex128), copy=False
-    )
+    out = np.zeros(a.shape[:-1] + (m1 * m2, m2), dtype=np.result_type(a, np.complex128))
+    for q in range(m2):
+        out[..., q::m2, q] = a
+    return out
 
 
 def congruence(v: np.ndarray, held: np.ndarray, side: str) -> np.ndarray:
@@ -210,16 +219,6 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray, context: str, index=None) -> np.
     return x
 
 
-def _cramer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A^{-1} B`` for bins-last (2, 2, n) ``a`` and (2, R, n) ``b`` by the
-    adjugate."""
-    inv_det = 1.0 / (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    x = np.empty_like(b)
-    x[0] = (a[1, 1] * b[0] - a[0, 1] * b[1]) * inv_det
-    x[1] = (a[0, 0] * b[1] - a[1, 0] * b[0]) * inv_det
-    return x
-
-
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``A^{-1} B`` for bins-last (K, K, n) Hermitian positive definite
     ``a`` and (K, R, n) ``b`` by unrolled Gaussian elimination on ``[A |
@@ -237,17 +236,71 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_2x2(
+    a: np.ndarray, b: np.ndarray | int, shift: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_small_solve` for 2 x 2 systems: Cramer's rule, the residual
+    ``A X - B`` and its test on the four entries of each ``A + shift I``,
+    each one contiguous row over the bins.  An integer ``b`` is the unit
+    column ``e_b`` (R = 1), which is never formed: ``X`` is column ``b`` of
+    the adjugate over the determinant and ``||B|| = 1``."""
+    batch = a.shape[:-2]
+    n = math.prod(batch)
+    unit = isinstance(b, int)
+    r = 1 if unit else b.shape[-1]
+    n_b = 0 if unit else 2 * r
+    # bins-last rows of the entries, B (unless unit), X and A X - B
+    rows = np.empty((4 + n_b + 4 * r, n), dtype=np.complex128)
+    rows[:4].reshape(2, 2, n)[...] = a.reshape(n, 2, 2).transpose(1, 2, 0)
+    if shift is not None:
+        rows[:4:3] += shift.reshape(n)
+    inv_det = np.empty(n, dtype=np.complex128)
+    xt, rt = rows[4 + n_b :].reshape(2, 2, r, n)
+    with np.errstate(all="ignore"):
+        # rows (a00, a01) times (a11, a10): the determinant's two products
+        prod = rows[:2] * rows[3:1:-1]
+        np.subtract(prod[0], prod[1], out=inv_det)
+        np.divide(1.0, inv_det, out=inv_det)
+        if unit:
+            # e_0 gives (a11, -a10) / det, e_1 gives (-a01, a00) / det
+            np.multiply(rows[3:1:-1] if b == 0 else rows[1::-1], inv_det, out=xt[:, 0])
+            np.negative(xt[1 - b], out=xt[1 - b])
+        else:
+            bt = rows[4 : 4 + n_b].reshape(2, r, n)
+            bt[...] = b.reshape(n, 2, r).transpose(1, 2, 0)
+            # (a11 b0, a00 b1) - (a01 b1, a10 b0)
+            np.subtract(rows[3::-3, None] * bt, rows[1:3, None] * bt[::-1], out=xt)
+            xt *= inv_det
+        # (a00, a10) x0 + (a01, a11) x1
+        np.add(rows[0:3:2, None] * xt[0], rows[1:4:2, None] * xt[1], out=rt)
+        if unit:
+            rt[b] -= 1.0
+        else:
+            rt -= bt
+        sq = rows.real * rows.real
+        sq += rows.imag * rows.imag
+        sums = sq[4:].reshape(-1, 2 * r, n).sum(axis=1)
+        b_sq, x_sq, r_sq = (1.0, *sums) if unit else sums
+        ok = _accepted(r_sq, sq[:4].sum(axis=0), x_sq, b_sq)
+    x = np.ascontiguousarray(xt.reshape(2 * r, n).T).reshape(batch + (2, r))
+    return x, ok.reshape(batch)
+
+
 def _small_solve(
-    a: np.ndarray, b: np.ndarray, shift: np.ndarray | None
+    a: np.ndarray, b: np.ndarray | int, shift: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve each of the (..., K, K) systems ``(A + shift I) X = B``, 2 x 2
     or Hermitian positive definite up to ``_SMALL_MAX``, elementwise over
-    the batch.  In a bins-last copy each matrix entry is one contiguous row
-    of all the systems, so every step of :func:`_cramer2` (2 x 2) or
-    :func:`_eliminate` is one numpy operation over all of them.  The copy
-    moves the flattened batch axis of ``a`` and ``b`` last; any strides are
-    accepted.  Returns ``X`` and, per system, whether it passed the residual
-    test of :func:`_check_solution`, computed in the same layout."""
+    the batch: 2 x 2 ones by :func:`_solve_2x2`, where ``b`` may also be the
+    index of a unit column, the others by :func:`_eliminate` in a bins-last
+    copy, in which each matrix entry is one contiguous row of all the
+    systems, so every elimination step is one numpy operation over all of
+    them.  The copy moves the flattened batch axis of ``a`` and ``b`` last;
+    any strides are accepted.  Returns ``X`` and, per system, whether it
+    passed the residual test of :func:`_check_solution`, computed in the
+    same layout."""
+    if a.shape[-1] == 2:
+        return _solve_2x2(a, b, shift)
     batch, (k, r) = a.shape[:-2], b.shape[-2:]
     n = math.prod(batch)
     kk, kr = k * k, k * r
@@ -260,7 +313,7 @@ def _small_solve(
     at = rows[:kk].reshape(k, k, n)
     bt, xt, rt = rows[kk:].reshape(3, k, r, n)
     with np.errstate(all="ignore"):
-        xt[...] = _cramer2(at, bt) if k == 2 else _eliminate(at, bt)
+        xt[...] = _eliminate(at, bt)
         np.subtract((at[:, :, None] * xt).sum(axis=1), bt, out=rt)
         sq = rows.real * rows.real
         sq += rows.imag * rows.imag
@@ -271,21 +324,26 @@ def _small_solve(
 
 
 def _checked_solve(
-    a: np.ndarray, b: np.ndarray, context: str, shift: np.ndarray | None = None,
+    a: np.ndarray, b: np.ndarray | int, context: str, shift: np.ndarray | None = None,
     hermitian: bool = False,
 ) -> np.ndarray:
     """Residual-checked solve of ``(A + shift I) X = B`` for (..., K, K)
     ``A``, (..., K, R) ``B`` and a per-system diagonal ``shift`` (None for
-    none).  2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX``, go
-    through :func:`_small_solve`, and only those it leaves unsolved through
-    LAPACK; all others go through LAPACK.  ``hermitian`` declares every ``A
-    + shift I`` Hermitian positive definite, so it needs no pivots."""
+    none); an integer ``b`` is the unit column ``e_b``, which only LAPACK
+    gets as an array.  2 x 2 systems, and Hermitian ones up to
+    ``_SMALL_MAX``, go through :func:`_small_solve`, and only those it
+    leaves unsolved through LAPACK; all others go through LAPACK.
+    ``hermitian`` declares every ``A + shift I`` Hermitian positive
+    definite, so it needs no pivots."""
     k = a.shape[-1]
-    if a.shape[-2] != k or b.shape[-2] != k:
-        raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {b.shape[-2]} rows")
+    unit = isinstance(b, int)
+    rows = k if unit else b.shape[-2]
+    if a.shape[-2] != k or rows != k:
+        raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {rows} rows")
     if k != 2 and not (hermitian and k <= _SMALL_MAX):
+        b = _unit_columns(b, k, a.shape[:-2]) if unit else b
         return _lapack_solve(_shifted(a, shift), b, context)
-    if a.shape[:-2] != b.shape[:-2]:
+    if not unit and a.shape[:-2] != b.shape[:-2]:
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         a = np.broadcast_to(a, batch + (k, k))
         b = np.broadcast_to(b, batch + b.shape[-2:])
@@ -294,8 +352,17 @@ def _checked_solve(
     if not np.all(ok):
         bad = ~ok
         a_bad = _shifted(a[bad], None if shift is None else shift[bad])
-        x[bad] = _lapack_solve(a_bad, b[bad], context, np.argwhere(bad))
+        b_bad = _unit_columns(b, k, a_bad.shape[:-2]) if unit else b[bad]
+        x[bad] = _lapack_solve(a_bad, b_bad, context, np.argwhere(bad))
     return x
+
+
+def _unit_columns(col: int, k: int, batch: tuple) -> np.ndarray:
+    """The unit column ``e_col`` of length ``k`` as a (*batch, k, 1) stack of
+    right-hand sides, for LAPACK."""
+    e = np.zeros((k, 1), dtype=np.complex128)
+    e[col] = 1.0
+    return np.broadcast_to(e, batch + (k, 1))
 
 
 def _shifted(a: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
@@ -337,7 +404,14 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     rows = b.shape[-2] if block else b.shape[-1]
     if a.shape[-2] != k or rows != k:
         raise ValueError(f"hermitian_solve: A is {a.shape[-2]}x{k}, b has {rows} rows")
-    shift = loading * np.trace(a, axis1=-2, axis2=-1).real / k if loading > 0 else None
+    shift = None
+    if loading > 0:
+        # np.trace costs about 8x the sum of a 2 x 2 diagonal's two entries
+        if k == 2:
+            trace = a[..., 0, 0].real + a[..., 1, 1].real
+        else:
+            trace = np.trace(a, axis1=-2, axis2=-1).real
+        shift = loading * trace / k
     if block:
         return _checked_solve(a, b, "hermitian_solve", shift, hermitian=True)
     return _checked_solve(a, b[..., None], "hermitian_solve", shift, hermitian=True)[..., 0]
@@ -401,11 +475,8 @@ def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:
         raise ValueError("solve_column: W must be square")
     if not 0 <= n < m:
         raise ValueError(f"solve_column: column {n} out of range for {m}x{m} matrix")
-    e = np.zeros((m, 1), dtype=np.complex128)
-    e[n] = 1.0
-    b = np.broadcast_to(e, w.shape[:-2] + (m, 1))
     shift = frobenius_shift(w, loading) if loading > 0 else None
-    return _checked_solve(w, b, "solve_column", shift)[..., 0]
+    return _checked_solve(w, int(n), "solve_column", shift)[..., 0]
 
 
 def solve_general(a: np.ndarray, b: np.ndarray, loading: float = 0.0, context: str = "solve") -> np.ndarray:

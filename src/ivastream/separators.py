@@ -173,7 +173,14 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
 
 
 def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real part of ``w^H V w`` over leading batch axes."""
+    """Real part of ``w^H V w`` over leading batch axes.  A 2 x 2 ``V`` is
+    read on its entries, ``t = V w`` then ``Re(w^H t)`` term by term in the
+    order of the batched product below, at less than half its cost."""
+    if v.shape[-1] == 2:
+        w0, w1 = w[..., 0], w[..., 1]
+        t0 = v[..., 0, 0] * w0 + v[..., 0, 1] * w1
+        t1 = v[..., 1, 0] * w0 + v[..., 1, 1] * w1
+        return (w0.real * t0.real + w1.real * t1.real) + (w0.imag * t0.imag + w1.imag * t1.imag)
     t = np.matmul(v, w[..., None])[..., 0]
     return np.einsum("...m,...m->...", w.real, t.real) + np.einsum(
         "...m,...m->...", w.imag, t.imag

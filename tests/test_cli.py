@@ -292,6 +292,14 @@ class TestEvaluate:
         assert main(["evaluate", refs, refs, *args]) == 2
         assert "segment of 1e-05 s is under one sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_segment_is_a_usage_error(self, tmp_path, mixture_dir, capsys, value):
+        refs = str(mixture_dir / "reference_images.wav")
+        mixture = str(mixture_dir / "observations.wav")
+        args = ["--mixture", mixture, "--out", str(tmp_path / "e"), "--segment-seconds", value]
+        assert main(["evaluate", refs, refs, *args]) == 2
+        assert f"segment_seconds must be finite and positive, got {value}" in capsys.readouterr().err
+
     # 3 whole segments, and 3.5 segments, where the pairing window is no segment
     @pytest.mark.parametrize("n_samples", [3000, 3500])
     def test_stacked_pairing_matches_per_set_calls(self, monkeypatch, n_samples):
@@ -465,6 +473,13 @@ class TestBenchmark:
         for name in separators:
             assert (tmp_path / "bench" / f"{name}_seed0" / "report.csv").exists()
             assert not (tmp_path / "bench" / f"{name}_seed1" / "report.csv").exists()
+
+    def test_infinite_manifest_segment_is_a_usage_error(self, tmp_path, capsys):
+        # JSON Infinity passes the schema's exclusiveMinimum
+        evaluation = {"segment_seconds": float("inf"), "filter_length": 128}
+        assert main(["benchmark", _mini_manifest(tmp_path, evaluation=evaluation)]) == 2
+        assert "segment_seconds must be finite and positive, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
     def test_missing_referenced_file_is_a_config_error(self, tmp_path, capsys):
         manifest = _mini_manifest(tmp_path, separators={"auxiva": "nope.json"})

@@ -45,6 +45,10 @@ def test_config_validation():
     assert cfg.reference_channel == 0
     with pytest.raises(ValueError):
         EvalConfig(segment_seconds=0.0)
+    # segment_samples would overflow on inf and fail to convert nan
+    for bad in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match=f"segment_seconds must be finite and positive, got {bad}"):
+            EvalConfig(segment_seconds=bad)
     with pytest.raises(ValueError):
         EvalConfig(filter_length=0)
     with pytest.raises(ValueError):

@@ -82,6 +82,10 @@ class TestLifting:
         assert out.shape == (5, 6, 2)
         for i in range(5):
             np.testing.assert_array_equal(out[i], nx.lift_left(b[i], 2))
+        out = nx.lift_right(b, 2)
+        assert out.shape == (5, 6, 2)
+        for i in range(5):
+            np.testing.assert_array_equal(out[i], np.kron(b[i].reshape(3, 1), np.eye(2)))
 
 
 def _dense_lift_oracle(v, held, side):

@@ -241,6 +241,38 @@ class TestIpUpdate:
         u = np.linalg.inv(w_mat)[:, :, 1]
         np.testing.assert_allclose(w, u / np.linalg.norm(u, axis=-1, keepdims=True), rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("cond", [10.0, 1e10], ids=["conditioned", "near_singular"])
+    def test_exact_2x2_step_matches_dense_oracle(self, monkeypatch, cond):
+        # auxiva's step: Cramer's rule and w^H V w on the 2 x 2 entries,
+        # against LAPACK on the loaded V and the dense product.  Both sides
+        # round to about eps * cond(V) along V's weak direction, so beyond
+        # 1e-12 the bound is a few times that
+        rng = np.random.default_rng(int(np.log10(cond)))
+        q = np.linalg.qr(_cplx(rng, 513, 2, 2))[0]
+        v = (q * np.array([1.0, 1.0 / cond])) @ np.conj(np.swapaxes(q, -1, -2))
+        u = _cplx(rng, 513, 2)
+        loading = 1e-9
+        shift = loading * np.trace(v, axis1=-2, axis2=-1).real / 2
+        ref = np.linalg.solve(v + shift[:, None, None] * np.eye(2), u[..., None])[..., 0]
+        ref /= np.sqrt(np.einsum("...m,...mk,...k->...", ref.conj(), v, ref).real)[:, None]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a 2 x 2 IP step went to LAPACK")
+
+        monkeypatch.setattr(nx, "_lapack_solve", fail)
+        w = sep.ip_update(u, v, loading)
+        err = np.linalg.norm(w - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+        assert np.max(err) <= max(1e-12, 16.0 * np.finfo(float).eps * cond)
+
+    @pytest.mark.parametrize("v_11", [-1.0, 0.0], ids=["indefinite", "semidefinite"])
+    def test_non_positive_2x2_quadratic_form_raises(self, v_11):
+        # u = e_1 puts w on V's second axis, where w^H V w is v_11 |w_1|^2
+        v = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        v[3, 1, 1] = v_11
+        u = np.tile(np.array([0.0, 1.0], dtype=complex), (5, 1))
+        with pytest.raises(nx.SingularMatrixError, match="non-positive quadratic form"):
+            sep.ip_update(u, v, 1e-3)
+
     def test_singular_demixing_raises(self):
         w_mat = np.ones((2, 3, 3), dtype=complex)
         v = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
