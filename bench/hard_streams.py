@@ -1,11 +1,15 @@
-"""Repairs of the tracked inverse, failures and outputs on hard streams.
+"""Failures, repairs, filter size, conditioning and solver events on hard
+streams.
 
     python3 bench/hard_streams.py --src <checkout>/src [--out BENCH.json --key K]
 
 With the ``ivastream`` package found under ``--src`` and one BLAS thread,
 streams these inputs through the engines named:
 
-* ``desk``: ``record.desk_bins(1)``, the 6 s desk stream (overiva);
+* ``desk``: ``record.desk_bins(1)``, the 6 s desk stream (the shipped desk
+  scene, STFT 1024/256, 372 frames) that ``bench/engine_ab.py`` and
+  ``perfbench``'s ``stream_desk`` run, through every engine's shipped config
+  in ``configs/`` (auxiva on microphones 0 and 1);
 * ``desk30``: the five 30 s desk streams of the shipped manifest's sweep,
   seeds 0-4 (overiva);
 * ``m16``: ``perfbench``'s 4x4 far-field grid scene, seed 1, 180 frames
@@ -18,27 +22,45 @@ streams these inputs through the engines named:
   same Gaussian stream, K in (2100, 4000), forgetting 0.98 and 0.99 (every
   engine).
 
-It counts the bins whose tracked inverse ``numerics.scaled_inverse``
-rebuilds from inside ``separators.update_inverse`` and from inside
-``separators.ip_update`` (the frame's periodic refresh is not counted), the
-frame at which ``process_frame`` raises, the warnings raised, and the
-sha256 of the raw outputs of every frame that streamed.  With ``--out``
-the table is stored under ``--key``; two checkouts are compared by running
-the script once with each.
+Every frame is followed by projection back to microphone 0.  Each row of
+the table holds the frame at which ``process_frame`` raises, its error and
+the warnings it raised, the first frame at which ``projection_back`` raises
+(the stream goes on), its error and the warnings it raised, the sha256 of
+the raw outputs of every frame that streamed, the bins whose tracked inverse
+``numerics.scaled_inverse`` rebuilds from inside ``separators.ip_update``
+(the frame's periodic refresh is not counted), the largest ``|W|`` entry
+after the last frame that streamed, and, for bins 0, 1 and 2 and the
+median bin over frames:
+
+* the median and largest 2-norm condition number of each source's weighted
+  covariance ``V_n`` after the frame, of every source block ``S`` the
+  frame's N x N solves see (overiva, biiva), and of biiva's sub-filter
+  systems ``Delta^H V Delta`` (every ``hermitian_solve`` of biiva);
+* the count of overiva's first-order loading gate closing (``loading * tr
+  P`` above ``numerics._FIRST_ORDER_MAX``), of the solutions from ``P``
+  that the IP step rejects and re-solves exactly, and of the systems the
+  small-system kernel hands to LAPACK.
+
+The package's solvers are wrapped for the run and restored when it ends.
+With ``--out`` the table is stored under ``--key``; two checkouts are
+compared by running the script once with each.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 from record import CONFIGS, desk_bins, parse_args, store
 
 import numpy as np  # after record's BLAS thread pin
 
+ENGINES = ("auxiva", "overiva", "biiva")
 DESK_SEEDS = (0, 1, 2, 3, 4)
 DESK_SWEEP_SECONDS = 30.0
 M16_FRAMES = 180
@@ -46,7 +68,7 @@ GAUSS_FRAMES, GAUSS_BINS = 1500, 9
 SIGNAL_FRAMES = 500
 SILENT_FRAMES = (2100, 4000)
 SILENCE_FORGETTING = (0.98, 0.99)
-REPAIR_CALLERS = ("update_inverse", "ip_update")
+LOW_BINS = (0, 1, 2)
 
 
 def gaussian_bins(n_frames: int, n_channels: int) -> np.ndarray:
@@ -56,39 +78,109 @@ def gaussian_bins(n_frames: int, n_channels: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class Repairs:
-    """Counts the bins ``scaled_inverse`` rebuilds, per calling update."""
+class Recorder:
+    """What the wrapped solvers see while one engine streams: condition
+    numbers (systems x bins, per quantity), per-bin event counts and the
+    bins ``ip_update`` repairs."""
 
-    def __init__(self, separators, numerics):
-        self.caller = None
-        self.bins = dict.fromkeys(REPAIR_CALLERS, 0)
-        scaled_inverse = numerics.scaled_inverse
+    def start(self, engine: str, n_bins: int) -> None:
+        self.engine, self.n_bins = engine, n_bins
+        self.in_ip_update = False
+        self.repaired = 0
+        self.cond = defaultdict(list)
+        self.events = defaultdict(lambda: np.zeros(n_bins, dtype=int))
 
-        def counted(a, loading):
-            if self.caller is not None:
-                self.bins[self.caller] += int(np.prod(a.shape[:-2]))
-            return scaled_inverse(a, loading)
+    def conditions(self, name: str, a: np.ndarray) -> None:
+        self.cond[name].append(np.linalg.cond(a).reshape(-1, self.n_bins))
 
-        numerics.scaled_inverse = counted
-        for name in REPAIR_CALLERS:
-            setattr(separators, name, self.entered(name, getattr(separators, name)))
+    def count(self, name: str, mask: np.ndarray) -> None:
+        self.events[name] += mask.reshape(-1, self.n_bins).sum(axis=0)
 
-    def entered(self, name, fn):
-        def wrapped(*args, **kwargs):
-            self.caller = name
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self.caller = None
-        return wrapped
+    def low_bins(self) -> dict:
+        out = {}
+        for name, per_call in self.cond.items():
+            c = np.concatenate(per_call)  # (systems, bins)
+            rows = {f"bin {i}": c[:, i] for i in LOW_BINS}
+            rows["median bin"] = np.median(c, axis=1)
+            out[f"cond {name}"] = {
+                label: {"median": float(f"{np.median(v):.4g}"), "max": float(f"{np.max(v):.4g}")}
+                for label, v in rows.items()}
+        for name, counts in self.events.items():
+            block = {f"bin {i}": int(counts[i]) for i in LOW_BINS}
+            block["median bin"] = float(np.median(counts))
+            block["all bins"] = int(counts.sum())
+            out[name] = block
+        return out
 
 
-def stream(pkg, repairs: Repairs, bins: np.ndarray, cfg) -> dict:
-    """One engine over (T, I, M) ``bins``; the row of the table."""
-    repairs.bins = dict.fromkeys(REPAIR_CALLERS, 0)
+@contextlib.contextmanager
+def wrapped(separators, numerics, rec: Recorder):
+    """Wrap the solvers the engines call so ``rec`` sees their systems;
+    the originals are put back on exit."""
+    ip_update, source_block = separators.ip_update, separators._source_block
+    scaled_inverse, hermitian_solve = numerics.scaled_inverse, numerics.hermitian_solve
+    solve_with_inverse, small_solve = numerics.solve_with_inverse, numerics._small_solve
+
+    def ip_update_rec(*args, **kwargs):
+        rec.in_ip_update = True
+        try:
+            return ip_update(*args, **kwargs)
+        finally:
+            rec.in_ip_update = False
+
+    def scaled_inverse_rec(a, loading):
+        if rec.in_ip_update:
+            rec.repaired += int(np.prod(a.shape[:-2]))
+        return scaled_inverse(a, loading)
+
+    def source_block_rec(w, n_src, loading):
+        out = source_block(w, n_src, loading)
+        rec.conditions("S", out[0])
+        return out
+
+    def hermitian_solve_rec(a, b, loading=0.0):
+        if rec.engine == "biiva":
+            rec.conditions("sub-filter system", a)
+        return hermitian_solve(a, b, loading)
+
+    def solve_with_inverse_rec(p, a, b, loading):
+        x, ax, ok = solve_with_inverse(p, a, b, loading)
+        rec.count("loading gate closed",
+                  loading * np.einsum("...ii->...", p).real > numerics._FIRST_ORDER_MAX)
+        rec.count("solution from P rejected", ~ok)
+        return x, ax, ok
+
+    def small_solve_rec(a, b, shift):
+        x, ok = small_solve(a, b, shift)
+        if ok.size % rec.n_bins == 0:  # whole stacks of bins, not a fallback subset
+            rec.count("small system sent to LAPACK", ~ok)
+        return x, ok
+
+    patches = {(separators, "ip_update"): ip_update_rec,
+               (separators, "_source_block"): source_block_rec,
+               (numerics, "scaled_inverse"): scaled_inverse_rec,
+               (numerics, "hermitian_solve"): hermitian_solve_rec,
+               (numerics, "solve_with_inverse"): solve_with_inverse_rec,
+               (numerics, "_small_solve"): small_solve_rec}
+    originals = {key: getattr(*key) for key in patches}
+    try:
+        for (module, name), fn in patches.items():
+            setattr(module, name, fn)
+        yield
+    finally:
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
+
+
+def stream(pkg, rec: Recorder, bins: np.ndarray, cfg) -> dict:
+    """One engine over (T, I, M) ``bins``, each frame projected back to
+    microphone 0; the row of the table."""
+    rec.start(cfg.algorithm.value, bins.shape[1])
     digest = hashlib.sha256()
     state = pkg.separators.init_state(cfg, bins.shape[1])
-    row = {"frames": len(bins), "raised_at_frame": None}
+    w_max = np.abs(state.W).max()
+    row = {"frames": len(bins), "raised_at_frame": None, "projection_back raised_at_frame": None}
+    back_warnings = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for t in range(len(bins)):
@@ -99,10 +191,25 @@ def stream(pkg, repairs: Repairs, bins: np.ndarray, cfg) -> dict:
                 row["raised_at_frame"], row["error"] = t, str(exc)
                 break
             digest.update(est.y.tobytes())
-    row.update({f"{name} repaired bins": repairs.bins[name] for name in REPAIR_CALLERS})
+            # projection back reads the state only, so the stream goes on
+            # if it raises; its warnings are counted apart
+            with warnings.catch_warnings(record=True) as caught_back:
+                warnings.simplefilter("always")
+                try:
+                    pkg.separators.projection_back(state, est.y, 0)
+                except (ArithmeticError, ValueError) as exc:
+                    if row["projection_back raised_at_frame"] is None:
+                        row["projection_back raised_at_frame"] = t
+                        row["projection_back error"] = str(exc)
+            back_warnings += len(caught_back)
+            w_max = np.abs(state.W).max()
+            rec.conditions("V", state.V)
+    row["ip_update repaired bins"] = rec.repaired
     row["warnings"] = len(caught)
+    row["projection_back warnings"] = back_warnings
+    row["max |W|"] = float(w_max)
     row["sha256"] = digest.hexdigest()
-    return row
+    return {**row, **rec.low_bins()}
 
 
 def main(argv=None) -> int:
@@ -114,44 +221,51 @@ def main(argv=None) -> int:
     sys.path.insert(1, str(CONFIGS.parent / "perfbench"))
     import inputs  # perfbench's seeded scenes, numpy only
     import ivastream
-    from ivastream import io, numerics, separators, stft
-
-    repairs = Repairs(separators, numerics)
-    shipped = io.load_separator_config(CONFIGS / "overiva.json")
+    from ivastream import io, numerics, separators
 
     def small(engine, forgetting):
         m = {"auxiva": 2, "overiva": 9, "biiva": 9}[engine]
         subs = (3, 3) if engine == "biiva" else (None, None)
         return separators.SeparatorConfig(m, 2, engine, *subs, forgetting=forgetting)
 
-    table = {}
+    rec, table = Recorder(), {}
 
     def run(name, engine, bins, cfg):
-        row = stream(ivastream, repairs, bins, cfg)
+        row = stream(ivastream, rec, bins, cfg)
         table.setdefault(name, {})[engine] = row
         print(f"{name:18s} {engine:8s} " + "; ".join(
-            f"{k} {v}" for k, v in row.items() if k not in ("sha256", "error")), flush=True)
+            f"{k} {v}" for k, v in row.items()
+            if not (isinstance(v, dict) or k == "sha256" or k.endswith("error"))), flush=True)
+        for k, v in row.items():
+            if isinstance(v, dict):
+                print(f"{'':27s} {k}: " + "; ".join(
+                    f"{b} {c['median']:.3g} (max {c['max']:.3g})" if isinstance(c, dict)
+                    else f"{b} {c:g}" for b, c in v.items()))
 
-    run("desk", "overiva", desk_bins(1), shipped)
-    for seed in DESK_SEEDS:
-        run(f"desk30_seed{seed}", "overiva", desk_bins(seed, DESK_SWEEP_SECONDS), shipped)
-    rows, cols = inputs.GRID
-    m16 = separators.SeparatorConfig(rows * cols, 2, "overiva")
-    run("m16", "overiva", inputs.far_field_grid(1, M16_FRAMES).x, m16)
-    for engine in ("auxiva", "overiva", "biiva"):
-        cfg = small(engine, 0.5)
-        x = gaussian_bins(GAUSS_FRAMES, cfg.n_channels)
-        x[..., 1] = x[..., 0]
-        run("duplicated", engine, x, cfg)
-        x = gaussian_bins(GAUSS_FRAMES, cfg.n_channels)
-        x[..., 1] = 0.0
-        run("dead_mic", engine, x, cfg)
-        for silent in SILENT_FRAMES:
-            for alpha in SILENCE_FORGETTING:
-                cfg = small(engine, alpha)
-                signal = gaussian_bins(SIGNAL_FRAMES, cfg.n_channels)
-                x = np.concatenate([np.zeros((silent,) + signal.shape[1:]), signal])
-                run(f"silence{silent}_a{alpha}", engine, x, cfg)
+    with wrapped(separators, numerics, rec):
+        desk = desk_bins(1)
+        for engine in ENGINES:
+            run("desk", engine, desk, io.load_separator_config(CONFIGS / f"{engine}.json"))
+        shipped = io.load_separator_config(CONFIGS / "overiva.json")
+        for seed in DESK_SEEDS:
+            run(f"desk30_seed{seed}", "overiva", desk_bins(seed, DESK_SWEEP_SECONDS), shipped)
+        rows, cols = inputs.GRID
+        m16 = separators.SeparatorConfig(rows * cols, 2, "overiva")
+        run("m16", "overiva", inputs.far_field_grid(1, M16_FRAMES).x, m16)
+        for engine in ENGINES:
+            cfg = small(engine, 0.5)
+            x = gaussian_bins(GAUSS_FRAMES, cfg.n_channels)
+            x[..., 1] = x[..., 0]
+            run("duplicated", engine, x, cfg)
+            x = gaussian_bins(GAUSS_FRAMES, cfg.n_channels)
+            x[..., 1] = 0.0
+            run("dead_mic", engine, x, cfg)
+            for silent in SILENT_FRAMES:
+                for alpha in SILENCE_FORGETTING:
+                    cfg = small(engine, alpha)
+                    signal = gaussian_bins(SIGNAL_FRAMES, cfg.n_channels)
+                    x = np.concatenate([np.zeros((silent,) + signal.shape[1:]), signal])
+                    run(f"silence{silent}_a{alpha}", engine, x, cfg)
 
     if args.out:
         store(args.out, args.key, {

@@ -125,6 +125,14 @@ def _measured_baselines(bundle) -> dict:
     }
 
 
+def _check_seconds(value: float, name: str) -> float:
+    """``value`` if it is a finite, positive number of seconds; otherwise a
+    usage error naming the option or field ``name``."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None):
     fs = scenario.room.sample_rate
     if source_paths:
@@ -152,6 +160,7 @@ def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None)
 
 
 def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=None) -> int:
+    _check_seconds(duration, "--duration")
     scenario = load_scenario(scenario_path)
     if seed is not None:
         scenario = replace(scenario, seed=int(seed))
@@ -318,7 +327,7 @@ def run_benchmark(manifest_path, out_override=None) -> int:
     fs = scenario0.room.sample_rate
     eval_cfg = EvalConfig(**manifest.get("evaluation", {}))
     stft_cfg = StftConfig(sample_rate=fs, **manifest.get("stft", {}))
-    duration = float(manifest.get("duration_seconds", 30.0))
+    duration = _check_seconds(float(manifest.get("duration_seconds", 30.0)), "duration_seconds")
     for name, cfg in sep_cfgs.items():
         if cfg.n_channels > scenario0.array.n_channels:
             raise ConfigError(

@@ -452,23 +452,6 @@ def projection_back(
     return y * row.T[: y.shape[0]]
 
 
-def aux_objective(w_mat: np.ndarray, v: np.ndarray) -> float:
-    """Auxiliary (majorizer) objective for frozen weighted covariances.
-
-    ``sum_{n,i} w_{n,i}^H V_{n,i} w_{n,i} - 2 sum_i log|det W_i|`` with
-    ``w_{n,i}`` the conjugate of row ``n`` of ``W_i``.  Used to check that
-    IP sweeps never increase the majorizer.
-    """
-    w_mat = np.asarray(w_mat)
-    v = np.asarray(v)
-    n_src = v.shape[0]
-    total = 0.0
-    for n in range(n_src):
-        total += float(np.sum(_quadratic_form(w_mat[:, n, :].conj(), v[n])))
-    _, logdet = np.linalg.slogdet(w_mat)
-    return total - 2.0 * float(np.sum(logdet))
-
-
 def separate_stream(
     frames: list[SpectralFrame],
     config: SeparatorConfig,

@@ -25,6 +25,17 @@ def _dense_congruence(delta, v):
     return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
+def _aux_objective(w_mat, v):
+    """Auxiliary (majorizer) objective for frozen weighted covariances,
+    ``sum_{n,i} w_{n,i}^H V_{n,i} w_{n,i} - 2 sum_i log|det W_i|`` with
+    ``w_{n,i}`` the conjugate of row ``n`` of ``W_i``; IP sweeps never
+    increase it."""
+    rows = w_mat[:, : v.shape[0], :]  # (I, N, M); w_{n,i} = conj(rows[i, n])
+    quad = np.einsum("inm,nimk,ink->", rows, v, rows.conj()).real
+    _, logdet = np.linalg.slogdet(w_mat)
+    return float(quad) - 2.0 * float(np.sum(logdet))
+
+
 def _dense_decompose(est, refs, lags, target_index):
     """Brute-force oracle: explicit shifted-copy basis and lstsq projections."""
     n_refs, n_samples = refs.shape

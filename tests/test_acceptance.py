@@ -21,7 +21,7 @@ from ivastream.roomsim import ArrayGeometry, Room, Scenario
 from ivastream.separators import SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig, analyze, synthesize
 
-from oracles import _cplx, _dense_congruence, _dense_decompose, _random_pd
+from oracles import _aux_objective, _cplx, _dense_congruence, _dense_decompose, _random_pd
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,11 +183,11 @@ def test_criterion_06_batch_majorizer_monotonicity():
         w0 = _cplx(rng, n_bins, m, m)
         for update in (sep.ip_update, _tracked_ip_update):
             w = w0.copy()
-            prev = sep.aux_objective(w, v)
+            prev = _aux_objective(w, v)
             for _sweep in range(20):
                 for n in range(m):
                     w[:, n, :] = update(numerics.solve_column(w, n), v[n]).conj()
-                cur = sep.aux_objective(w, v)
+                cur = _aux_objective(w, v)
                 assert cur <= prev + 1e-9 * abs(prev)
                 prev = cur
 

@@ -1,6 +1,6 @@
 """``bench/engine_ab.py`` and ``bench/rir_ab.py`` on one checkout against
-itself and ``bench/low_bins.py``, cut to a few frames or a short T60, and
-``bench/pairs.py``'s verdict arithmetic."""
+itself and ``bench/hard_streams.py``, cut to a few frames or a short T60,
+and ``bench/pairs.py``'s verdict arithmetic."""
 
 import importlib
 import json
@@ -47,22 +47,37 @@ def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
                 assert np.all(np.isfinite(refs)) and min(refs) >= 0.0
 
 
-def test_low_bins_records_every_engine(tmp_path, monkeypatch):
-    low_bins = _bench_module(monkeypatch, "low_bins")
+def test_hard_streams_rows_and_restored_package(tmp_path, monkeypatch):
+    hard_streams = _bench_module(monkeypatch, "hard_streams")
     monkeypatch.setattr(importlib.import_module("record"), "DESK_SECONDS", 0.1)
-    # the script wraps these solvers and never restores them
-    for module, name in ((separators, "_source_block"), (numerics, "hermitian_solve"),
-                         (numerics, "solve_with_inverse"), (numerics, "_small_solve")):
-        monkeypatch.setattr(module, name, getattr(module, name))
+    for name, value in (("GAUSS_FRAMES", 4), ("SIGNAL_FRAMES", 3), ("SILENT_FRAMES", (2,)),
+                        ("DESK_SEEDS", (0,)), ("DESK_SWEEP_SECONDS", 0.1), ("M16_FRAMES", 3)):
+        monkeypatch.setattr(hard_streams, name, value)
+    before = {module: dict(vars(module)) for module in (separators, numerics)}
     out = tmp_path / "bench.json"
-    assert low_bins.main(["--out", str(out), "--key", "k"]) == 0
+    assert hard_streams.main(["--src", str(ROOT / "src"), "--out", str(out), "--key", "k"]) == 0
+    for module, names in before.items():
+        assert [k for k, v in names.items() if getattr(module, k) is not v] == []
 
     table = json.loads(out.read_text())["k"]["table"]
-    assert set(table) == set(low_bins.ENGINES)
-    for rows in table.values():
-        assert set(rows["cond V"]) == {"bin 0", "bin 1", "bin 2", "median bin"}
-    for name in ("loading gate closed", "solution from P rejected"):
-        assert set(table["overiva"][name]) == {"bin 0", "bin 1", "bin 2", "median bin", "all bins"}
+    every_engine = ("desk", "duplicated", "dead_mic", "silence2_a0.98", "silence2_a0.99")
+    assert set(table) == {*every_engine, "desk30_seed0", "m16"}
+    low_bins = {"auxiva": {"cond V"},
+                "overiva": {"cond V", "cond S", "loading gate closed", "solution from P rejected"},
+                "biiva": {"cond V", "cond S", "cond sub-filter system"}}
+    for name, rows in table.items():
+        assert set(rows) == (set(low_bins) if name in every_engine else {"overiva"})
+        for engine, row in rows.items():
+            columns = low_bins[engine] | {"small system sent to LAPACK"}
+            assert set(row) == columns | {
+                "frames", "raised_at_frame", "projection_back raised_at_frame",
+                "ip_update repaired bins", "warnings", "projection_back warnings", "max |W|",
+                "sha256"}
+            assert np.isfinite(row["max |W|"]) and row["max |W|"] > 0.0
+            labels = {"bin 0", "bin 1", "bin 2", "median bin"}
+            for column in columns:
+                counted = {"all bins"} if not column.startswith("cond") else set()
+                assert set(row[column]) == labels | counted
 
 
 def test_pairs_verdict_arithmetic(monkeypatch):

@@ -133,6 +133,15 @@ class TestSimulate:
         assert "at least 2 samples, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_duration_not_finite_and_positive_is_a_usage_error(self, tmp_path, capsys, value):
+        scn = _mini_scenario(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), "--duration", value]) == 2
+        err = capsys.readouterr().err
+        assert f"--duration must be finite and positive, got {float(value)}" in err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["separate", "evaluate"])
 def test_missing_input_wav_is_a_usage_error(tmp_path, capsys, command):
@@ -479,6 +488,16 @@ class TestBenchmark:
         evaluation = {"segment_seconds": float("inf"), "filter_length": 128}
         assert main(["benchmark", _mini_manifest(tmp_path, evaluation=evaluation)]) == 2
         assert "segment_seconds must be finite and positive, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_manifest_duration_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        # JSON Infinity and NaN pass the schema's exclusiveMinimum
+        monkeypatch.setattr(roomsim, "image_source_rir", lambda *args: pytest.fail("RIR built"))
+        assert main(["benchmark", _mini_manifest(tmp_path, duration_seconds=value)]) == 2
+        assert f"duration_seconds must be finite and positive, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 
     def test_missing_referenced_file_is_a_config_error(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ import ivastream.stft as stft
 from ivastream.separators import Algorithm, SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig
 
-from oracles import _cplx, _dense_congruence, _random_pd
+from oracles import _aux_objective, _cplx, _dense_congruence, _random_pd
 
 
 def _assert_hermitian(a, rtol):
@@ -589,11 +589,11 @@ class TestMonotonicity:
         for _ in range(10):
             v = _random_pd(rng, m, n_bins, m, m)
             w = _cplx(rng, n_bins, m, m)
-            prev = sep.aux_objective(w, v)
+            prev = _aux_objective(w, v)
             for _sweep in range(10):
                 for n in range(m):
                     w[:, n, :] = update(nx.solve_column(w, n), v[n]).conj()
-                cur = sep.aux_objective(w, v)
+                cur = _aux_objective(w, v)
                 assert cur <= prev + 1e-9 * abs(prev)
                 prev = cur
 
