@@ -15,7 +15,6 @@ from .separators import (
     init_state,
     process_frame,
     projection_back,
-    separate_stream,
 )
 from .roomsim import (
     ArrayGeometry,
@@ -72,7 +71,6 @@ __all__ = [
     "process_frame",
     "projection_back",
     "read_wav",
-    "separate_stream",
     "sir_sdr",
     "synthesize",
     "t60_to_reflection",

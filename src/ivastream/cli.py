@@ -35,7 +35,7 @@ from .io import (
 from .metrics import (CSV_SENTINEL_DB, EvalConfig, convergence_curve, decompose,
                       segment_samples, sir_sdr)
 from .separators import init_state, process_frame, projection_back
-from .stft import StftConfig, analyze, synthesize
+from .stft import SpectralFrame, StftConfig, analyze, synthesize
 
 OUTPUT_ROOT_ENV = "IVASTREAM_OUTPUT_ROOT"
 
@@ -142,6 +142,8 @@ def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None)
             )
         bufs = [read_wav(p) for p in source_paths]
         for p, b in zip(source_paths, bufs):
+            if b.n_channels != 1:
+                raise ValueError(f"{p}: {b.n_channels} channels, a source WAV must be mono")
             if b.sample_rate != fs:
                 raise ValueError(
                     f"{p}: sample rate {b.sample_rate} != scenario rate {fs}"
@@ -182,21 +184,38 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
 # separate
 
 
-def _separate_signal(samples, config, stft_cfg, reference_channel):
-    """Online separation of a (channels, samples) signal: analyze, then
-    ``process_frame`` and ``projection_back`` once per frame, then
-    synthesize.  Returns the (sources, samples) estimates and each frame's
-    wall time in those two calls."""
-    state = init_state(config, stft_cfg.n_bins)
-    separated = []
-    frame_times = []
-    for frame in analyze(samples, stft_cfg):
+def separate_stream(frames, config, reference_channel=None):
+    """Run a fresh separator state over a frame sequence, strictly online.
+
+    Returns the separated spectra as an (n_frames, N, I) array, scaled by
+    projection back to ``reference_channel`` frame by frame when it is
+    given, and each frame's wall time in ``process_frame`` and
+    ``projection_back``.  This is the package's one loop over those calls;
+    it reaches them through this module's names, which ``perfbench``'s
+    pipeline frame clock wraps.
+    """
+    if not frames:
+        raise ValueError("no frames to separate")
+    state = init_state(config, frames[0].bins.shape[0])
+    spectra = np.empty((len(frames), config.n_sources, state.n_bins), dtype=np.complex128)
+    frame_seconds = np.empty(len(frames))
+    for j, frame in enumerate(frames):
         t0 = time.perf_counter()
-        est = process_frame(state, frame)
-        y = projection_back(state, est.y, reference_channel)
-        frame_times.append(time.perf_counter() - t0)
-        separated.append(replace(frame, bins=y.T))
-    return synthesize(separated, stft_cfg, samples.shape[1]), frame_times
+        y = process_frame(state, frame).y
+        if reference_channel is not None:
+            y = projection_back(state, y, reference_channel)
+        frame_seconds[j] = time.perf_counter() - t0
+        spectra[j] = y
+    return spectra, frame_seconds
+
+
+def _separate_signal(samples, config, stft_cfg, reference_channel):
+    """Online separation of a (channels, samples) signal: analyze,
+    :func:`separate_stream`, synthesize.  Returns the (sources, samples)
+    estimates and each frame's wall time."""
+    spectra, frame_seconds = separate_stream(analyze(samples, stft_cfg), config, reference_channel)
+    frames = [SpectralFrame(bins=s.T, index=j, config=stft_cfg) for j, s in enumerate(spectra)]
+    return synthesize(frames, stft_cfg, samples.shape[1]), frame_seconds
 
 
 def run_separate(
@@ -498,7 +517,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=int, default=256)
     p.add_argument("--reference-channel", type=int, default=0)
     p.add_argument("--timing-log", default=None, help="per-frame wall-time CSV")
-    p.add_argument("--algorithm", default=None)
     p.add_argument("--forgetting", type=float, default=None)
     p.add_argument("--loading", type=float, default=None)
 
@@ -527,11 +545,7 @@ def main(argv=None) -> int:
                 args.scenario, args.out, args.duration, args.seed, args.source_wav
             )
         if args.command == "separate":
-            overrides = {
-                "algorithm": args.algorithm,
-                "forgetting": args.forgetting,
-                "loading": args.loading,
-            }
+            overrides = {"forgetting": args.forgetting, "loading": args.loading}
             return run_separate(
                 args.mixture,
                 args.config,

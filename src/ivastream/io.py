@@ -2,11 +2,11 @@
 
 Audio travels as float64 in [-1, 1].  PCM16, PCM24 and float32 files are
 read, integer PCM normalized by the full-scale convention (int16 / 32768,
-24-bit left-justified int32 / 2^31); every write is float32, which reads
-back losslessly.  Scenario
-and separator files are JSON documents validated against schemas shipped
-with the package, as are benchmark manifests; violations are reported with
-their JSON path.
+24-bit left-justified int32 / 2^31); a float sample that is NaN or infinite
+makes the file corrupt.  Every write is float32, which reads back
+losslessly.  Scenario and separator files are JSON documents validated
+against schemas shipped with the package, as are benchmark manifests;
+violations are reported with their JSON path.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ def read_wav(path) -> AudioBuffer:
     elif data.dtype == np.int32:
         samples = data / _PCM32_SCALE
     elif data.dtype == np.float32:
+        bad = np.argwhere(~np.isfinite(data.reshape(len(data), -1)))
+        if bad.size:
+            sample, channel = bad[0]
+            raise CorruptWavFile(f"{path}: non-finite sample at channel {channel}, sample {sample}")
         samples = data.astype(np.float64)
     else:
         raise UnsupportedWavFormat(f"{path}: unsupported sample format {data.dtype}")

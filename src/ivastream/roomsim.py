@@ -456,6 +456,9 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     if targets.shape[0] != n_src:
         raise ValueError(f"expected {n_src} target signals, got {targets.shape[0]}")
     n_samples = targets.shape[1]
+    finite = np.isfinite(targets).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"target signal {int(np.flatnonzero(~finite)[0])} is not finite")
     energies = np.sum(targets**2, axis=1)
     if np.any(energies == 0):
         raise ValueError("zero-energy target signal")

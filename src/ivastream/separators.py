@@ -450,27 +450,3 @@ def projection_back(
             rhs = (c * j[ref - n_src]).T[..., None]
             row = numerics.solve_general(s_t, rhs, context="projection_back")[..., 0]
     return y * row.T[: y.shape[0]]
-
-
-def separate_stream(
-    frames: list[SpectralFrame],
-    config: SeparatorConfig,
-    reference_channel: int | None = None,
-) -> np.ndarray:
-    """Run a fresh state over a frame sequence.
-
-    Returns the separated spectra as an (n_frames, N, I) array; when
-    ``reference_channel`` is given, spectra are projection-back scaled to
-    that microphone frame by frame (still strictly online).
-    """
-    if not frames:
-        raise ValueError("no frames to separate")
-    state = init_state(config, frames[0].bins.shape[0])
-    out = np.empty((len(frames), config.n_sources, state.n_bins), dtype=np.complex128)
-    for j, frame in enumerate(frames):
-        est = process_frame(state, frame)
-        if reference_channel is None:
-            out[j] = est.y
-        else:
-            out[j] = projection_back(state, est.y, reference_channel)
-    return out

@@ -282,8 +282,8 @@ def test_criterion_10_online_prefix_causality():
     ]
     for config, frames in cases:
         half = len(frames) // 2
-        full = sep.separate_stream(frames, config, reference_channel=0)
-        part = sep.separate_stream(frames[:half], config, reference_channel=0)
+        full = cli.separate_stream(frames, config, reference_channel=0)[0]
+        part = cli.separate_stream(frames[:half], config, reference_channel=0)[0]
         assert full[:half].tobytes() == part.tobytes()
 
 

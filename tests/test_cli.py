@@ -10,6 +10,8 @@ from numpy.testing import assert_array_equal
 from ivastream import cli, metrics, roomsim
 from ivastream.cli import main
 from ivastream.io import AudioBuffer, read_wav, write_wav
+from ivastream.separators import SeparatorConfig
+from ivastream.stft import SpectralFrame
 
 
 def _write_json(path, doc):
@@ -126,6 +128,16 @@ class TestSimulate:
         assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 2
         assert "sample rate 8000 != scenario rate 16000" in capsys.readouterr().err
 
+    def test_source_wav_must_be_mono(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 16000], [16000, 16000])
+        stereo = tmp_path / "talker1.wav"
+        write_wav(AudioBuffer(0.1 * np.ones((2, 16000)), 16000), stereo)
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), *wavs]) == 2
+        assert f"{stereo}: 2 channels, a source WAV must be mono" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duration_under_two_samples_is_a_usage_error(self, tmp_path, capsys):
         scn = _mini_scenario(tmp_path)
         out = tmp_path / "sim"
@@ -152,6 +164,50 @@ def test_missing_input_wav_is_a_usage_error(tmp_path, capsys, command):
     }[command]
     assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 2
     assert "nope.wav" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "separate", "evaluate"])
+def test_non_finite_input_sample_is_a_usage_error(tmp_path, mixture_dir, capsys, command):
+    # the command fails on reading the file, naming it, before any
+    # arithmetic sees the sample
+    samples = read_wav(mixture_dir / "observations.wav").samples.copy()
+    samples[0, 4000] = {"simulate": np.nan, "separate": np.inf, "evaluate": np.nan}[command]
+    bad, talker = tmp_path / "bad.wav", tmp_path / "talker.wav"
+    write_wav(AudioBuffer(samples[:1] if command == "simulate" else samples, 16000), bad)
+    write_wav(AudioBuffer(samples[1], 16000), talker)
+    inputs = {
+        "simulate": [_mini_scenario(tmp_path), "--source-wav", str(talker), "--source-wav", str(bad)],
+        "separate": [str(bad), _auxiva_config(tmp_path)],
+        "evaluate": [str(bad), str(mixture_dir / "reference_images.wav"),
+                     "--mixture", str(mixture_dir / "observations.wav")],
+    }[command]
+    out = tmp_path / "o"
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    assert f"error: {bad}: non-finite sample at channel 0, sample 4000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_separate_stream_calls_the_engine_through_cli_names(monkeypatch):
+    """``cli.separate_stream`` calls ``process_frame`` and
+    ``projection_back`` once each per frame, through the names ``cli``
+    binds.  ``perfbench``'s ``pipeline_desk`` frame clock times
+    ``run_benchmark``'s frames by wrapping exactly these two bindings, so
+    the streaming loop lives in ``cli`` and not in ``separators``."""
+    calls = []
+    for name in ("process_frame", "projection_back"):
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    rng = np.random.default_rng(8)
+    bins = rng.standard_normal((6, 5, 2)) + 1j * rng.standard_normal((6, 5, 2))
+    frames = [SpectralFrame(bins=b, index=t) for t, b in enumerate(bins)]
+    spectra, seconds = cli.separate_stream(frames, SeparatorConfig(2, 2, "auxiva"), 0)
+    assert calls == ["process_frame", "projection_back"] * 6
+    assert spectra.shape == (6, 2, 5)
+    assert seconds.shape == (6,)
+    assert np.all(np.isfinite(seconds)) and np.all(seconds >= 0.0)
 
 
 @pytest.mark.parametrize("command", ["rir", "simulate", "benchmark"])

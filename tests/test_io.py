@@ -93,6 +93,16 @@ def test_unsupported_codec_and_corrupt_file(tmp_path):
         read_wav(cpath)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_sample_is_a_corrupt_file(tmp_path, value):
+    x = np.zeros((3, 40))
+    x[2, 17] = x[1, 30] = value
+    path = tmp_path / "bad.wav"
+    write_wav(AudioBuffer(x, 16000), path)
+    with pytest.raises(CorruptWavFile, match=rf"bad\.wav: non-finite sample at channel 2, sample 17$"):
+        read_wav(path)
+
+
 # ---------------------------------------------------------------------------
 # scenario loading
 

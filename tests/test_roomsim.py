@@ -524,6 +524,15 @@ def test_mix_input_validation():
         mix(scen, bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mix_rejects_a_non_finite_talker(value):
+    scen = _desk_scenario()
+    sig = _test_signals(scen)
+    sig[1, 100] = value
+    with pytest.raises(ValueError, match="target signal 1 is not finite"):
+        mix(scen, sig)
+
+
 def test_scenario_rirs_pads_to_equal_length():
     scen = _desk_scenario()
     src_rirs, noise_rirs = scenario_rirs(scen)

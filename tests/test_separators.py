@@ -9,6 +9,7 @@ import pytest
 import ivastream.numerics as nx
 import ivastream.separators as sep
 import ivastream.stft as stft
+from ivastream import cli
 from ivastream.separators import Algorithm, SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig
 
@@ -452,8 +453,8 @@ class TestProcessFrame:
         rng = np.random.default_rng(16)
         frames = _spectral_frames(rng, 20, 8, 4)
         cfg = SeparatorConfig(4, 2, "biiva", 2, 2)
-        a = sep.separate_stream(frames, cfg)
-        b = sep.separate_stream(frames, cfg)
+        a = cli.separate_stream(frames, cfg)[0]
+        b = cli.separate_stream(frames, cfg)[0]
         assert a.tobytes() == b.tobytes()
 
     def test_auxiva_runs_no_overdetermined_machinery(self, monkeypatch):
@@ -538,7 +539,7 @@ def test_degenerate_input_gives_finite_output(engine, case):
         config = dataclasses.replace(config, forgetting=0.5)
     frames = _degenerate_frames(case, config.n_channels)
     for reference_channel in (None, 0):
-        y = sep.separate_stream(frames, config, reference_channel)
+        y = cli.separate_stream(frames, config, reference_channel)[0]
         assert np.all(np.isfinite(y))
 
 
@@ -554,7 +555,7 @@ def test_bins_of_any_numeric_dtype_stream_as_complex128(engine, dtype):
 
     def stream(values, reference_channel):
         frames = [SpectralFrame(bins=v, index=t, config=StftConfig()) for t, v in enumerate(values)]
-        return sep.separate_stream(frames, config, reference_channel)
+        return cli.separate_stream(frames, config, reference_channel)[0]
 
     for reference_channel in (None, 0):
         expected = stream(x.astype(np.complex128), reference_channel)
@@ -566,11 +567,11 @@ class TestDegeneracy:
     def test_trivial_factor_matches_overiva(self):
         rng = np.random.default_rng(17)
         frames = _spectral_frames(rng, 40, 16, 4)
-        y_over = sep.separate_stream(frames, SeparatorConfig(4, 2, "overiva", forgetting=0.97))
+        y_over = cli.separate_stream(frames, SeparatorConfig(4, 2, "overiva", forgetting=0.97))[0]
         for m1, m2 in [(4, 1), (1, 4)]:
-            y_bi = sep.separate_stream(
+            y_bi = cli.separate_stream(
                 frames, SeparatorConfig(4, 2, "biiva", m1, m2, forgetting=0.97)
-            )
+            )[0]
             rel = np.abs(np.abs(y_bi) - np.abs(y_over)) / np.maximum(np.abs(y_over), 1e-300)
             assert rel.max() <= 1e-9
 
@@ -714,7 +715,7 @@ class TestTrackedInverse:
         frames = _mixture_frames(32, 1875, 8, cfg.n_channels)
         with monkeypatch.context() as mp:
             _exact_ip_update(mp)
-            y_exact = sep.separate_stream(frames, cfg)
+            y_exact = cli.separate_stream(frames, cfg)[0]
         log = _SolveLog(monkeypatch)
         st = log.state = sep.init_state(cfg, 8)
         worst_p = 0.0
@@ -871,7 +872,7 @@ def _instantaneous_scene(seed, seconds=5.0, noise_db=-30.0):
 
 def _converged_estimates(x, config, stft_cfg, skip_seconds=2.0):
     frames = stft.analyze(x[: config.n_channels], stft_cfg)
-    spectra = sep.separate_stream(frames, config, reference_channel=0)
+    spectra = cli.separate_stream(frames, config, reference_channel=0)[0]
     out_frames = [
         SpectralFrame(bins=spectra[j].T, index=j, config=stft_cfg)
         for j in range(spectra.shape[0])
