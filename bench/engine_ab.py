@@ -73,9 +73,10 @@ ENGINES = ("auxiva", "overiva", "biiva")
 SIDES = ("parent", "change")
 OUTPUTS = ("raw", "projection back")
 M16_FRAMES = 180
-# two refresh periods of overiva's tracked inverse covariance
-# (separators.INVERSE_REFRESH = 32), so the refresh solves are in the median
-CURVE_FRAMES = 64
+# four refresh periods of overiva's tracked inverse covariance
+# (separators.INVERSE_REFRESH = 32), so the refresh solves keep their share of
+# the median; over 64 frames each side's biiva/overiva ratio moved by up to 6%
+CURVE_FRAMES = 128
 CURVE_BINS = 513
 CURVE_CHANNELS = (4, 9, 16, 36)
 CURVE_SOURCES = 2

@@ -141,6 +141,7 @@ def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None)
                 f"scenario has {scenario.n_sources} sources, got {len(source_paths)} WAVs"
             )
         bufs = [read_wav(p) for p in source_paths]
+        n = min(b.n_samples for b in bufs)
         for p, b in zip(source_paths, bufs):
             if b.n_channels != 1:
                 raise ValueError(f"{p}: {b.n_channels} channels, a source WAV must be mono")
@@ -148,7 +149,8 @@ def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None)
                 raise ValueError(
                     f"{p}: sample rate {b.sample_rate} != scenario rate {fs}"
                 )
-        n = min(b.n_samples for b in bufs)
+            if not b.samples[0, :n].any():
+                raise ValueError(f"{p}: silent over the first {n} samples, which the mixture takes")
         sources = np.stack([b.samples[0, :n] for b in bufs])
     else:
         n = int(round(duration * fs))
@@ -518,7 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-channel", type=int, default=0)
     p.add_argument("--timing-log", default=None, help="per-frame wall-time CSV")
     p.add_argument("--forgetting", type=float, default=None)
-    p.add_argument("--loading", type=float, default=None)
 
     p = sub.add_parser("evaluate", help="segment-wise SIR/SDR against references")
     p.add_argument("estimates", help="multichannel WAV of separated sources")
@@ -545,7 +546,6 @@ def main(argv=None) -> int:
                 args.scenario, args.out, args.duration, args.seed, args.source_wav
             )
         if args.command == "separate":
-            overrides = {"forgetting": args.forgetting, "loading": args.loading}
             return run_separate(
                 args.mixture,
                 args.config,
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
                 hop=args.hop,
                 reference_channel=args.reference_channel,
                 timing_log=args.timing_log,
-                overrides=overrides,
+                overrides={"forgetting": args.forgetting},
             )
         if args.command == "evaluate":
             cfg = EvalConfig(

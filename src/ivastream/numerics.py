@@ -43,8 +43,8 @@ _SOLVE_RTOL = 1e-8
 # term is used (the trace bounds ||P||_2 for positive definite P): its solution
 # is then the exact one for a loading at most 1 / (1 - 0.1) times the set
 # value along every eigenvector.  Beyond it, in near-singular systems, the
-# expansion fails where the residual test cannot see it.  At 0.01 the desk
-# stream's DC bin fell back to the exact solve in half of overiva's frames
+# expansion fails where the residual test cannot see it.  Tuned for the engines'
+# separators.LOADING: at 0.01 the desk DC bin fell back in half of overiva's frames
 _FIRST_ORDER_MAX = 0.1
 
 # largest K whose Hermitian positive definite K x K systems are solved
@@ -457,8 +457,9 @@ def solve_with_inverse(
     x = ((pb - loading * np.matmul(p, pb)) * (k / tr)[..., None, None])[..., 0]
     ax = np.matmul(a, x[..., None])[..., 0]
     resid = ax + d[..., None] * x - b
-    # ||A + dI||_F^2 without forming A + dI
-    a_sq = _sq_sum(a, 2) + d * (2.0 * tr + k * d)
+    # ||A + dI||_F^2 without forming A + dI: one dot over A's K^2 entries
+    a_flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (k * k,))
+    a_sq = real_dot(a_flat, a_flat) + d * (2.0 * tr + k * d)
     ok = _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
     ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
     return x, ax, ok

@@ -73,10 +73,13 @@ WEIGHT_FLOOR = 1e-12
 # inverse than at 16 to 64.
 INVERSE_REFRESH = 32
 
+# the IP updates' fixed diagonal loading; _source_block and numerics._FIRST_ORDER_MAX rely on it
+LOADING = 1e-9
+
 
 @dataclass(frozen=True)
 class SeparatorConfig:
-    """Knobs of one separation stream.
+    """Knobs of one separation stream; diagonal loading is the constant ``LOADING``.
 
     ``forgetting`` defaults per algorithm (0.96 AuxIVA, 0.99 OverIVA,
     0.98 bilinear).  Every frame runs one filter update per source, the
@@ -89,7 +92,6 @@ class SeparatorConfig:
     sub_len_1: int | None = None
     sub_len_2: int | None = None
     forgetting: float | None = None
-    loading: float = 1e-9
 
     def __post_init__(self):
         algo = Algorithm(self.algorithm)
@@ -100,8 +102,6 @@ class SeparatorConfig:
             raise ValueError("n_sources must be >= 1")
         if not 0.0 < self.forgetting < 1.0:
             raise ValueError("forgetting factor must be in (0, 1)")
-        if not (np.isfinite(self.loading) and self.loading >= 0):
-            raise ValueError(f"loading must be finite and >= 0, not {self.loading}")
         if algo is Algorithm.AUXIVA:
             if self.n_channels != self.n_sources:
                 raise ValueError("auxiva is determined: n_channels must equal n_sources")
@@ -312,8 +312,8 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     ``S^T x = e_r`` for ``r < N`` or ``S^T x = c J[r - N]`` for a noise
     channel.  ``det W_l = (s - 1)^{M - N} det S``, so ``S`` is singular
     exactly when ``W_l`` is (``s``, ``loading`` times the RMS row norm of
-    ``W``, stays far below 1).  Without a noise block (M == N) the callers
-    solve ``W_l`` itself.
+    ``W``, stays far below 1 at ``LOADING``).  Without a noise block (M == N)
+    the callers solve ``W_l`` itself.
 
     Everything is formed bins-last, from one copy of the source rows
     ``W_s = [A, B]`` and ``J`` in which each matrix entry is one contiguous
@@ -391,19 +391,19 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
         weight = contrast_weight(state, x, n)
         update_weighted_cov(state.V[n], xxh, weight, alpha)
         try:
-            u = _inverse_column(state.W, n, n_src, cfg.loading)
+            u = _inverse_column(state.W, n, n_src, LOADING)
             if cfg.algorithm is Algorithm.AUXIVA:
-                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading).conj()
+                state.W[:, n, :] = ip_update(u, state.V[n], LOADING).conj()
             elif cfg.algorithm is Algorithm.OVERIVA:
                 if state.frame_index % INVERSE_REFRESH == 0:
-                    state.P[n] = numerics.scaled_inverse(state.V[n], cfg.loading)
+                    state.P[n] = numerics.scaled_inverse(state.V[n], LOADING)
                 else:
                     update_inverse(state.P[n], state.V[n], x, weight, alpha)
-                state.W[:, n, :] = ip_update(u, state.V[n], cfg.loading, state.P[n]).conj()
+                state.W[:, n, :] = ip_update(u, state.V[n], LOADING, state.P[n]).conj()
             else:
                 # both sub-updates read the same pre-update W, hence one u
-                w1 = bilinear_update(u, state.V[n], state.w2[n], "left", cfg.loading)
-                w2 = bilinear_update(u, state.V[n], w1, "right", cfg.loading)
+                w1 = bilinear_update(u, state.V[n], state.w2[n], "left", LOADING)
+                w2 = bilinear_update(u, state.V[n], w1, "right", LOADING)
                 # move the scale into w2 so w1 stays unit-norm
                 scale = np.linalg.norm(w1, axis=-1)[..., None]
                 state.w1[n] = w1 / scale
@@ -417,7 +417,7 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     if n_src < cfg.n_channels:
         update_weighted_cov(state.C, xxh, 1.0, alpha)
         try:
-            state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], cfg.loading)
+            state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], LOADING)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"frame {state.frame_index}, noise block: {exc}") from exc
 
@@ -440,9 +440,9 @@ def projection_back(
     if not 0 <= ref < cfg.n_channels:
         raise ValueError(f"reference channel {ref} out of range")
     if n_src == cfg.n_channels:
-        row = numerics.solve_column(np.swapaxes(state.W, -1, -2), ref, cfg.loading)
+        row = numerics.solve_column(np.swapaxes(state.W, -1, -2), ref, LOADING)
     else:
-        s_mat, j, c = _source_block(state.W, n_src, cfg.loading)
+        s_mat, j, c = _source_block(state.W, n_src, LOADING)
         s_t = np.swapaxes(s_mat, -1, -2)
         if ref < n_src:
             row = numerics.solve_column(s_t, ref)

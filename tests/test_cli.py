@@ -128,6 +128,18 @@ class TestSimulate:
         assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 2
         assert "sample rate 8000 != scenario rate 16000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("onset", [16000, 12000])
+    def test_silent_source_wav_is_named(self, tmp_path, capsys, onset):
+        # all zero, or zero over the 12000 samples a shorter talker leaves
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [12000, 16000], [16000, 16000])
+        silent = tmp_path / "talker1.wav"
+        write_wav(AudioBuffer(np.where(np.arange(16000) < onset, 0.0, 0.1), 16000), silent)
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), *wavs]) == 2
+        assert f"{silent}: silent over the first 12000 samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_source_wav_must_be_mono(self, tmp_path, capsys):
         scn = _mini_scenario(tmp_path)
         wavs = self._source_wavs(tmp_path, [16000, 16000], [16000, 16000])
@@ -286,22 +298,29 @@ class TestSeparate:
 
     def test_invalid_override_is_rejected(self, tmp_path, mixture_dir, capsys):
         cfg = _auxiva_config(tmp_path)
-        # a non-finite loading passes the schema's minimum; the stream would
-        # then die at frame 0 in the solves
-        for flag, value in (("forgetting", "1.5"), ("loading", "nan"), ("loading", "inf")):
-            code = main(
-                [
-                    "separate",
-                    str(mixture_dir / "observations.wav"),
-                    cfg,
-                    "--out",
-                    str(tmp_path / "sep"),
-                    f"--{flag}",
-                    value,
-                ]
-            )
-            assert code == 2
-            assert flag in capsys.readouterr().err
+        code = main(
+            [
+                "separate",
+                str(mixture_dir / "observations.wav"),
+                cfg,
+                "--out",
+                str(tmp_path / "sep"),
+                "--forgetting",
+                "1.5",
+            ]
+        )
+        assert code == 2
+        assert "forgetting" in capsys.readouterr().err
+
+    def test_loading_is_not_a_flag(self, tmp_path, mixture_dir, capsys):
+        # diagonal loading is the engines' fixed separators.LOADING
+        argv = ["separate", str(mixture_dir / "observations.wav"), _auxiva_config(tmp_path),
+                "--out", str(tmp_path / "sep"), "--loading", "1e-3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--loading" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists()
 
 
 class TestEvaluate:

@@ -285,6 +285,13 @@ def test_separator_schema_rejects_unknown_keys_and_bad_enum(tmp_path):
         )
 
 
+def test_separator_loading_is_not_a_key(tmp_path):
+    # diagonal loading is the engines' fixed separators.LOADING
+    doc = {"n_channels": 4, "n_sources": 2, "loading": 1e-9}
+    with pytest.raises(ConfigError, match="loading"):
+        load_separator_config(_write_json(tmp_path, "a.json", doc))
+
+
 def test_separator_schema_rejects_integral_float(tmp_path):
     # JSON Schema's own "integer" admits 2.0, which init_state cannot use
     doc = {"algorithm": "auxiva", "n_channels": 2.0, "n_sources": 2}

@@ -520,7 +520,7 @@ def test_mix_input_validation():
         mix(scen, sig[:1])
     bad = sig.copy()
     bad[1] = 0.0
-    with pytest.raises(ValueError, match="zero-energy"):
+    with pytest.raises(ValueError, match="target signal 1 has zero energy"):
         mix(scen, bad)
 
 

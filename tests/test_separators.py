@@ -121,6 +121,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SeparatorConfig(4, 2, "overiva", forgetting=1.0)
 
+    def test_loading_is_not_a_field(self):
+        # every engine solve loads with the module constant LOADING
+        with pytest.raises(TypeError):
+            SeparatorConfig(9, 2, "overiva", loading=1e-9)
+
     def test_algorithm_coerced_from_string(self):
         assert SeparatorConfig(4, 2, "overiva").algorithm is Algorithm.OVERIVA
 
@@ -479,9 +484,10 @@ class TestProcessFrame:
                 sep.process_frame(st, frame)
             assert set(calls) == (set() if algo == "auxiva" else {name for _, name in spied})
 
-    def test_singular_error_carries_frame_and_source_context(self):
+    def test_singular_error_carries_frame_and_source_context(self, monkeypatch):
         # loading off so the collapsed system is not quietly regularized
-        st = sep.init_state(SeparatorConfig(2, 2, "auxiva", loading=0.0), 3)
+        monkeypatch.setattr(sep, "LOADING", 0.0)
+        st = sep.init_state(SeparatorConfig(2, 2, "auxiva"), 3)
         st.W[:, 1, :] = st.W[:, 0, :]  # collapse two rows
         frame = SpectralFrame(bins=np.ones((3, 2), complex), index=0, config=StftConfig())
         with pytest.raises(nx.SingularMatrixError, match=r"frame 0, source 0"):
@@ -526,7 +532,7 @@ _DEGENERATE_CONFIGS = {
     # case guards the rounding of its updates
     + [("biiva", "dead_mic_long")],
 )
-def test_degenerate_input_gives_finite_output(engine, case):
+def test_degenerate_input_gives_finite_output(engine, case, monkeypatch):
     # digital silence, a silent stream, very quiet input, zero diagonal
     # loading, a duplicated channel and a dead one must all stream through
     # from the initial state; at forgetting 0.5 the duplicated or dead
@@ -534,7 +540,7 @@ def test_degenerate_input_gives_finite_output(engine, case):
     # 1500th frame
     config = _DEGENERATE_CONFIGS[engine]
     if case == "unloaded":
-        config = dataclasses.replace(config, loading=0.0)
+        monkeypatch.setattr(sep, "LOADING", 0.0)
     elif case.endswith("_long"):
         config = dataclasses.replace(config, forgetting=0.5)
     frames = _degenerate_frames(case, config.n_channels)
@@ -679,7 +685,7 @@ class TestTrackedInverse:
             ref = nx.scaled_inverse(v[others], 0.0)
             dev = np.linalg.norm(p[others] - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
             assert dev.max() <= 1e-6
-            ref = nx.scaled_inverse(v[near], cfg.loading)
+            ref = nx.scaled_inverse(v[near], sep.LOADING)
             assert np.linalg.norm(p[near] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_corrupted_inverse_is_caught_and_solved_exactly(self, engine, monkeypatch):
@@ -774,10 +780,11 @@ class TestSourceBlock:
                 )
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
-    def test_projection_back_matches_loaded_inverse(self, loading):
+    def test_projection_back_matches_loaded_inverse(self, loading, monkeypatch):
+        monkeypatch.setattr(sep, "LOADING", loading)
         rng = np.random.default_rng(25)
         for m, n_src in _BLOCK_SIZES:
-            st = sep.init_state(SeparatorConfig(m, n_src, "overiva", loading=loading), 16)
+            st = sep.init_state(SeparatorConfig(m, n_src, "overiva"), 16)
             st.W = _reachable_w(rng, 16, m, n_src)
             y = _cplx(rng, n_src, 16)
             w_l = st.W + nx.frobenius_shift(st.W, loading)[:, None, None] * np.eye(m)
@@ -787,7 +794,7 @@ class TestSourceBlock:
                 np.testing.assert_allclose(out, y * winv[:, ref, :n_src].T, rtol=1e-10)
 
     @pytest.mark.parametrize("loading", [0.0, 1e-3])
-    def test_without_noise_block_is_the_full_solve(self, loading):
+    def test_without_noise_block_is_the_full_solve(self, loading, monkeypatch):
         # auxiva (M == N) has no noise block to eliminate: the column is the
         # loaded full solve, bit for bit, and projection back reads the
         # loaded full inverse
@@ -797,7 +804,8 @@ class TestSourceBlock:
             np.testing.assert_array_equal(
                 sep._inverse_column(w, n, 3, loading), nx.solve_column(w, n, loading)
             )
-        st = sep.init_state(SeparatorConfig(3, 3, "auxiva", loading=loading), 16)
+        monkeypatch.setattr(sep, "LOADING", loading)
+        st = sep.init_state(SeparatorConfig(3, 3, "auxiva"), 16)
         st.W = w
         y = _cplx(rng, 3, 16)
         winv = np.linalg.inv(w + nx.frobenius_shift(w, loading)[:, None, None] * np.eye(3))
@@ -807,9 +815,10 @@ class TestSourceBlock:
 
 
 class TestProjectionBack:
-    def test_matches_explicit_inverse(self):
+    def test_matches_explicit_inverse(self, monkeypatch):
+        monkeypatch.setattr(sep, "LOADING", 0.0)
         rng = np.random.default_rng(19)
-        cfg = SeparatorConfig(4, 2, "overiva", loading=0.0)
+        cfg = SeparatorConfig(4, 2, "overiva")
         st = sep.init_state(cfg, 6)
         st.W = _reachable_w(rng, 6, 4, 2)
         y = _cplx(rng, 2, 6)
@@ -827,12 +836,13 @@ class TestProjectionBack:
         out = sep.projection_back(st, y, reference_channel=0)
         np.testing.assert_allclose(out[0], 0.5, atol=1e-14)
 
-    def test_known_mixing_recovers_source_image(self):
+    def test_known_mixing_recovers_source_image(self, monkeypatch):
+        monkeypatch.setattr(sep, "LOADING", 0.0)
         rng = np.random.default_rng(20)
         a = _cplx(rng, 6, 2, 2)
         s = _cplx(rng, 2, 6)
         x = np.einsum("inm,mi->ni", a, s)  # x_i = A_i s_i
-        cfg = SeparatorConfig(2, 2, "auxiva", loading=0.0)
+        cfg = SeparatorConfig(2, 2, "auxiva")
         st = sep.init_state(cfg, 6)
         st.W = np.linalg.inv(a)
         y = np.einsum("inm,mi->ni", st.W, x)
