@@ -11,11 +11,14 @@ dimensions of the shipped desk scene (``configs/desk_scenario.json``); the two
 rooms' reflections must be equal bit for bit.  Each side then synthesizes the
 RIR from every emitter of the desk scene (its sources and its placed noises)
 to each microphone in ``MICS``; the two sides take turns RIR by RIR, the side
-that goes first alternating, and every pair of RIRs must be byte-identical.
-Prints, per T60, the image order, each side's median ms per RIR, their ratio
-(change / parent) and how many RIRs the change synthesized faster, and the
-same for ``Room.from_t60``; with ``--out`` the table is stored under
-``--key``.  Exits 1 if any reflection or RIR differs.
+that goes first alternating, and every pair of RIRs is compared byte for
+byte.  Prints, per T60, the image order, each side's median ms per RIR, their
+ratio (change / parent) and how many RIRs the change synthesized faster, the
+same for ``Room.from_t60``, and the largest energy of a difference between
+two RIRs (the shorter zero-padded) relative to the parent's RIR, in dB
+(``None`` in the table, ``-inf`` printed, when every pair is identical), so a
+deliberate change to the RIRs is sized by the same run; with ``--out`` the
+table is stored under ``--key``.  Exits 1 if any reflection or RIR differs.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ def summary(times: dict) -> dict:
             "change_faster": f"{wins}/{len(times['parent'])}"}
 
 
+def difference_db(parent: np.ndarray, change: np.ndarray) -> float:
+    """Energy of ``change - parent``, the shorter zero-padded, relative to
+    ``parent``'s, in dB; ``-inf`` when they are equal."""
+    n = max(len(parent), len(change))
+    diff = np.pad(change, (0, n - len(change))) - np.pad(parent, (0, n - len(parent)))
+    energy = float(diff @ diff)
+    return 10.0 * np.log10(energy / float(parent @ parent)) if energy else -np.inf
+
+
 def run_t60(t60: float, packages: dict, scene) -> dict:
     """One T60: ``Room.from_t60`` and the RIRs, both sides interleaved."""
     dims = scene.room.dimensions
@@ -61,7 +73,7 @@ def run_t60(t60: float, packages: dict, scene) -> dict:
         rooms["parent"].max_image_order == rooms["change"].max_image_order)
     emitters = np.vstack([scene.source_positions, scene.noise_positions])
     mics = scene.array.positions[list(MICS)]
-    times, identical, k = {side: [] for side in SIDES}, True, 0
+    times, identical, worst_db, k = {side: [] for side in SIDES}, True, -np.inf, 0
     for src in emitters:
         for mic in mics:
             h = {}
@@ -69,9 +81,11 @@ def run_t60(t60: float, packages: dict, scene) -> dict:
                 h[side], dt = timed(packages[side].roomsim.image_source_rir, rooms[side], src, mic)
                 times[side].append(dt)
             identical &= h["parent"].tobytes() == h["change"].tobytes()
+            worst_db = max(worst_db, difference_db(h["parent"], h["change"]))
             k += 1
     return {"t60": t60, "image_order": rooms["change"].max_image_order,
             "reflection_identical": same_room, "rirs_identical": identical,
+            "max_difference_db": None if worst_db == -np.inf else round(worst_db, 2),
             "rir": summary(times), "from_t60": summary(setup)}
 
 
@@ -90,12 +104,12 @@ def main(argv=None) -> int:
     for t60 in (float(v) for v in args.t60.split(",")):
         row = run_t60(t60, packages, scene)
         rows.append(row)
-        rir, setup = row["rir"], row["from_t60"]
+        rir, setup, diff = row["rir"], row["from_t60"], row["max_difference_db"]
         print(f"T60 {t60:g} s order {row['image_order']}: RIR {rir['parent_ms']:.1f} -> "
               f"{rir['change_ms']:.1f} ms ({rir['ratio']:.3f}, faster {rir['change_faster']}), "
               f"from_t60 {setup['parent_ms']:.2f} -> {setup['change_ms']:.2f} ms, "
-              f"identical: reflection {row['reflection_identical']} RIRs {row['rirs_identical']}",
-              flush=True)
+              f"identical: reflection {row['reflection_identical']} RIRs {row['rirs_identical']} "
+              f"(largest difference {'-inf' if diff is None else diff} dB)", flush=True)
     if args.out:
         command = (f"python3 bench/rir_ab.py --parent <parent checkout> --change <change checkout> "
                    f"--t60 {args.t60} --out {args.out.name} --key {args.key}")

@@ -133,26 +133,39 @@ def _check_seconds(value: float, name: str) -> float:
     return value
 
 
-def _synthesize_mixture(scenario, duration: float, source_paths=None, rirs=None):
+def _read_sources(scenario, source_paths):
+    """Talker signals from one mono WAV per scenario source, cut to the
+    shortest file's length, and that file's path when the files differ in
+    length (``None`` when they do not)."""
+    if len(source_paths) != scenario.n_sources:
+        raise ValueError(
+            f"scenario has {scenario.n_sources} sources, got {len(source_paths)} WAVs"
+        )
     fs = scenario.room.sample_rate
-    if source_paths:
-        if len(source_paths) != scenario.n_sources:
+    bufs = [read_wav(p) for p in source_paths]
+    lengths = [b.n_samples for b in bufs]
+    n = min(lengths)
+    shortest = source_paths[lengths.index(n)]
+    if n < 2:
+        raise ValueError(f"{shortest}: a source WAV needs at least 2 samples, got {n}")
+    for p, b in zip(source_paths, bufs):
+        if b.n_channels != 1:
+            raise ValueError(f"{p}: {b.n_channels} channels, a source WAV must be mono")
+        if b.sample_rate != fs:
             raise ValueError(
-                f"scenario has {scenario.n_sources} sources, got {len(source_paths)} WAVs"
+                f"{p}: sample rate {b.sample_rate} != scenario rate {fs}"
             )
-        bufs = [read_wav(p) for p in source_paths]
-        n = min(b.n_samples for b in bufs)
-        for p, b in zip(source_paths, bufs):
-            if b.n_channels != 1:
-                raise ValueError(f"{p}: {b.n_channels} channels, a source WAV must be mono")
-            if b.sample_rate != fs:
-                raise ValueError(
-                    f"{p}: sample rate {b.sample_rate} != scenario rate {fs}"
-                )
-            if not b.samples[0, :n].any():
-                raise ValueError(f"{p}: silent over the first {n} samples, which the mixture takes")
-        sources = np.stack([b.samples[0, :n] for b in bufs])
-    else:
+        if not b.samples[0, :n].any():
+            raise ValueError(f"{p}: silent over the first {n} samples, which the mixture takes")
+    sources = np.stack([b.samples[0, :n] for b in bufs])
+    return sources, (shortest if max(lengths) > n else None)
+
+
+def _synthesize_mixture(scenario, duration: float, sources=None, rirs=None):
+    """``roomsim.mix`` of ``sources``, or of the scenario seed's speech-like
+    talkers ``duration`` seconds long when none are given."""
+    if sources is None:
+        fs = scenario.room.sample_rate
         n = int(round(duration * fs))
         sources = np.stack(
             [
@@ -168,7 +181,8 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
     scenario = load_scenario(scenario_path)
     if seed is not None:
         scenario = replace(scenario, seed=int(seed))
-    bundle = _synthesize_mixture(scenario, duration, source_paths)
+    sources, shortest = _read_sources(scenario, source_paths) if source_paths else (None, None)
+    bundle = _synthesize_mixture(scenario, duration, sources)
     out = _out_dir(out)
     fs = bundle.sample_rate
     write_wav(AudioBuffer(bundle.observations, fs), out / "observations.wav")
@@ -177,8 +191,9 @@ def run_simulate(scenario_path, out, duration: float, seed=None, source_paths=No
     meta = {"sample_rate": fs, "seed": scenario.seed, **bundle.gains}
     meta.update(_measured_baselines(bundle))
     _write_json(out / "gains.json", meta)
+    cut = f", the length of {shortest}" if shortest else ""
     print(f"wrote mixture ({bundle.observations.shape[0]} channels, "
-          f"{bundle.observations.shape[1] / fs:.1f} s) to {out}")
+          f"{bundle.observations.shape[1] / fs:.1f} s{cut}) to {out}")
     return 0
 
 

@@ -31,6 +31,9 @@ SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
 # (three 512 x 81 buffers of 8-byte numbers, 1 MB) stay in a 2 MB L2 cache
 _IMAGE_BLOCK = 512
 _T60_ROWS = 128  # decay-curve samples per block of the directional T60 law
+# images arriving after the image energy still to arrive falls to this share
+# of the lattice's total (-80 dB) are dropped
+_TAIL_ENERGY = 1e-8
 _HALF = (SINC_TAPS - 1) // 2
 _HANN_RATE = np.pi / (_HALF + 0.5)  # Hann window 0.5 (1 + cos(rate t)) at tap offset t
 _TAP_T = np.arange(-_HALF, _HALF + 1.0)  # tap j's sample offset from rint(delay)
@@ -256,11 +259,18 @@ def default_image_order(room: Room, t60: float) -> int:
 
 def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
     """Delay in fractional samples and amplitude of every lattice image of
-    ``src`` as heard at ``mic``; images beyond ``max_image_order`` per axis
-    are dropped.  The lattice is separable: per axis ``a``, the offsets
-    ``(1 - 2p)(src_a + 2 r L_a) - mic_a`` and the wall factors are tables
-    over ``(r, p)``, broadcast onto the ``(rx, ry, rz, px, py, pz)`` image
-    grid, which is also the order of the returned images."""
+    ``src`` as heard at ``mic`` that arrives before the tail cut; images
+    beyond ``max_image_order`` per axis are not formed.  The lattice is
+    separable: per axis ``a``, the offsets ``(1 - 2p)(src_a + 2 r L_a) -
+    mic_a`` and the wall factors are tables over ``(r, p)``, broadcast onto
+    the ``(rx, ry, rz, px, py, pz)`` image grid, which is also the order of
+    the returned images.
+
+    The tail cut: with the image energy ``amp**2`` binned at ``rint(delay)``,
+    every image after the last sample at which the energy still to arrive
+    exceeds ``_TAIL_ENERGY`` of the lattice's total is dropped, so the
+    dropped images carry at most that share of it (the image method's
+    energy-decay bound, as in Lehmann and Johansson, JASA 2008)."""
     dims = np.asarray(room.dimensions)
     beta = np.asarray(room.reflection).reshape(3, 2)  # [axis, lo/hi]
     order = room.max_image_order
@@ -283,13 +293,30 @@ def _image_delays(room: Room, src, mic) -> tuple[np.ndarray, np.ndarray]:
     dist = np.sqrt(sq[0] + sq[1] + sq[2]).ravel()
     amp = (lo[0] * lo[1] * lo[2] * (hi[0] * hi[1] * hi[2])).ravel()
     amp = amp / (4.0 * np.pi * dist)
-    return dist / SPEED_OF_SOUND * room.sample_rate, amp
+    delay = dist / SPEED_OF_SOUND * room.sample_rate
+
+    nearest = np.rint(delay).astype(np.int64)
+    to_arrive = np.cumsum(np.bincount(nearest, weights=amp * amp)[::-1])[::-1]
+    last = np.flatnonzero(to_arrive > _TAIL_ENERGY * to_arrive[0])[-1]
+    keep = nearest <= last
+    return delay[keep], amp[keep]
+
+
+def _blocks(n: int, size: int) -> list:
+    """Bounds of consecutive blocks of ``size`` of ``n`` images, a last
+    block of one image joined to the block before it."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
 
 
 def image_source_rir(room: Room, src, mic) -> np.ndarray:
     """Room impulse response between one source and one microphone.
 
-    Vectorized over the image lattice (``_image_delays``).  Image ``i``
+    Vectorized over the images that ``_image_delays`` keeps: the lattice up
+    to ``max_image_order`` less its tail, the images that arrive after all
+    but ``_TAIL_ENERGY`` (-80 dB) of the image energy.  Image ``i``
     puts ``amp_i sinc(t) (1 + cos(rate t)) / 2`` on the 81 samples
     ``rint(delay_i) + _TAP_T``, at ``t_ij = _TAP_T[j] - r_i`` with
     ``r_i = delay_i - rint(delay_i)``, ``|r_i| <= 1/2``: the support is
@@ -298,13 +325,15 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     the cosine, so the taps are ``g_i [1, cos(rate r_i), sin(rate r_i)] @
     _TAP_TABLE / (_TAP_T - r_i)`` with ``g_i = -amp_i sin(pi r_i) / (2 pi)``:
     three trig calls per image and one rank-3 product per ``_IMAGE_BLOCK``
-    images.  Reducing to the nearest integer keeps ``sin(pi r)`` accurate
+    images (a last block of one image joins the block before it, so the
+    product never takes numpy's one-row matrix-vector path, which rounds
+    differently).  Reducing to the nearest integer keeps ``sin(pi r)`` accurate
     next to an integer delay, and the divisor subtracts the exact ``r_i``
     from an exact integer, so it rounds once and the centre tap divides by
     exactly ``-r_i`` at any delay length.  A delay within one ulp of an
     integer takes that integer's single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
-    last image's full interpolation kernel.
+    last kept image's full interpolation kernel.
     """
     src = np.asarray(src, dtype=float)
     mic = np.asarray(mic, dtype=float)
@@ -330,12 +359,13 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     # depend on the blocking
     out = np.zeros(n_samples + _HALF)
     offsets = np.arange(SINC_TAPS)
-    rows = min(_IMAGE_BLOCK, delay.size)
+    bounds = _blocks(delay.size, _IMAGE_BLOCK)
+    rows = int(np.diff(bounds).max())
     vals_buf, div_buf = np.empty((rows, SINC_TAPS)), np.empty((rows, SINC_TAPS))
     taps_buf = np.empty((rows, SINC_TAPS), dtype=np.int64)
-    for lo in range(0, delay.size, _IMAGE_BLOCK):
-        k = min(_IMAGE_BLOCK, delay.size - lo)
-        block = slice(lo, lo + k)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k = hi - lo
+        block = slice(lo, hi)
         vals, div, taps = vals_buf[:k], div_buf[:k], taps_buf[:k]
         np.matmul(coef[block], _TAP_TABLE, out=vals)
         np.subtract(_TAP_T, reduced[block, None], out=div)

@@ -54,10 +54,40 @@ def _dense_decompose(est, refs, lags, target_index):
     return Decomposition(proj_tgt, proj_all - proj_tgt, padded - proj_all)
 
 
+def _full_lattice(room, src, mic):
+    """Oracle for ``roomsim._image_delays`` without its tail cut: delay in
+    fractional samples and amplitude of every image up to
+    ``max_image_order`` per axis, in the same lattice order."""
+    dims = np.asarray(room.dimensions)
+    beta = np.asarray(room.reflection).reshape(3, 2)
+    order = room.max_image_order
+    if order is None:
+        order = roomsim.default_image_order(room, max(roomsim.t60_eyring(room), 1e-3))
+
+    def on_grid(table, a):
+        shape = [1] * 6
+        shape[a], shape[a + 3] = table.shape
+        return table.reshape(shape)
+
+    r = np.arange(-order, order + 1)[:, None]
+    p = np.arange(2)
+    sq, lo, hi = [], [], []
+    for a in range(3):
+        offset = (1.0 - 2.0 * p) * (src[a] + 2.0 * r * dims[a]) - mic[a]
+        sq.append(on_grid(offset * offset, a))
+        lo.append(on_grid(beta[a, 0] ** np.abs(r + p), a))
+        hi.append(on_grid(beta[a, 1] ** np.abs(r), a))
+    dist = np.sqrt(sq[0] + sq[1] + sq[2]).ravel()
+    amp = (lo[0] * lo[1] * lo[2] * (hi[0] * hi[1] * hi[2])).ravel()
+    amp = amp / (4.0 * np.pi * dist)
+    return dist / roomsim.SPEED_OF_SOUND * room.sample_rate, amp
+
+
 def _allocating_rir(room, src, mic, block=1024):
     """Oracle for ``roomsim.image_source_rir``'s windowed-sinc loop as it was
     before its buffers were reused: the same closed-form taps, with fresh tap
-    values, divisors and tap indices for every ``block`` images."""
+    values, divisors and tap indices for every ``block`` images, a last
+    block of one image joined to the block before it."""
     delay, amp = roomsim._image_delays(room, np.asarray(src, float), np.asarray(mic, float))
     half = roomsim._HALF
     n_samples = int(np.ceil(delay.max())) + half + 1
@@ -71,8 +101,11 @@ def _allocating_rir(room, src, mic, block=1024):
     coef = np.stack([g, g * np.cos(angle), g * np.sin(angle)], axis=-1)
     out = np.zeros(n_samples + half)
     offsets = np.arange(roomsim.SINC_TAPS)
-    for lo in range(0, delay.size, block):
-        rows = slice(lo, lo + block)
+    starts = list(range(0, delay.size, block))
+    if len(starts) > 1 and delay.size - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [delay.size]):
+        rows = slice(lo, hi)
         vals = coef[rows] @ roomsim._TAP_TABLE
         vals /= roomsim._TAP_T - reduced[rows, None]
         taps = nearest[rows, None] + offsets

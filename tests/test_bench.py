@@ -80,6 +80,16 @@ def test_hard_streams_rows_and_restored_package(tmp_path, monkeypatch):
                 assert set(row[column]) == labels | counted
 
 
+def test_rir_ab_difference_energy(monkeypatch):
+    rir_ab = _bench_module(monkeypatch, "rir_ab")
+    h = np.array([1.0, 0.5, 0.25])
+    assert rir_ab.difference_db(h, h.copy()) == -np.inf
+    # a tail of 0.01 past the parent's end: 1e-4 of its 1.3125 energy
+    moved = np.append(h, 0.01)
+    assert np.isclose(rir_ab.difference_db(h, moved), 10.0 * np.log10(1e-4 / 1.3125))
+    assert np.isclose(rir_ab.difference_db(moved, h), 10.0 * np.log10(1e-4 / (1.3125 + 1e-4)))
+
+
 def test_pairs_verdict_arithmetic(monkeypatch):
     pairs = _bench_module(monkeypatch, "pairs")
     assert pairs.parse_seeds("941-943,7") == [941, 942, 943, 7]
@@ -106,4 +116,5 @@ def test_rir_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
     assert [row["t60"] for row in rows] == [0.05, 0.08]
     for row in rows:
         assert row["reflection_identical"] and row["rirs_identical"]
+        assert row["max_difference_db"] is None
         assert row["rir"]["change_faster"].endswith("/5")  # the desk: 2 sources, 3 noises

@@ -116,6 +116,29 @@ class TestSimulate:
         assert read_wav(out / "observations.wav").n_samples == 12000
         assert read_wav(out / "reference_images.wav").n_samples == 12000
 
+    def test_a_source_wav_under_two_samples_is_named(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 1], [16000, 16000])
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), *wavs]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'talker1.wav'}: a source WAV needs at least 2 samples, got 1" in err
+        assert not out.exists()
+
+    def test_summary_names_the_source_wav_that_sets_the_length(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 10], [16000, 16000])
+        out = tmp_path / "sim"
+        assert main(["simulate", scn, "--out", str(out), *wavs]) == 0
+        assert f"0.0 s, the length of {tmp_path / 'talker1.wav'})" in capsys.readouterr().out
+        assert read_wav(out / "observations.wav").n_samples == 10
+
+    def test_summary_names_no_source_wav_when_all_are_equally_long(self, tmp_path, capsys):
+        scn = _mini_scenario(tmp_path)
+        wavs = self._source_wavs(tmp_path, [16000, 16000], [16000, 16000])
+        assert main(["simulate", scn, "--out", str(tmp_path / "sim"), *wavs]) == 0
+        assert "(2 channels, 1.0 s) to" in capsys.readouterr().out
+
     def test_source_wav_count_must_match_the_scenario(self, tmp_path, capsys):
         scn = _mini_scenario(tmp_path)
         wavs = self._source_wavs(tmp_path, [16000], [16000])

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.signal import fftconvolve
 
+from ivastream import roomsim
 from ivastream.roomsim import (
     SINC_TAPS,
     SPEED_OF_SOUND,
@@ -30,7 +31,7 @@ from ivastream.roomsim import (
 )
 from ivastream.io import ConfigError, load_scenario
 
-from oracles import _allocating_rir, _one_shot_directional_t60
+from oracles import _allocating_rir, _full_lattice, _one_shot_directional_t60
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +247,73 @@ def test_kernel_matches_one_shot_reference(room, src, mic):
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("block", [1024, 100])
-@pytest.mark.parametrize(
-    "room, src, mic",
-    [
-        (_DESK.room, _DESK.source_positions[1], _DESK.array.positions[8]),
-        (Room.from_t60(_DESK.room.dimensions, 0.3), _DESK.source_positions[0],
-         _DESK.array.positions[4]),
-        (Room((3.0, 4.0, 2.5), 0.9, max_image_order=1), (1.0, 1.0, 1.0), (2.0, 3.0, 1.0)),
-        (Room((4.0, 5.0, 3.0), 0.7, max_image_order=3), (1.0, 1.0, 1.0), (1.5, 1.0, 1.0)),
-    ],
-    ids=["desk", "desk-order-16", "sub-block", "order-3"],
-)
+_BLOCK_CASES = {
+    "desk": (_DESK.room, _DESK.source_positions[1], _DESK.array.positions[8]),
+    "desk-order-16": (Room.from_t60(_DESK.room.dimensions, 0.3), _DESK.source_positions[0],
+                      _DESK.array.positions[4]),
+    "sub-block": (Room((3.0, 4.0, 2.5), 0.9, max_image_order=1), (1.0, 1.0, 1.0),
+                  (2.0, 3.0, 1.0)),
+    # 2,701 images after the tail cut: one left over at block 100, where the
+    # one-row product moves the RIR by 1.6e-24 of its peak
+    "order-3": (Room((4.0, 5.0, 3.0), 0.7, max_image_order=3), (1.0, 1.0, 1.0),
+                (1.5, 1.0, 1.0)),
+    # 1,000 images in the full lattice, 999 kept: without the tail cut, one
+    # left over at block 37
+    "order-2": (Room((4.0, 5.0, 3.0), 0.7, max_image_order=2), (1.0, 1.0, 1.0),
+                (1.5, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("block", [1024, 100, 37])
+@pytest.mark.parametrize("room, src, mic", list(_BLOCK_CASES.values()), ids=list(_BLOCK_CASES))
 def test_kernel_equals_the_per_block_allocating_loop(room, src, mic, block):
     # reused buffers and another block size change no bit: every tap is the
-    # same product and quotient, and add.at sums each bin in image order
+    # same product and quotient, and add.at sums each bin in image order; a
+    # last block of one image joins the block before it on both sides, so
+    # no block takes the one-row matrix product, which rounds differently
     h = image_source_rir(room, src, mic)
     assert h.tobytes() == _allocating_rir(room, src, mic, block).tobytes()
+
+
+def test_kernel_joins_a_single_last_image_to_the_block_before(monkeypatch):
+    # the kernel's own blocks of 100 leave one of the 2,701 images over
+    room, src, mic = _BLOCK_CASES["order-3"]
+    monkeypatch.setattr(roomsim, "_IMAGE_BLOCK", 100)
+    h = image_source_rir(room, src, mic)
+    assert h.tobytes() == _allocating_rir(room, src, mic, 1024).tobytes()
+
+
+@pytest.mark.parametrize("t60", [0.15, 0.3, 0.5])
+def test_tail_cut_drops_at_most_its_share_of_the_image_energy(t60, monkeypatch):
+    # one desk emitter to a corner, the centre and the opposite corner mic
+    room = Room.from_t60(_DESK.room.dimensions, t60)
+    src = _DESK.source_positions[0]
+    for mic in _DESK.array.positions[[0, 4, 8]]:
+        delay, amp = _image_delays(room, src, mic)
+        full_delay, full_amp = _full_lattice(room, src, mic)
+        # the kept images are the lattice's up to the last kept sample, in order
+        kept = np.rint(full_delay) <= np.rint(delay).max()
+        assert delay.tobytes() == full_delay[kept].tobytes()
+        assert amp.tobytes() == full_amp[kept].tobytes()
+        assert np.sum(full_amp[~kept] ** 2) <= roomsim._TAIL_ENERGY * np.sum(full_amp**2)
+
+        h = image_source_rir(room, src, mic)
+        with monkeypatch.context() as patch:
+            patch.setattr(roomsim, "_image_delays", _full_lattice)
+            full = image_source_rir(room, src, mic)
+        diff = full - np.pad(h, (0, len(full) - len(h)))
+        assert 10.0 * np.log10(np.sum(diff**2) / np.sum(full**2)) < -70.0
+        assert_allclose(measure_t60(h, room.sample_rate), measure_t60(full, room.sample_rate),
+                        rtol=1e-4)
+
+
+@pytest.mark.parametrize("delay", [160.0, 160.3, 160.7, 20.5])
+def test_anechoic_rir_ends_with_the_direct_path_kernel(delay):
+    # every other image carries no energy, so the tail cut keeps only the
+    # direct path and the RIR ends with its interpolation kernel
+    room, src, mic = _anechoic_at(delay)
+    exact = np.linalg.norm(np.subtract(mic, src)) / SPEED_OF_SOUND * room.sample_rate
+    assert len(image_source_rir(room, src, mic)) == int(np.ceil(exact)) + 41
 
 
 @pytest.mark.parametrize("dims", [(7.0, 8.0, 3.5), (4.0, 5.0, 3.0), (20.0, 15.0, 4.0),
