@@ -3,13 +3,14 @@
     python3 bench/cli_hashes.py --src <checkout>/src [--out BENCH.json --key hashes_K]
 
 In a temporary directory, with one BLAS thread, the ``ivastream`` package
-found under ``--src`` runs ``simulate`` on the desk scenario (4 s, seed 7),
-``separate`` with overiva and biiva, ``evaluate`` on each estimate
-(``--filter-length 64``) and ``benchmark`` on the desk manifest cut to seed
-3, 4 s and ``filter_length`` 64.  The inputs are this repository's
-``configs/``, so two checkouts hashed with it ran on the same files.  Prints
-``sha256 path`` for every output except the timing files, whose wall times
-differ from run to run; with ``--out`` the table is stored under ``--key``.
+found under ``--src`` runs ``rir`` and ``simulate`` (4 s, seed 7) on the
+desk scenario, ``separate`` with overiva and biiva, ``evaluate`` on each
+estimate (``--filter-length 64``) and ``benchmark`` on the desk manifest
+cut to seed 3, 4 s and ``filter_length`` 64.  The inputs are this
+repository's ``configs/``, so two checkouts hashed with it ran on the same
+files.  Prints ``sha256 path`` for every output except the timing files,
+whose wall times differ from run to run; with ``--out`` the table is stored
+under ``--key``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ ENGINES = ("overiva", "biiva")
 
 def commands() -> list[list[str]]:
     """CLI argument lists, run in order from the work directory."""
-    cmds = [["simulate", str(CONFIGS / "desk_scenario.json"), "--out", "sim",
-             "--duration", "4", "--seed", "7"]]
+    scenario = str(CONFIGS / "desk_scenario.json")
+    cmds = [["rir", scenario, "--out", "rir"],
+            ["simulate", scenario, "--out", "sim", "--duration", "4", "--seed", "7"]]
     for name in ENGINES:
         cmds.append(["separate", "sim/observations.wav", str(CONFIGS / f"{name}.json"),
                      "--out", f"sep_{name}", "--timing-log", f"sep_{name}/timing.csv"])

@@ -28,18 +28,15 @@ DESK_SECONDS = 6.0
 def desk_bins(seed: int, seconds: float | None = None) -> np.ndarray:
     """(T, I, M) STFT of the desk mixture, as ``perfbench``'s ``stream_desk``
     builds it: the shipped desk scene (``configs/desk_scenario.json``) at
-    ``seed`` with the seed's speech-like talkers, ``seconds`` long
-    (``DESK_SECONDS`` by default), analysed with the desk manifest's STFT,
-    by the ``ivastream`` package on ``sys.path``."""
-    from ivastream import cli, io, roomsim, stft
+    ``seed``, synthesized as the CLI does, ``seconds`` long (``DESK_SECONDS``
+    by default), analysed with the desk manifest's STFT, by the
+    ``ivastream`` package on ``sys.path``."""
+    from ivastream import cli, io, stft
 
     manifest = json.loads((CONFIGS / "desk_manifest.json").read_text())
     scenario = dataclasses.replace(io.load_scenario(CONFIGS / "desk_scenario.json"), seed=seed)
-    fs = scenario.room.sample_rate
-    n_samples = int(round((DESK_SECONDS if seconds is None else seconds) * fs))
-    talkers = np.stack([cli.speechlike_signal((seed, k), n_samples, fs)
-                        for k in range(scenario.n_sources)])
-    bundle = roomsim.mix(scenario, talkers)
+    bundle = cli._synthesize_mixture(scenario, DESK_SECONDS if seconds is None else seconds)
+    fs = bundle.sample_rate
     frames = stft.analyze(bundle.observations, stft.StftConfig(sample_rate=fs, **manifest["stft"]))
     return np.stack([f.bins for f in frames])
 

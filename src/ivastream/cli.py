@@ -386,6 +386,7 @@ def run_benchmark(manifest_path, out_override=None) -> int:
     for seed in manifest["seeds"]:
         scenario = replace(scenario0, seed=int(seed))
         bundle = _synthesize_mixture(scenario, duration, rirs=rirs)
+        baselines = _measured_baselines(bundle)
         mixture_ref = bundle.observations[eval_cfg.reference_channel]
         references = bundle.source_images[:, eval_cfg.reference_channel, :]
         errors, separated = {}, {}
@@ -428,7 +429,7 @@ def run_benchmark(manifest_path, out_override=None) -> int:
                     "converged_sir_improvement_db": run.converged_sir_improvement_db.tolist(),
                     "converged_sdr_improvement_db": run.converged_sdr_improvement_db.tolist(),
                     **bundle.gains,
-                    **_measured_baselines(bundle),
+                    **baselines,
                 }
                 _write_json(run_dir / "meta.json", meta)
                 wall, n_frames = sum(frame_times), len(frame_times)

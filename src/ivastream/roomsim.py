@@ -27,8 +27,8 @@ from scipy.signal import fftconvolve
 
 SPEED_OF_SOUND = 343.0
 SINC_TAPS = 81  # fractional-delay kernel length (odd; half-width 40)
-# images per windowed-sinc block: its tap values, divisors and tap indices
-# (three 512 x 81 buffers of 8-byte numbers, 1 MB) stay in a 2 MB L2 cache
+# images per windowed-sinc block: bounds the block's temporaries, its tap
+# values, divisors and tap indices (512 x 81 8-byte numbers each)
 _IMAGE_BLOCK = 512
 _T60_ROWS = 128  # decay-curve samples per block of the directional T60 law
 # images arriving after the image energy still to arrive falls to this share
@@ -324,14 +324,16 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     sine is ``sin(pi t_ij) = -(-1)^j sin(pi r_i)`` and angle addition splits
     the cosine, so the taps are ``g_i [1, cos(rate r_i), sin(rate r_i)] @
     _TAP_TABLE / (_TAP_T - r_i)`` with ``g_i = -amp_i sin(pi r_i) / (2 pi)``:
-    three trig calls per image and one rank-3 product per ``_IMAGE_BLOCK``
-    images (a last block of one image joins the block before it, so the
-    product never takes numpy's one-row matrix-vector path, which rounds
-    differently).  Reducing to the nearest integer keeps ``sin(pi r)`` accurate
-    next to an integer delay, and the divisor subtracts the exact ``r_i``
-    from an exact integer, so it rounds once and the centre tap divides by
-    exactly ``-r_i`` at any delay length.  A delay within one ulp of an
-    integer takes that integer's single tap, which also avoids 0 / 0.
+    three trig calls per image.  Each block of ``_IMAGE_BLOCK`` images
+    forms its tap values by one rank-3 product, then their divisors and tap
+    indices, and ``np.add.at`` sums them into the output in image order (a
+    last block of one image joins the block before it, so the product never
+    takes numpy's one-row matrix-vector path, which rounds differently).
+    Reducing to the nearest integer keeps ``sin(pi r)`` accurate next to an
+    integer delay, and the divisor subtracts the exact ``r_i`` from an exact
+    integer, so it rounds once and the centre tap divides by exactly
+    ``-r_i`` at any delay length.  A delay within one ulp of an integer
+    takes that integer's single tap, which also avoids 0 / 0.
     Returns float64 samples at the room's rate, long enough to hold the
     last kept image's full interpolation kernel.
     """
@@ -360,17 +362,10 @@ def image_source_rir(room: Room, src, mic) -> np.ndarray:
     out = np.zeros(n_samples + _HALF)
     offsets = np.arange(SINC_TAPS)
     bounds = _blocks(delay.size, _IMAGE_BLOCK)
-    rows = int(np.diff(bounds).max())
-    vals_buf, div_buf = np.empty((rows, SINC_TAPS)), np.empty((rows, SINC_TAPS))
-    taps_buf = np.empty((rows, SINC_TAPS), dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        k = hi - lo
-        block = slice(lo, hi)
-        vals, div, taps = vals_buf[:k], div_buf[:k], taps_buf[:k]
-        np.matmul(coef[block], _TAP_TABLE, out=vals)
-        np.subtract(_TAP_T, reduced[block, None], out=div)
-        vals /= div
-        np.add(nearest[block, None], offsets, out=taps)
+        vals = coef[lo:hi] @ _TAP_TABLE
+        vals /= _TAP_T - reduced[lo:hi, None]
+        taps = nearest[lo:hi, None] + offsets
         np.add.at(out, taps.ravel(), vals.ravel())  # 1-D: add.at's fast path
     np.add.at(out, nearest[whole] + _HALF, amp[whole])
     return out[_HALF:]
@@ -517,15 +512,11 @@ def mix(scenario: Scenario, target_signals: np.ndarray, rirs=None) -> MixtureBun
     sigma_v = 0.0
     white_scale = 0.0
     noise_obs = np.zeros((n_mics, n_samples))
-    k_noise = noise_rirs.shape[0]
     if scenario.isnr_db is not None:
-        if k_noise:
-            # pink clips drawn and summed in emitter order
-            v_point = convolved(noise_rirs[0], pink_noise(rng, n_samples))
-            for h in noise_rirs[1:]:
-                v_point += convolved(h, pink_noise(rng, n_samples))
-        else:
-            v_point = np.zeros((n_mics, n_samples))
+        # pink clips drawn and summed in emitter order
+        v_point = np.zeros((n_mics, n_samples))
+        for h in noise_rirs:
+            v_point += convolved(h, pink_noise(rng, n_samples))
         v_white = rng.standard_normal((n_mics, n_samples))
         e_point = float(np.sum(v_point[0] ** 2))
         e_white = float(np.sum(v_white[0] ** 2))

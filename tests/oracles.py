@@ -84,10 +84,10 @@ def _full_lattice(room, src, mic):
 
 
 def _allocating_rir(room, src, mic, block=1024):
-    """Oracle for ``roomsim.image_source_rir``'s windowed-sinc loop as it was
-    before its buffers were reused: the same closed-form taps, with fresh tap
-    values, divisors and tap indices for every ``block`` images, a last
-    block of one image joined to the block before it."""
+    """Oracle for ``roomsim.image_source_rir``'s windowed-sinc loop at any
+    block size: the same closed-form taps, with tap values, divisors and tap
+    indices formed for every ``block`` images, a last block of one image
+    joined to the block before it by its own rule, not ``roomsim._blocks``."""
     delay, amp = roomsim._image_delays(room, np.asarray(src, float), np.asarray(mic, float))
     half = roomsim._HALF
     n_samples = int(np.ceil(delay.max())) + half + 1

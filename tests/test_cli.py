@@ -513,6 +513,20 @@ class TestBenchmark:
                             for name in separators)
             assert again.read_bytes() == first.read_bytes()
 
+    def test_baselines_measured_once_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+        measured = cli._measured_baselines
+        monkeypatch.setattr(cli, "_measured_baselines",
+                            lambda bundle: calls.append(bundle) or measured(bundle))
+        separators = {"auxiva": "auxiva.json", "auxiva_again": "auxiva.json"}
+        assert main(["benchmark", _mini_manifest(tmp_path, separators=separators)]) == 0
+        # the seed's bundle is the same for every engine, so is what it measures
+        assert len(calls) == 2
+        for seed in (0, 1):
+            first, again = (json.loads((tmp_path / "bench" / f"{name}_seed{seed}" /
+                                        "meta.json").read_text()) for name in separators)
+            assert again == {**first, "algorithm": "auxiva_again"}
+
     def test_engine_of_another_shape_fails_alone(self, tmp_path):
         _write_json(tmp_path / "one.json", {"algorithm": "overiva", "n_channels": 2,
                                             "n_sources": 1})

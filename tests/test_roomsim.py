@@ -267,10 +267,10 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("block", [1024, 100, 37])
 @pytest.mark.parametrize("room, src, mic", list(_BLOCK_CASES.values()), ids=list(_BLOCK_CASES))
 def test_kernel_equals_the_per_block_allocating_loop(room, src, mic, block):
-    # reused buffers and another block size change no bit: every tap is the
-    # same product and quotient, and add.at sums each bin in image order; a
-    # last block of one image joins the block before it on both sides, so
-    # no block takes the one-row matrix product, which rounds differently
+    # another block size changes no bit: every tap is the same product and
+    # quotient, and add.at sums each bin in image order; a last block of one
+    # image joins the block before it on both sides, so no block takes the
+    # one-row matrix product, which rounds differently
     h = image_source_rir(room, src, mic)
     assert h.tobytes() == _allocating_rir(room, src, mic, block).tobytes()
 
