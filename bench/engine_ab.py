@@ -31,19 +31,24 @@ the same frames from a fresh state through ``process_frame``, keeping the raw
 frame by frame, and the side that goes first alternates from frame to frame,
 so host drift and cache state reach both alike; the engines take turns
 within each frame.  Two untimed passes of the parent follow, one on the input
-scaled by ``1 + 2**-52`` and one with every ``np.linalg.solve`` result scaled
-entrywise by ``1 +- 2**-52`` (seeded random signs): how far one rounding step
-at the input, or in each solve, carries through the recursion.
+scaled by ``1 + 2**-52`` and one with every solution scaled entrywise by
+``1 +- 2**-52`` (seeded random signs): how far one rounding step at the
+input, or in each solve, carries through the recursion.  The solutions
+perturbed are those of ``np.linalg.solve`` and of the package's elementwise
+kernels, ``numerics._small_solve`` and, where the package has it,
+``numerics.solve_loaded`` (``SOLVE_KERNELS``); a ``solve_loaded`` system
+above ``numerics._SMALL_MAX``, which none of the configs here has, would
+take two steps, its LAPACK solve's and its own.
 
 Prints, per input and engine, each side's median ms/frame, their ratio
 (change / parent) and the share of frames the change ran faster; and per
 output (raw, projection back) the largest difference between the two sides,
 beside the parent's differences under the two perturbations, each relative
 to the parent's largest entry.  A change whose difference stays at the
-references is no less accurate than the parent's own rounding.  Systems
-up to 4 x 4 are solved elementwise: none of auxiva's, and none of biiva's
-below M = 36, reaches ``np.linalg.solve``, so their reference in the solves
-reads 0 and their reference is the one ulp at the input.  For the curve it also prints, per M
+references is no less accurate than the parent's own rounding.  auxiva's
+systems, and biiva's up to M = 36, are solved by the elementwise kernels
+alone, so only their perturbation gives those engines a reference in the
+solves.  For the curve it also prints, per M
 and side, biiva's median ms/frame over overiva's: both engines of a side ran
 the same frames in the same process, interleaved, so the ratio is free of
 the drift between processes.  With ``--out`` the table is stored under
@@ -82,6 +87,8 @@ CURVE_CHANNELS = (4, 9, 16, 36)
 CURVE_SOURCES = 2
 REFERENCE_CHANNEL = 0
 ULP = 2.0**-52
+# the package's elementwise solvers; each returns the solution first
+SOLVE_KERNELS = ("_small_solve", "solve_loaded")
 
 
 def load_package(src: Path, name: str):
@@ -160,20 +167,31 @@ def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
 
 def one_ulp(bins: np.ndarray, parent, configs: dict, seed: int) -> dict:
     """The parent's outputs {"input": ..., "solves": ...} with one rounding
-    step at the input and in every ``np.linalg.solve``, untimed."""
+    step at the input and in every solution of ``np.linalg.solve`` and the
+    ``SOLVE_KERNELS``, untimed."""
     parent_only = ({"parent": parent}, {"parent": configs})
-    solve, signs = np.linalg.solve, np.random.default_rng(seed)
+    signs = np.random.default_rng(seed)
 
-    def solve_ulp(a, b):
-        x = solve(a, b)
-        return x * (1.0 + ULP * signs.choice([-1.0, 1.0], x.shape))
+    def perturbed(solve):
+        def wrapped(*args):
+            out = solve(*args)
+            x = out[0] if isinstance(out, tuple) else out
+            x = x * (1.0 + ULP * signs.choice([-1.0, 1.0], x.shape))
+            return (x, *out[1:]) if isinstance(out, tuple) else x
+        return wrapped
 
     refs = {"input": interleaved(bins * (1.0 + ULP), *parent_only)}
-    np.linalg.solve = solve_ulp
+    solvers = [(np.linalg, "solve")]
+    solvers += [(parent.numerics, name) for name in SOLVE_KERNELS if hasattr(parent.numerics, name)]
+    patches = {key: perturbed(getattr(*key)) for key in solvers}
+    originals = {key: getattr(*key) for key in patches}
     try:
+        for (module, name), fn in patches.items():
+            setattr(module, name, fn)
         refs["solves"] = interleaved(bins, *parent_only)
     finally:
-        np.linalg.solve = solve
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
     return refs
 
 

@@ -38,11 +38,14 @@ median bin over frames:
 * the median and largest 2-norm condition number of each source's weighted
   covariance ``V_n`` after the frame, of every source block ``S`` the
   frame's N x N solves see (overiva, biiva), and of biiva's sub-filter
-  systems ``Delta^H V Delta`` (every ``hermitian_solve`` of biiva);
+  systems ``Delta^H V Delta`` (every ``numerics.congruence``);
 * the count of overiva's first-order loading gate closing (``loading * tr
   P`` above ``numerics._FIRST_ORDER_MAX``), of the solutions from ``P``
   that the IP step rejects and re-solves exactly, and of the systems the
-  small-system kernel hands to LAPACK.
+  small-system kernels reject: those of ``numerics._small_solve`` go to
+  LAPACK, those of ``numerics.solve_loaded`` (the exact IP step of auxiva
+  and biiva, where the package has it) to the checked re-solve of
+  ``numerics.hermitian_solve``.
 
 The package's solvers are wrapped for the run and restored when it ends.
 With ``--out`` the table is stored under ``--key``; two checkouts are
@@ -122,7 +125,7 @@ def wrapped(separators, numerics, rec: Recorder):
     """Wrap the solvers the engines call so ``rec`` sees their systems;
     the originals are put back on exit."""
     ip_update, source_block = separators.ip_update, separators._source_block
-    scaled_inverse, hermitian_solve = numerics.scaled_inverse, numerics.hermitian_solve
+    scaled_inverse, congruence = numerics.scaled_inverse, numerics.congruence
     solve_with_inverse, small_solve = numerics.solve_with_inverse, numerics._small_solve
 
     def ip_update_rec(*args, **kwargs):
@@ -142,10 +145,10 @@ def wrapped(separators, numerics, rec: Recorder):
         rec.conditions("S", out[0])
         return out
 
-    def hermitian_solve_rec(a, b, loading=0.0):
-        if rec.engine == "biiva":
-            rec.conditions("sub-filter system", a)
-        return hermitian_solve(a, b, loading)
+    def congruence_rec(v, held, side):
+        out = congruence(v, held, side)
+        rec.conditions("sub-filter system", out)
+        return out
 
     def solve_with_inverse_rec(p, a, b, loading):
         x, ax, ok = solve_with_inverse(p, a, b, loading)
@@ -163,9 +166,19 @@ def wrapped(separators, numerics, rec: Recorder):
     patches = {(separators, "ip_update"): ip_update_rec,
                (separators, "_source_block"): source_block_rec,
                (numerics, "scaled_inverse"): scaled_inverse_rec,
-               (numerics, "hermitian_solve"): hermitian_solve_rec,
+               (numerics, "congruence"): congruence_rec,
                (numerics, "solve_with_inverse"): solve_with_inverse_rec,
                (numerics, "_small_solve"): small_solve_rec}
+    if hasattr(numerics, "solve_loaded"):
+        solve_loaded = numerics.solve_loaded
+
+        def solve_loaded_rec(a, b, loading):
+            x, ax, ok = solve_loaded(a, b, loading)
+            if a.shape[-1] <= numerics._SMALL_MAX:
+                rec.count("small system sent to LAPACK", ~ok)
+            return x, ax, ok
+
+        patches[numerics, "solve_loaded"] = solve_loaded_rec
     originals = {key: getattr(*key) for key in patches}
     try:
         for (module, name), fn in patches.items():

@@ -25,8 +25,9 @@ Conventions
   data, as the engines' N x N source block is
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
-  :func:`solve_with_inverse`, which factors nothing, instead reports per
-  system whether its solution passed the same residual test
+  :func:`solve_with_inverse`, which factors nothing, and its exact
+  counterpart :func:`solve_loaded` instead report per system whether the
+  solution passed the same residual test, beside the unloaded ``A x``
 """
 
 from __future__ import annotations
@@ -48,15 +49,19 @@ _SOLVE_RTOL = 1e-8
 _FIRST_ORDER_MAX = 0.1
 
 # largest K whose Hermitian positive definite K x K systems are solved
-# elementwise over the batch (_small_solve) instead of by LAPACK, one matrix
-# at a time: biiva's sub-filter systems are 3 x 3 at the desk and 4 x 4 at
-# M = 16.  For 513 systems with one right-hand side the elementwise solve
-# measured cheaper than LAPACK with its residual check up to K = 6 (0.39 vs
-# 0.52 ms at K = 6); from K ~ 9 LAPACK wins (0.86 vs 0.89 ms), and with K
-# right-hand sides it wins by far (2.33 vs 3.76 ms at K = 9), so overiva's
-# refreshes of its tracked inverse stay on LAPACK.  General systems, which
-# would need pivots, take that path only at K = 2, in closed form: every
-# general solve of the shipped configs is on the 2 x 2 source block.
+# elementwise over the batch (_small_solve, solve_loaded) instead of by
+# LAPACK, one matrix at a time: biiva's sub-filter systems are 3 x 3 at the
+# desk, 4 x 4 at M = 16 and 6 x 6 at M = 36.  For 513 systems with one
+# right-hand side the elementwise solve measured cheaper than LAPACK with
+# its residual check up to K = 6 (0.28 vs 0.45 ms at K = 5, 0.39 vs 0.52 ms
+# at K = 6); at K = 8 they tie (0.72 vs 0.73 ms), from K ~ 9 LAPACK wins
+# (0.86 vs 0.89 ms), and with K right-hand sides it wins by far (2.33 vs
+# 3.76 ms at K = 9), so overiva's refreshes of its tracked inverse stay on
+# LAPACK (K = M = 9, 16, 36; at M = 4 they are elementwise).  No shipped
+# config has a many-right-hand-side Hermitian system with 4 < K <= 6.
+# General systems, which would need pivots, take that path only at K = 2,
+# in closed form: every general solve of the shipped configs is on the
+# 2 x 2 source block.
 # _small_solve copies A and B into bins-last rows as their (bins, K, K) and
 # (bins, K, R) reshapes with the bins moved last, one strided copy whatever
 # the caller's strides (a (bins, K * K) reshape would copy twice for the
@@ -70,11 +75,18 @@ _FIRST_ORDER_MAX = 0.1
 # K and the unit column formed as a B.  Working on strided views of
 # the entries instead, with no row copy, was slower (84 against 53 us for
 # the unit-column kernel alone)
-_SMALL_MAX = 4
+_SMALL_MAX = 6
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A linear system was singular (or numerically so) after loading."""
+    """A linear system was singular (or numerically so) after loading.
+
+    ``index``, when the error names one system of a batch, is that
+    system's batch index, which ends the message."""
+
+    def __init__(self, reason: str, index: np.ndarray | None = None):
+        super().__init__(reason if index is None else f"{reason} at batch index {index}")
+        self.reason, self.index = reason, index
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,7 +209,7 @@ def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str, i
         idx = np.argwhere(~ok)[0]
         if index is not None:
             idx = index[idx[0]]
-        raise SingularMatrixError(f"{context}: unreliable solution at batch index {idx}")
+        raise SingularMatrixError(f"{context}: unreliable solution", idx)
 
 
 def _lapack_solve(a: np.ndarray, b: np.ndarray, context: str, index=None) -> np.ndarray:
@@ -213,19 +225,18 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray, context: str, index=None) -> np.
                 np.linalg.solve(a[idx], np.eye(a.shape[-1]))
             except np.linalg.LinAlgError:
                 where = np.array(idx) if index is None else index[idx[0]]
-                raise SingularMatrixError(f"{context}: {exc} at batch index {where}") from exc
+                raise SingularMatrixError(f"{context}: {exc}", where) from exc
         raise SingularMatrixError(f"{context}: {exc}") from exc
     _check_solution(a, x, b, context, index)
     return x
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A^{-1} B`` for bins-last (K, K, n) Hermitian positive definite
-    ``a`` and (K, R, n) ``b`` by unrolled Gaussian elimination on ``[A |
-    B]``: the root-free Cholesky factorization ``A = L D L^H`` (the
-    eliminated rows are ``D L^H``), stable without pivots."""
-    k = a.shape[0]
-    g = np.concatenate((a, b), axis=1)
+def _eliminate(g: np.ndarray, k: int) -> np.ndarray:
+    """``A^{-1} B`` by unrolled Gaussian elimination in place on the
+    bins-last (K, K + R, n) rows ``g = [A | B]`` of Hermitian positive
+    definite ``A``: the root-free Cholesky factorization ``A = L D L^H``
+    (the eliminated rows are ``D L^H``), stable without pivots.  Returns
+    the (K, R, n) view of ``g`` that holds ``X``."""
     for j in range(k):
         f = g[j + 1 :, j] / g[j, j]
         g[j + 1 :, j + 1 :] -= f[:, None] * g[j, j + 1 :]
@@ -234,6 +245,14 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[j] /= g[j, j]
         x[:j] -= g[:j, j, None] * x[j]
     return x
+
+
+def _inverse_det(e: np.ndarray) -> np.ndarray:
+    """``1 / det A`` of 2 x 2 systems from the bins-last rows ``e`` of
+    their entries ``a00, a01, a10, a11``."""
+    # rows (a00, a01) times (a11, a10): the determinant's two products
+    prod = e[:2] * e[3:1:-1]
+    return 1.0 / (prod[0] - prod[1])
 
 
 def _solve_2x2(
@@ -254,13 +273,9 @@ def _solve_2x2(
     rows[:4].reshape(2, 2, n)[...] = a.reshape(n, 2, 2).transpose(1, 2, 0)
     if shift is not None:
         rows[:4:3] += shift.reshape(n)
-    inv_det = np.empty(n, dtype=np.complex128)
     xt, rt = rows[4 + n_b :].reshape(2, 2, r, n)
     with np.errstate(all="ignore"):
-        # rows (a00, a01) times (a11, a10): the determinant's two products
-        prod = rows[:2] * rows[3:1:-1]
-        np.subtract(prod[0], prod[1], out=inv_det)
-        np.divide(1.0, inv_det, out=inv_det)
+        inv_det = _inverse_det(rows[:4])
         if unit:
             # e_0 gives (a11, -a10) / det, e_1 gives (-a01, a00) / det
             np.multiply(rows[3:1:-1] if b == 0 else rows[1::-1], inv_det, out=xt[:, 0])
@@ -313,7 +328,7 @@ def _small_solve(
     at = rows[:kk].reshape(k, k, n)
     bt, xt, rt = rows[kk:].reshape(3, k, r, n)
     with np.errstate(all="ignore"):
-        xt[...] = _eliminate(at, bt)
+        xt[...] = _eliminate(np.concatenate((at, bt), axis=1), k)
         np.subtract((at[:, :, None] * xt).sum(axis=1), bt, out=rt)
         sq = rows.real * rows.real
         sq += rows.imag * rows.imag
@@ -456,13 +471,96 @@ def solve_with_inverse(
     pb = np.matmul(p, b[..., None])
     x = ((pb - loading * np.matmul(p, pb)) * (k / tr)[..., None, None])[..., 0]
     ax = np.matmul(a, x[..., None])[..., 0]
+    ok = _loaded_accepted(a, x, ax, b, tr, d)
+    ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
+    return x, ax, ok
+
+
+def _loaded_accepted(
+    a: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray, tr: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """Per system, whether ``x`` passes the residual test of a checked
+    solve against ``A + d I``, from the unloaded ``A x`` and ``tr = trace
+    A``, for (..., K, K) ``a`` and (..., K) ``x``, ``ax`` and contiguous
+    ``b``."""
+    k = a.shape[-1]
     resid = ax + d[..., None] * x - b
     # ||A + dI||_F^2 without forming A + dI: one dot over A's K^2 entries
     a_flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (k * k,))
     a_sq = real_dot(a_flat, a_flat) + d * (2.0 * tr + k * d)
-    ok = _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
-    ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
-    return x, ax, ok
+    return _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
+
+
+def solve_loaded(
+    a: np.ndarray, b: np.ndarray, loading: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loaded system ``(A + d I) x = b``, ``d = loading trace(A) / K``,
+    of :func:`hermitian_solve`, solved exactly: the counterpart of
+    :func:`solve_with_inverse`, with its returns.  Nothing is raised; each
+    system's ``x`` is accepted when it passes the residual test of a
+    checked solve against ``A + d I``, and the caller solves the rejected
+    ones another way.  Returns ``x``, ``A x`` (unloaded) and the per-system
+    acceptance, for Hermitian positive definite (..., K, K) ``a`` and
+    (..., K) ``b``.
+
+    Up to ``_SMALL_MAX`` the systems are solved elementwise over the batch
+    in one bins-last copy of ``A`` and ``b``, by the arithmetic of
+    :func:`hermitian_solve`'s kernels: Cramer's rule on the entries at
+    K = 2, :func:`_eliminate` on ``[A + d I | b]`` otherwise.  ``A x`` is
+    the product with the unshifted rows: ``b - d x`` would cancel along
+    weak directions of ``A``, where ``d`` is far above the smallest
+    eigenvalue.  Larger systems go to LAPACK, ``A x`` a batched product.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
+    batch, k = a.shape[:-2], a.shape[-1]
+    if k > _SMALL_MAX:
+        tr = np.trace(a, axis1=-2, axis2=-1).real
+        d = loading * tr / k
+        try:
+            x = np.linalg.solve(_shifted(a, d), b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular system: reject the whole stack, whose
+            # checked re-solve names it
+            x = np.full(b.shape, np.nan, dtype=np.complex128)
+        ax = np.matmul(a, x[..., None])[..., 0]
+        return x, ax, _loaded_accepted(a, x, ax, b, tr, d)
+    n = math.prod(batch)
+    kk = k * k
+    # bins-last rows of A, b, the residual, x and A x, one block each
+    rows = np.empty((kk + 4 * k, n), dtype=np.complex128)
+    at = rows[:kk].reshape(k, k, n)
+    at[...] = a.reshape(n, k, k).transpose(1, 2, 0)
+    bt, rt, xt, axt = rows[kk:].reshape(4, k, n)
+    bt[...] = b.reshape(n, k).T
+    tr = rows[0].real.copy()
+    for j in range(1, k):
+        tr += rows[j * (k + 1)].real
+    d = loading * tr / k
+    with np.errstate(all="ignore"):
+        if k == 2:
+            # _solve_2x2's Cramer's rule on the entries of A + d I
+            e = rows[:4].copy()
+            e[::3] += d
+            np.subtract(e[3::-3] * bt, e[1:3] * bt[::-1], out=xt)
+            xt *= _inverse_det(e)
+        else:
+            g = np.empty((k, k + 1, n), dtype=np.complex128)
+            g[:, :k] = at
+            g[:, k] = bt
+            g.reshape(k * (k + 1), n)[:: k + 2] += d
+            xt[...] = _eliminate(g, k)[:, 0]
+        np.multiply(at[:, 0], xt[0], out=axt)
+        for j in range(1, k):
+            axt += at[:, j] * xt[j]
+        np.subtract(axt + d * xt, bt, out=rt)
+        sq = rows[: kk + 3 * k].real ** 2
+        sq += rows[: kk + 3 * k].imag ** 2
+        b_sq, r_sq, x_sq = sq[kk:].reshape(3, k, n).sum(axis=1)
+        ok = _accepted(r_sq, sq[:kk].sum(axis=0) + d * (2.0 * tr + k * d), x_sq, b_sq)
+    # x and A x, bins first, from one transposing copy
+    out = np.ascontiguousarray(rows[kk + 2 * k :].reshape(2, k, n).transpose(0, 2, 1))
+    return out[0].reshape(batch + (k,)), out[1].reshape(batch + (k,)), ok.reshape(batch)
 
 
 def solve_column(w: np.ndarray, n: int, loading: float = 0.0) -> np.ndarray:

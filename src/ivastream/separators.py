@@ -19,9 +19,13 @@ lifted covariance is contracted through the Kronecker structure of ``Delta`` (``
 M1 x M2 x M1 x M2): O(M^2) per bin and sub-filter, where the dense
 product with the M x M1 lift costs O(M^2 M1).  OverIVA solves with the
 inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
-(as in online AuxIVA, Taniguchi et al., HSCMA 2014); AuxIVA's systems are
+(as in online AuxIVA, Taniguchi et al., HSCMA 2014).  AuxIVA's systems are
 N x N, and the bilinear engine's lifted covariance changes with the held
-sub-filter every frame, so both solve exactly.
+sub-filter every frame, so both solve exactly, by
+:func:`numerics.solve_loaded`: elementwise over the bins up to
+``numerics._SMALL_MAX`` (biiva's sub-filter systems up to M = 36 with
+square splits), and like the tracked-inverse solve returning ``V w``, so
+the normalization takes no second pass over ``V``.
 
 State layout per frequency bin ``i`` (states store all bins stacked):
 
@@ -173,14 +177,7 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
 
 
 def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real part of ``w^H V w`` over leading batch axes.  A 2 x 2 ``V`` is
-    read on its entries, ``t = V w`` then ``Re(w^H t)`` term by term in the
-    order of the batched product below, at less than half its cost."""
-    if v.shape[-1] == 2:
-        w0, w1 = w[..., 0], w[..., 1]
-        t0 = v[..., 0, 0] * w0 + v[..., 0, 1] * w1
-        t1 = v[..., 1, 0] * w0 + v[..., 1, 1] * w1
-        return (w0.real * t0.real + w1.real * t1.real) + (w0.imag * t0.imag + w1.imag * t1.imag)
+    """Real part of ``w^H V w`` over leading batch axes."""
     t = np.matmul(v, w[..., None])[..., 0]
     return np.einsum("...m,...m->...", w.real, t.real) + np.einsum(
         "...m,...m->...", w.imag, t.imag
@@ -246,25 +243,34 @@ def ip_update(
     ``d = loading tr(V) / M`` and normalizes so that ``w^H V w == 1``.
     Batched over leading axes.
 
-    With ``p``, the tracked inverse of :func:`update_inverse`, the solve
-    is :func:`numerics.solve_with_inverse`.  A bin whose solution it
-    rejects (a failed residual test against ``V + d I``, or a near-singular
-    ``V``), or whose ``w^H V w`` is not positive and finite, takes the exact
-    loaded solve instead, and its ``p`` is refreshed in place.
+    The solve is :func:`numerics.solve_loaded`, or, with ``p``, the tracked
+    inverse of :func:`update_inverse`, :func:`numerics.solve_with_inverse`;
+    both return ``V w`` for ``w^H V w``.  A bin whose solution they reject
+    (a failed residual test against ``V + d I``, or for ``p`` a
+    near-singular ``V``), or whose ``w^H V w`` is not positive and finite,
+    is re-solved by the checked :func:`numerics.hermitian_solve`, and its
+    ``p`` is refreshed in place.
     """
-    if p is None:
-        w = numerics.hermitian_solve(v, u, loading)
-        q = _quadratic_form(w, v)
-    else:
-        w, vw, ok = numerics.solve_with_inverse(p, v, u, loading)
+    with np.errstate(all="ignore"):
+        if p is None:
+            w, vw, ok = numerics.solve_loaded(v, u, loading)
+        else:
+            w, vw, ok = numerics.solve_with_inverse(p, v, u, loading)
         q = numerics.real_dot(w, vw)
-        bad = ~(ok & np.isfinite(q) & (q > 0.0))
-        if np.any(bad):
+    bad = ~(ok & np.isfinite(q) & (q > 0.0))
+    if np.any(bad):
+        try:
             w[bad] = numerics.hermitian_solve(v[bad], u[bad], loading)
-            q[bad] = _quadratic_form(w[bad], v[bad])
+        except SingularMatrixError as exc:
+            if exc.index is None:
+                raise
+            # name the bin of v, not its place among the rejected ones
+            raise SingularMatrixError(exc.reason, np.argwhere(bad)[exc.index[0]]) from exc
+        q_bad = q[bad] = _quadratic_form(w[bad], v[bad])
+        if p is not None:
             p[bad] = numerics.scaled_inverse(v[bad], loading)
-    if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        raise SingularMatrixError("ip_update: non-positive quadratic form")
+        if not np.all(np.isfinite(q_bad) & (q_bad > 0.0)):
+            raise SingularMatrixError("ip_update: non-positive quadratic form")
     return w / np.sqrt(q)[..., None]
 
 
@@ -296,7 +302,7 @@ def bilinear_update(
     lift."""
     lift = numerics.lift_left if side == "left" else numerics.lift_right
     delta = lift(held, v.shape[-1] // held.shape[-1])  # (..., M, M / len(held))
-    rhs = np.einsum("...mk,...m->...k", delta.conj(), u)
+    rhs = np.matmul(u.conj()[..., None, :], delta)[..., 0, :].conj()
     return ip_update(rhs, numerics.congruence(v, held, side), loading)
 
 
@@ -405,10 +411,10 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                 w1 = bilinear_update(u, state.V[n], state.w2[n], "left", LOADING)
                 w2 = bilinear_update(u, state.V[n], w1, "right", LOADING)
                 # move the scale into w2 so w1 stays unit-norm
-                scale = np.linalg.norm(w1, axis=-1)[..., None]
+                scale = np.sqrt(numerics.real_dot(w1, w1))[..., None]
                 state.w1[n] = w1 / scale
                 state.w2[n] = w2 * scale
-                state.W[:, n, :] = numerics.kron(state.w1[n], state.w2[n]).conj()
+                state.W[:, n, :] = numerics.kron(state.w1[n].conj(), state.w2[n].conj())
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"frame {state.frame_index}, source {n}: {exc}"

@@ -1,5 +1,7 @@
 """Batched complex linear algebra primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,3 +424,50 @@ class TestSmallSystems:
         a = _conditioned(rng, k, 10.0, hermitian)
         b = _cplx(rng, _BINS, k, 2)
         np.testing.assert_array_equal(_solve(hermitian, a, b), np.linalg.solve(a, b))
+
+
+# K of the loaded solves: elementwise up to _SMALL_MAX, and a 2 x 8 split's
+# sub-filter system on LAPACK
+_LOADED_KS = pytest.mark.parametrize("k", [*range(1, nx._SMALL_MAX + 1), 8])
+
+
+class TestSolveLoaded:
+    """``solve_loaded``, the exact counterpart of ``solve_with_inverse``:
+    ``hermitian_solve``'s solution with the unloaded ``A x`` and a
+    per-system acceptance, on stacks with source and bin axes (N, I)."""
+
+    @staticmethod
+    def _stack(rng, k, cond):
+        a = np.stack([_conditioned(rng, k, cond, True) for _ in range(2)])
+        return a, _cplx(rng, 2, _BINS, k)
+
+    @_LOADED_KS
+    @pytest.mark.parametrize("cond", [10.0, 1e10], ids=["conditioned", "near_singular"])
+    @pytest.mark.parametrize("loading", [0.0, 1e-9, 1e-3])
+    def test_solution_product_and_acceptance(self, k, cond, loading):
+        a, b = self._stack(np.random.default_rng(110 + k), k, cond)
+        x, ax, ok = nx.solve_loaded(a, b, loading)
+        assert x.shape == ax.shape == b.shape and ok.shape == b.shape[:-1]
+        # every system here is solvable: all accepted, each with the
+        # solution hermitian_solve gives it (whose trace, and so loading,
+        # may round differently from K = 4 on)
+        assert ok.all()
+        bound = max(1e-13, 16.0 * np.finfo(float).eps * cond)
+        assert _rel_err(x, nx.hermitian_solve(a, b, loading)) <= bound
+        # A x of the unloaded A, to rounding
+        ref = (a @ x[..., None])[..., 0]
+        scale = np.sqrt(nx._sq_sum(a, 2) * nx._sq_sum(x[..., None], 2))
+        assert np.max(np.linalg.norm(ax - ref, axis=-1) / scale) <= 4 * k * np.finfo(float).eps
+
+    @_LOADED_KS
+    def test_singular_system_is_rejected_without_a_warning(self, k):
+        a, b = self._stack(np.random.default_rng(120 + k), k, 10.0)
+        a[1, 7] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, ax, ok = nx.solve_loaded(a, b, 1e-9)
+        assert not ok[1, 7]
+        if k <= nx._SMALL_MAX:
+            # elementwise: the other systems stand
+            assert ok.sum() == ok.size - 1
+            assert _rel_err(x[ok], nx.hermitian_solve(a[ok], b[ok], 1e-9)) <= 1e-13

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +286,67 @@ class TestIpUpdate:
         v = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
         with pytest.raises(nx.SingularMatrixError):
             sep.ip_update(nx.solve_column(w_mat, 0), v)
+
+    @pytest.mark.parametrize("k", [*range(1, nx._SMALL_MAX + 1), 8])
+    def test_well_conditioned_exact_step_takes_no_checked_solve(self, monkeypatch, k):
+        # auxiva's and biiva's step: solve_loaded alone, elementwise up to
+        # _SMALL_MAX and on LAPACK for a 2 x 8 split's sub-filter systems
+        rng = np.random.default_rng(40 + k)
+        v = _random_pd(rng, 2, 64, k, k)
+        u = _cplx(rng, 2, 64, k)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a well-conditioned exact IP step took a checked solve")
+
+        monkeypatch.setattr(nx, "hermitian_solve", fail)
+        monkeypatch.setattr(nx, "_lapack_solve", fail)
+        w = sep.ip_update(u, v, sep.LOADING)
+        q = np.einsum("...m,...mk,...k->...", w.conj(), v, w).real
+        assert np.max(np.abs(q - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("tracked", [False, True], ids=["exact", "tracked"])
+    def test_rejected_bins_alone_are_re_solved(self, monkeypatch, tracked):
+        rng = np.random.default_rng(45)
+        v = _random_pd(rng, 2, 16, 3, 3)
+        u = _cplx(rng, 2, 16, 3)
+        p = nx.scaled_inverse(v, sep.LOADING) if tracked else None
+        w_ref = sep.ip_update(u, v, sep.LOADING, None if p is None else p.copy())
+        name = "solve_with_inverse" if tracked else "solve_loaded"
+        first, hermitian_solve, solved = getattr(nx, name), nx.hermitian_solve, []
+
+        def reject(*args):
+            x, ax, ok = first(*args)
+            ok[0, 2] = ok[1, 7] = False
+            return x, ax, ok
+
+        def logged(a, b, loading=0.0):
+            if np.ndim(b) < np.ndim(a):  # not the refresh of P
+                solved.append(a)
+            return hermitian_solve(a, b, loading)
+
+        monkeypatch.setattr(nx, name, reject)
+        monkeypatch.setattr(nx, "hermitian_solve", logged)
+        w = sep.ip_update(u, v, sep.LOADING, p)
+        assert len(solved) == 1
+        np.testing.assert_array_equal(solved[0], v[[0, 1], [2, 7]])
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("batch, bin_", [((10,), (7,)), ((2, 10), (1, 7))], ids=["bins", "sources_bins"])
+    @pytest.mark.parametrize("m", [3, 9])
+    @pytest.mark.parametrize("tracked", [False, True], ids=["exact", "tracked"])
+    def test_failed_repair_names_the_bin(self, batch, bin_, m, tracked):
+        # a zero covariance: the first pass rejects it without a warning and
+        # the checked re-solve of the rejected bins raises, naming its bin in
+        # v rather than its place among them
+        v = np.tile(np.eye(m, dtype=complex), batch + (1, 1))
+        v[bin_] = 0.0
+        u = np.ones(batch + (m,), dtype=complex)
+        p = np.tile(np.eye(m, dtype=complex), batch + (1, 1)) if tracked else None
+        where = re.escape(str(np.array(bin_)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nx.SingularMatrixError, match=rf"hermitian_solve: .* batch index {where}$"):
+                sep.ip_update(u, v, sep.LOADING, p)
 
 
 class TestOcUpdate:
