@@ -35,10 +35,11 @@ scaled by ``1 + 2**-52`` and one with every solution scaled entrywise by
 ``1 +- 2**-52`` (seeded random signs): how far one rounding step at the
 input, or in each solve, carries through the recursion.  The solutions
 perturbed are those of ``np.linalg.solve`` and of the package's elementwise
-kernels, ``numerics._small_solve`` and, where the package has it,
-``numerics.solve_loaded`` (``SOLVE_KERNELS``); a ``solve_loaded`` system
-above ``numerics._SMALL_MAX``, which none of the configs here has, would
-take two steps, its LAPACK solve's and its own.
+kernels (``SOLVE_KERNELS``): ``numerics._small_solve``, or in a package
+without it ``numerics._solve_2x2``, which ``_small_solve`` called for its
+2 x 2 systems, and, where the package has it, ``numerics.solve_loaded``; a
+``solve_loaded`` system above ``numerics._SMALL_MAX``, which none of the
+configs here has, would take two steps, its LAPACK solve's and its own.
 
 Prints, per input and engine, each side's median ms/frame, their ratio
 (change / parent) and the share of frames the change ran faster; and per
@@ -87,8 +88,9 @@ CURVE_CHANNELS = (4, 9, 16, 36)
 CURVE_SOURCES = 2
 REFERENCE_CHANNEL = 0
 ULP = 2.0**-52
-# the package's elementwise solvers; each returns the solution first
-SOLVE_KERNELS = ("_small_solve", "solve_loaded")
+# the package's elementwise solvers, each returning the solution first; of
+# each group, the first the package has
+SOLVE_KERNELS = (("_small_solve", "_solve_2x2"), ("solve_loaded",))
 
 
 def load_package(src: Path, name: str):
@@ -182,7 +184,8 @@ def one_ulp(bins: np.ndarray, parent, configs: dict, seed: int) -> dict:
 
     refs = {"input": interleaved(bins * (1.0 + ULP), *parent_only)}
     solvers = [(np.linalg, "solve")]
-    solvers += [(parent.numerics, name) for name in SOLVE_KERNELS if hasattr(parent.numerics, name)]
+    for group in SOLVE_KERNELS:
+        solvers += [(parent.numerics, name) for name in group if hasattr(parent.numerics, name)][:1]
     patches = {key: perturbed(getattr(*key)) for key in solvers}
     originals = {key: getattr(*key) for key in patches}
     try:

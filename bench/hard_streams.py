@@ -42,10 +42,14 @@ median bin over frames:
 * the count of overiva's first-order loading gate closing (``loading * tr
   P`` above ``numerics._FIRST_ORDER_MAX``), of the solutions from ``P``
   that the IP step rejects and re-solves exactly, and of the systems the
-  small-system kernels reject: those of ``numerics._small_solve`` go to
-  LAPACK, those of ``numerics.solve_loaded`` (the exact IP step of auxiva
-  and biiva, where the package has it) to the checked re-solve of
-  ``numerics.hermitian_solve``.
+  elementwise kernels reject: those of ``numerics._solve_2x2`` (the 2 x 2
+  solves of ``solve_column`` and ``solve_general``, whole stacks only) go
+  to LAPACK, those of ``numerics.solve_loaded`` (the exact IP step of
+  auxiva and biiva, where the package has it) to the checked re-solve of
+  ``numerics.hermitian_solve``.  Packages that still have
+  ``numerics._small_solve`` pass its 2 x 2 systems to ``_solve_2x2``, and
+  every whole stack it solves on these streams is 2 x 2, so the counts
+  compare across both.
 
 The package's solvers are wrapped for the run and restored when it ends.
 With ``--out`` the table is stored under ``--key``; two checkouts are
@@ -126,7 +130,7 @@ def wrapped(separators, numerics, rec: Recorder):
     the originals are put back on exit."""
     ip_update, source_block = separators.ip_update, separators._source_block
     scaled_inverse, congruence = numerics.scaled_inverse, numerics.congruence
-    solve_with_inverse, small_solve = numerics.solve_with_inverse, numerics._small_solve
+    solve_with_inverse, solve_2x2 = numerics.solve_with_inverse, numerics._solve_2x2
 
     def ip_update_rec(*args, **kwargs):
         rec.in_ip_update = True
@@ -157,8 +161,8 @@ def wrapped(separators, numerics, rec: Recorder):
         rec.count("solution from P rejected", ~ok)
         return x, ax, ok
 
-    def small_solve_rec(a, b, shift):
-        x, ok = small_solve(a, b, shift)
+    def solve_2x2_rec(a, b, shift):
+        x, ok = solve_2x2(a, b, shift)
         if ok.size % rec.n_bins == 0:  # whole stacks of bins, not a fallback subset
             rec.count("small system sent to LAPACK", ~ok)
         return x, ok
@@ -168,7 +172,7 @@ def wrapped(separators, numerics, rec: Recorder):
                (numerics, "scaled_inverse"): scaled_inverse_rec,
                (numerics, "congruence"): congruence_rec,
                (numerics, "solve_with_inverse"): solve_with_inverse_rec,
-               (numerics, "_small_solve"): small_solve_rec}
+               (numerics, "_solve_2x2"): solve_2x2_rec}
     if hasattr(numerics, "solve_loaded"):
         solve_loaded = numerics.solve_loaded
 

@@ -11,18 +11,22 @@ Conventions
 * Hermitian solves apply trace-scaled diagonal loading
   ``A + loading * (trace(A)/K) * I`` so the regularization is invariant to
   the overall scale of ``A``
-* 2 x 2 systems, and Hermitian ones up to ``_SMALL_MAX`` x ``_SMALL_MAX``,
-  are solved elementwise over the batch, one numpy operation per step for
-  all bins at once; all others, and any small one that fails the residual
-  test, go to LAPACK one matrix at a time.  Both are held to the same
-  residual test.  A 2 x 2 system is solved on its four entries, each one
-  contiguous row over the bins: Cramer's rule, the residual and its test,
-  with a unit right-hand side ``e_n`` (:func:`solve_column`) never formed.
-  Larger Hermitian ones are eliminated in a bins-last buffer, which is
-  filled with one strided copy of each stack with its batch axes flattened
-  and moved last (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight
-  copy when a caller's stack is itself a bins-first view of bins-last
-  data, as the engines' N x N source block is
+* two kernels solve elementwise over the batch, one numpy operation per
+  step for all bins at once: :func:`_solve_2x2` the general 2 x 2 systems
+  of :func:`solve_column` and :func:`solve_general`, and
+  :func:`solve_loaded` the loaded Hermitian systems of the IP step's first
+  pass up to ``_SMALL_MAX`` x ``_SMALL_MAX``.  Both copy the systems into
+  bins-last rows, one contiguous row over the bins per matrix entry, with
+  one strided copy of each stack with its batch axes flattened and moved
+  last (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight copy when a
+  caller's stack is itself a bins-first view of bins-last data, as the
+  engines' N x N source block is.  A 2 x 2 system is solved on its four
+  entries: Cramer's rule, the residual and its test, with a unit
+  right-hand side ``e_n`` (:func:`solve_column`) never formed.  All other
+  systems, and any 2 x 2 one that fails the residual test, go to LAPACK
+  one matrix at a time, held to the same residual test: the checked
+  :func:`hermitian_solve`, and so :func:`scaled_inverse`, solves every
+  system there
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, and its exact
@@ -48,33 +52,26 @@ _SOLVE_RTOL = 1e-8
 # separators.LOADING: at 0.01 the desk DC bin fell back in half of overiva's frames
 _FIRST_ORDER_MAX = 0.1
 
-# largest K whose Hermitian positive definite K x K systems are solved
-# elementwise over the batch (_small_solve, solve_loaded) instead of by
-# LAPACK, one matrix at a time: biiva's sub-filter systems are 3 x 3 at the
-# desk, 4 x 4 at M = 16 and 6 x 6 at M = 36.  For 513 systems with one
-# right-hand side the elementwise solve measured cheaper than LAPACK with
-# its residual check up to K = 6 (0.28 vs 0.45 ms at K = 5, 0.39 vs 0.52 ms
-# at K = 6); at K = 8 they tie (0.72 vs 0.73 ms), from K ~ 9 LAPACK wins
-# (0.86 vs 0.89 ms), and with K right-hand sides it wins by far (2.33 vs
-# 3.76 ms at K = 9), so overiva's refreshes of its tracked inverse stay on
-# LAPACK (K = M = 9, 16, 36; at M = 4 they are elementwise).  No shipped
-# config has a many-right-hand-side Hermitian system with 4 < K <= 6.
-# General systems, which would need pivots, take that path only at K = 2,
-# in closed form: every general solve of the shipped configs is on the
-# 2 x 2 source block.
-# _small_solve copies A and B into bins-last rows as their (bins, K, K) and
-# (bins, K, R) reshapes with the bins moved last, one strided copy whatever
-# the caller's strides (a (bins, K * K) reshape would copy twice for the
-# swapped views that projection back and the orthogonal constraint pass),
-# and reads X back as the transpose of its (K * R, bins) rows.  At K = 2
-# (_solve_2x2) the rows are the four entries, B unless it is a unit column,
-# X and the residual, and each step pairs rows.  On 513 bins (2-core Xeon,
-# interleaved calls) a loaded solve_column took 92 us, an unloaded one on a
-# swapped view 70 us and a loaded hermitian_solve 92 us, against 118, 100
-# and 117 us in the rows of K > 2, with A X a broadcast product summed over
-# K and the unit column formed as a B.  Working on strided views of
-# the entries instead, with no row copy, was slower (84 against 53 us for
-# the unit-column kernel alone)
+# largest K whose loaded Hermitian positive definite K x K systems
+# solve_loaded solves elementwise over the batch, by _eliminate, instead of
+# by LAPACK one matrix at a time: auxiva's are N x N, biiva's sub-filter
+# systems 3 x 3 at the desk, 4 x 4 at M = 16 and 6 x 6 at M = 36.  For 513
+# systems with one right-hand side the elementwise solve measured cheaper
+# than LAPACK with its residual check up to K = 6 (0.28 vs 0.45 ms at K = 5,
+# 0.39 vs 0.52 ms at K = 6); at K = 8 they tie (0.72 vs 0.73 ms), from
+# K ~ 9 LAPACK wins (0.86 vs 0.89 ms).  With K right-hand sides, as in
+# overiva's refresh of its tracked inverse (scaled_inverse), LAPACK wins by
+# far at K = 9 (2.33 vs 3.76 ms) and ties at K = 4 (1.94 vs 1.99 ms for 2 x
+# 513 systems); only below M = 4, which no shipped config has, would an
+# elementwise refresh pay (0.73 vs 1.26 ms at K = 2).  So hermitian_solve,
+# which does that refresh and repairs the bins the IP step rejects, is
+# LAPACK at every K.  General systems, which would need pivots, are solved
+# elementwise only at K = 2, in closed form, by _solve_2x2: every general
+# solve of the shipped configs is on the 2 x 2 source block.  Its rows are
+# the four entries, B unless it is a unit column, X and the residual, and
+# each step pairs rows; working on strided views of the entries instead,
+# with no row copy, was slower (84 against 53 us for the unit-column kernel
+# alone on 513 bins, 2-core Xeon)
 _SMALL_MAX = 6
 
 
@@ -258,11 +255,14 @@ def _inverse_det(e: np.ndarray) -> np.ndarray:
 def _solve_2x2(
     a: np.ndarray, b: np.ndarray | int, shift: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_small_solve` for 2 x 2 systems: Cramer's rule, the residual
-    ``A X - B`` and its test on the four entries of each ``A + shift I``,
-    each one contiguous row over the bins.  An integer ``b`` is the unit
-    column ``e_b`` (R = 1), which is never formed: ``X`` is column ``b`` of
-    the adjugate over the determinant and ``||B|| = 1``."""
+    """Solve each of the (..., 2, 2) systems ``(A + shift I) X = B``
+    elementwise over the batch: Cramer's rule, the residual ``A X - B`` and
+    its test on the four entries of each ``A + shift I``, each one
+    contiguous row over the bins of a bins-last copy; any strides are
+    accepted.  An integer ``b`` is the unit column ``e_b`` (R = 1), which
+    is never formed: ``X`` is column ``b`` of the adjugate over the
+    determinant and ``||B|| = 1``.  Returns ``X`` and, per system, whether
+    it passed the residual test of :func:`_check_solution`."""
     batch = a.shape[:-2]
     n = math.prod(batch)
     unit = isinstance(b, int)
@@ -301,61 +301,21 @@ def _solve_2x2(
     return x, ok.reshape(batch)
 
 
-def _small_solve(
-    a: np.ndarray, b: np.ndarray | int, shift: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each of the (..., K, K) systems ``(A + shift I) X = B``, 2 x 2
-    or Hermitian positive definite up to ``_SMALL_MAX``, elementwise over
-    the batch: 2 x 2 ones by :func:`_solve_2x2`, where ``b`` may also be the
-    index of a unit column, the others by :func:`_eliminate` in a bins-last
-    copy, in which each matrix entry is one contiguous row of all the
-    systems, so every elimination step is one numpy operation over all of
-    them.  The copy moves the flattened batch axis of ``a`` and ``b`` last;
-    any strides are accepted.  Returns ``X`` and, per system, whether it
-    passed the residual test of :func:`_check_solution`, computed in the
-    same layout."""
-    if a.shape[-1] == 2:
-        return _solve_2x2(a, b, shift)
-    batch, (k, r) = a.shape[:-2], b.shape[-2:]
-    n = math.prod(batch)
-    kk, kr = k * k, k * r
-    # bins-last rows of A, B, X and the residual A X - B, one block each
-    rows = np.empty((kk + 3 * kr, n), dtype=np.complex128)
-    rows[:kk].reshape(k, k, n)[...] = a.reshape(n, k, k).transpose(1, 2, 0)
-    rows[kk : kk + kr].reshape(k, r, n)[...] = b.reshape(n, k, r).transpose(1, 2, 0)
-    if shift is not None:
-        rows[:kk : k + 1] += shift.reshape(n)
-    at = rows[:kk].reshape(k, k, n)
-    bt, xt, rt = rows[kk:].reshape(3, k, r, n)
-    with np.errstate(all="ignore"):
-        xt[...] = _eliminate(np.concatenate((at, bt), axis=1), k)
-        np.subtract((at[:, :, None] * xt).sum(axis=1), bt, out=rt)
-        sq = rows.real * rows.real
-        sq += rows.imag * rows.imag
-        b_sq, x_sq, r_sq = sq[kk:].reshape(3, kr, n).sum(axis=1)
-        ok = _accepted(r_sq, sq[:kk].sum(axis=0), x_sq, b_sq)
-    x = np.ascontiguousarray(xt.reshape(kr, n).T).reshape(batch + (k, r))
-    return x, ok.reshape(batch)
-
-
 def _checked_solve(
-    a: np.ndarray, b: np.ndarray | int, context: str, shift: np.ndarray | None = None,
-    hermitian: bool = False,
+    a: np.ndarray, b: np.ndarray | int, context: str, shift: np.ndarray | None = None
 ) -> np.ndarray:
     """Residual-checked solve of ``(A + shift I) X = B`` for (..., K, K)
     ``A``, (..., K, R) ``B`` and a per-system diagonal ``shift`` (None for
     none); an integer ``b`` is the unit column ``e_b``, which only LAPACK
-    gets as an array.  2 x 2 systems, and Hermitian ones up to
-    ``_SMALL_MAX``, go through :func:`_small_solve`, and only those it
-    leaves unsolved through LAPACK; all others go through LAPACK.
-    ``hermitian`` declares every ``A + shift I`` Hermitian positive
-    definite, so it needs no pivots."""
+    gets as an array.  2 x 2 systems go through :func:`_solve_2x2`, and
+    only those it leaves unsolved through LAPACK; all others go through
+    LAPACK."""
     k = a.shape[-1]
     unit = isinstance(b, int)
     rows = k if unit else b.shape[-2]
     if a.shape[-2] != k or rows != k:
         raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {rows} rows")
-    if k != 2 and not (hermitian and k <= _SMALL_MAX):
+    if k != 2:
         b = _unit_columns(b, k, a.shape[:-2]) if unit else b
         return _lapack_solve(_shifted(a, shift), b, context)
     if not unit and a.shape[:-2] != b.shape[:-2]:
@@ -363,7 +323,7 @@ def _checked_solve(
         a = np.broadcast_to(a, batch + (k, k))
         b = np.broadcast_to(b, batch + b.shape[-2:])
         shift = None if shift is None else np.broadcast_to(shift, batch)
-    x, ok = _small_solve(a, b, shift)
+    x, ok = _solve_2x2(a, b, shift)
     if not np.all(ok):
         bad = ~ok
         a_bad = _shifted(a[bad], None if shift is None else shift[bad])
@@ -396,7 +356,10 @@ def frobenius_shift(a: np.ndarray, loading: float) -> np.ndarray:
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.ndarray:
-    """Solve ``(A + loading * (trace(A)/K) * I) x = b`` for Hermitian ``A``.
+    """Solve ``(A + loading * (trace(A)/K) * I) x = b`` for Hermitian ``A``
+    by LAPACK, one matrix at a time, residual-checked: the reference solve
+    that re-solves the systems :func:`solve_loaded` and
+    :func:`solve_with_inverse` reject.
 
     Parameters
     ----------
@@ -419,17 +382,9 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     rows = b.shape[-2] if block else b.shape[-1]
     if a.shape[-2] != k or rows != k:
         raise ValueError(f"hermitian_solve: A is {a.shape[-2]}x{k}, b has {rows} rows")
-    shift = None
-    if loading > 0:
-        # np.trace costs about 8x the sum of a 2 x 2 diagonal's two entries
-        if k == 2:
-            trace = a[..., 0, 0].real + a[..., 1, 1].real
-        else:
-            trace = np.trace(a, axis1=-2, axis2=-1).real
-        shift = loading * trace / k
-    if block:
-        return _checked_solve(a, b, "hermitian_solve", shift, hermitian=True)
-    return _checked_solve(a, b[..., None], "hermitian_solve", shift, hermitian=True)[..., 0]
+    shift = loading * np.trace(a, axis1=-2, axis2=-1).real / k if loading > 0 else None
+    x = _lapack_solve(_shifted(a, shift), b if block else b[..., None], "hermitian_solve")
+    return x if block else x[..., 0]
 
 
 def scaled_inverse(a: np.ndarray, loading: float) -> np.ndarray:
@@ -504,12 +459,12 @@ def solve_loaded(
     (..., K) ``b``.
 
     Up to ``_SMALL_MAX`` the systems are solved elementwise over the batch
-    in one bins-last copy of ``A`` and ``b``, by the arithmetic of
-    :func:`hermitian_solve`'s kernels: Cramer's rule on the entries at
-    K = 2, :func:`_eliminate` on ``[A + d I | b]`` otherwise.  ``A x`` is
-    the product with the unshifted rows: ``b - d x`` would cancel along
-    weak directions of ``A``, where ``d`` is far above the smallest
-    eigenvalue.  Larger systems go to LAPACK, ``A x`` a batched product.
+    in one bins-last copy of ``A`` and ``b``: Cramer's rule on the entries
+    at K = 2, as in :func:`_solve_2x2`, and :func:`_eliminate` on ``[A +
+    d I | b]`` otherwise.  ``A x`` is the product with the unshifted rows:
+    ``b - d x`` would cancel along weak directions of ``A``, where ``d`` is
+    far above the smallest eigenvalue.  Larger systems go to LAPACK, ``A
+    x`` a batched product.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)

@@ -248,8 +248,9 @@ def ip_update(
     both return ``V w`` for ``w^H V w``.  A bin whose solution they reject
     (a failed residual test against ``V + d I``, or for ``p`` a
     near-singular ``V``), or whose ``w^H V w`` is not positive and finite,
-    is re-solved by the checked :func:`numerics.hermitian_solve`, and its
-    ``p`` is refreshed in place.
+    is re-solved, in one LAPACK pass over the rejected bins alone, by the
+    checked :func:`numerics.hermitian_solve`, and its ``p`` is refreshed in
+    place.
     """
     with np.errstate(all="ignore"):
         if p is None:
@@ -326,10 +327,11 @@ def _source_block(w: np.ndarray, n_src: int, loading: float) -> tuple[np.ndarray
     row over the bins (the leading axes of ``w`` flattened into one).  The
     shift needs no pass over the M^2 entries of ``W``: the noise rows give
     ``||W||_F^2 = ||W_s||_F^2 + ||J||_F^2 + (M - N)``.  ``B J`` is a sum
-    over the M - N axis of products of bins-last rows.  Returns ``(S, J, c)``: ``S`` (..., N, N) is the
-    bins-first view of the bins-last (N, N, I) array, which
-    ``numerics._small_solve`` copies back contiguously; ``J`` is the
-    bins-last (M - N, N, I) copy and ``c`` has shape (I,).
+    over the M - N axis of products of bins-last rows.  Returns ``(S, J,
+    c)``: ``S`` (..., N, N) is the bins-first view of the bins-last (N, N,
+    I) array, which ``numerics._solve_2x2`` copies back into its bins-last
+    rows in one straight copy; ``J`` is the bins-last (M - N, N, I) copy
+    and ``c`` has shape (I,).
     """
     batch, m = w.shape[:-2], w.shape[-1]
     w = w.reshape((-1, m, m))

@@ -313,6 +313,7 @@ class TestIpUpdate:
         w_ref = sep.ip_update(u, v, sep.LOADING, None if p is None else p.copy())
         name = "solve_with_inverse" if tracked else "solve_loaded"
         first, hermitian_solve, solved = getattr(nx, name), nx.hermitian_solve, []
+        lapack, eliminate, lapack_sizes, eliminated = nx._lapack_solve, nx._eliminate, [], []
 
         def reject(*args):
             x, ax, ok = first(*args)
@@ -324,11 +325,26 @@ class TestIpUpdate:
                 solved.append(a)
             return hermitian_solve(a, b, loading)
 
+        def lapack_logged(a, b, context, index=None):
+            lapack_sizes.append(len(a))
+            return lapack(a, b, context, index)
+
+        def eliminate_logged(g, k):
+            eliminated.append(g.shape[-1])
+            return eliminate(g, k)
+
         monkeypatch.setattr(nx, name, reject)
         monkeypatch.setattr(nx, "hermitian_solve", logged)
+        monkeypatch.setattr(nx, "_lapack_solve", lapack_logged)
+        monkeypatch.setattr(nx, "_eliminate", eliminate_logged)
         w = sep.ip_update(u, v, sep.LOADING, p)
         assert len(solved) == 1
         np.testing.assert_array_equal(solved[0], v[[0, 1], [2, 7]])
+        # one LAPACK pass over the two rejected systems (and, tracked, one
+        # more refreshing their P); the only elimination is the exact first
+        # pass over all 2 x 16 systems
+        assert lapack_sizes == ([2, 2] if tracked else [2])
+        assert eliminated == ([] if tracked else [32])
         np.testing.assert_allclose(w, w_ref, rtol=1e-12)
 
     @pytest.mark.parametrize("batch, bin_", [((10,), (7,)), ((2, 10), (1, 7))], ids=["bins", "sources_bins"])
