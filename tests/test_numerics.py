@@ -286,31 +286,52 @@ def _solve(hermitian, a, b):
     return nx.hermitian_solve(a, b) if hermitian else nx.solve_general(a, b)
 
 
+def _elementwise_solve(hermitian, a, b):
+    """``A X = B`` by the elementwise kernel for its kind: ``_solve_2x2``
+    through ``solve_general``, or ``solve_loaded`` (unloaded, column by
+    column, every system accepted) for Hermitian stacks."""
+    if not hermitian:
+        return nx.solve_general(a, b)
+    cols = [nx.solve_loaded(a, b[..., j], 0.0) for j in range(b.shape[-1])]
+    assert all(ok.all() for _, _, ok in cols)
+    return np.stack([x for x, _, _ in cols], axis=-1)
+
+
 _KINDS = pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian"])
 _SMALL_KS = pytest.mark.parametrize("k", range(1, nx._SMALL_MAX + 1))
+# (hermitian, K) of the systems an elementwise kernel solves
+_SMALL_CASES = pytest.mark.parametrize(
+    "hermitian, k",
+    [(False, 2)] + [(True, k) for k in range(1, nx._SMALL_MAX + 1)],
+    ids=lambda v: ("hermitian" if v else "general") if isinstance(v, bool) else str(v),
+)
 
 
 class TestSmallSystems:
     """2 x 2 systems are solved elementwise over the batch by
-    ``_solve_2x2``; ``hermitian_solve`` is LAPACK at every K."""
+    ``_solve_2x2``, and Hermitian ones up to ``_SMALL_MAX`` by
+    ``solve_loaded``; ``hermitian_solve`` is LAPACK at every K."""
 
-    def test_matches_lapack_on_well_conditioned_stacks(self, monkeypatch):
-        rng = np.random.default_rng(72)
-        a = _conditioned(rng, 2, 10.0, False)
-        # anti-diagonal matrices with a tiny diagonal
-        a[: _BINS // 2] = 1e-9 * a[: _BINS // 2] + np.eye(2)[::-1]
-        b = _cplx(rng, _BINS, 2, 3)
+    @_SMALL_CASES
+    def test_matches_lapack_on_well_conditioned_stacks(self, monkeypatch, hermitian, k):
+        rng = np.random.default_rng(70 + k)
+        a = _conditioned(rng, k, 10.0, hermitian)
+        if not hermitian:
+            # anti-diagonal matrices with a tiny diagonal
+            a[: _BINS // 2] = 1e-9 * a[: _BINS // 2] + np.eye(k)[::-1]
+        b = _cplx(rng, _BINS, k, 3)
         _no_lapack(monkeypatch)
-        assert _rel_err(nx.solve_general(a, b), np.linalg.solve(a, b)) <= 1e-12
+        assert _rel_err(_elementwise_solve(hermitian, a, b), np.linalg.solve(a, b)) <= 1e-12
 
-    def test_near_singular_stacks_have_lapack_level_residuals(self, monkeypatch):
+    @_SMALL_CASES
+    def test_near_singular_stacks_have_lapack_level_residuals(self, monkeypatch, hermitian, k):
         # the acceptance bound screens out singular systems only; the kernel's
         # backward error must stay within a few ulps, as LAPACK's does
-        rng = np.random.default_rng(82)
-        a = _conditioned(rng, 2, 1e10, False)
-        b = _cplx(rng, _BINS, 2, 2)
+        rng = np.random.default_rng(80 + k)
+        a = _conditioned(rng, k, 1e10, hermitian)
+        b = _cplx(rng, _BINS, k, 2)
         _no_lapack(monkeypatch)
-        x = nx.solve_general(a, b)
+        x = _elementwise_solve(hermitian, a, b)
         nx._check_solution(a, x, b, "near-singular stack")
         assert _backward_error(a, x, b) <= 1e-15
 
