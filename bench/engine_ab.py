@@ -35,11 +35,8 @@ scaled by ``1 + 2**-52`` and one with every solution scaled entrywise by
 ``1 +- 2**-52`` (seeded random signs): how far one rounding step at the
 input, or in each solve, carries through the recursion.  The solutions
 perturbed are those of ``np.linalg.solve`` and of the package's elementwise
-kernels (``SOLVE_KERNELS``): ``numerics._small_solve``, or in a package
-without it ``numerics._solve_2x2``, which ``_small_solve`` called for its
-2 x 2 systems, and, where the package has it, ``numerics.solve_loaded``; a
-``solve_loaded`` system above ``numerics._SMALL_MAX``, which none of the
-configs here has, would take two steps, its LAPACK solve's and its own.
+kernels (``SOLVE_KERNELS``): ``numerics._solve_2x2`` and
+``numerics.solve_loaded``.
 
 Prints, per input and engine, each side's median ms/frame, their ratio
 (change / parent) and the share of frames the change ran faster; and per
@@ -47,13 +44,12 @@ output (raw, projection back) the largest difference between the two sides,
 beside the parent's differences under the two perturbations, each relative
 to the parent's largest entry.  A change whose difference stays at the
 references is no less accurate than the parent's own rounding.  auxiva's
-systems, and biiva's up to M = 36, are solved by the elementwise kernels
-alone, so only their perturbation gives those engines a reference in the
-solves.  For the curve it also prints, per M
-and side, biiva's median ms/frame over overiva's: both engines of a side ran
-the same frames in the same process, interleaved, so the ratio is free of
-the drift between processes.  With ``--out`` the table is stored under
-``--key``.
+and biiva's systems are solved by the elementwise kernels alone, so only
+their perturbation gives those engines a reference in the solves.  For the
+curve it also prints, per M and side, biiva's median ms/frame over
+overiva's: both engines of a side ran the same frames in the same process,
+interleaved, so the ratio is free of the drift between processes.  With
+``--out`` the table is stored under ``--key``.
 """
 
 from __future__ import annotations
@@ -88,9 +84,8 @@ CURVE_CHANNELS = (4, 9, 16, 36)
 CURVE_SOURCES = 2
 REFERENCE_CHANNEL = 0
 ULP = 2.0**-52
-# the package's elementwise solvers, each returning the solution first; of
-# each group, the first the package has
-SOLVE_KERNELS = (("_small_solve", "_solve_2x2"), ("solve_loaded",))
+# the package's elementwise solvers, each returning the solution first
+SOLVE_KERNELS = ("_solve_2x2", "solve_loaded")
 
 
 def load_package(src: Path, name: str):
@@ -183,9 +178,7 @@ def one_ulp(bins: np.ndarray, parent, configs: dict, seed: int) -> dict:
         return wrapped
 
     refs = {"input": interleaved(bins * (1.0 + ULP), *parent_only)}
-    solvers = [(np.linalg, "solve")]
-    for group in SOLVE_KERNELS:
-        solvers += [(parent.numerics, name) for name in group if hasattr(parent.numerics, name)][:1]
+    solvers = [(np.linalg, "solve")] + [(parent.numerics, name) for name in SOLVE_KERNELS]
     patches = {key: perturbed(getattr(*key)) for key in solvers}
     originals = {key: getattr(*key) for key in patches}
     try:

@@ -45,11 +45,7 @@ median bin over frames:
   elementwise kernels reject: those of ``numerics._solve_2x2`` (the 2 x 2
   solves of ``solve_column`` and ``solve_general``, whole stacks only) go
   to LAPACK, those of ``numerics.solve_loaded`` (the exact IP step of
-  auxiva and biiva, where the package has it) to the checked re-solve of
-  ``numerics.hermitian_solve``.  Packages that still have
-  ``numerics._small_solve`` pass its 2 x 2 systems to ``_solve_2x2``, and
-  every whole stack it solves on these streams is 2 x 2, so the counts
-  compare across both.
+  auxiva and biiva) to the checked re-solve of ``numerics.hermitian_solve``.
 
 The package's solvers are wrapped for the run and restored when it ends.
 With ``--out`` the table is stored under ``--key``; two checkouts are
@@ -131,6 +127,7 @@ def wrapped(separators, numerics, rec: Recorder):
     ip_update, source_block = separators.ip_update, separators._source_block
     scaled_inverse, congruence = numerics.scaled_inverse, numerics.congruence
     solve_with_inverse, solve_2x2 = numerics.solve_with_inverse, numerics._solve_2x2
+    solve_loaded = numerics.solve_loaded
 
     def ip_update_rec(*args, **kwargs):
         rec.in_ip_update = True
@@ -161,6 +158,11 @@ def wrapped(separators, numerics, rec: Recorder):
         rec.count("solution from P rejected", ~ok)
         return x, ax, ok
 
+    def solve_loaded_rec(a, b, loading):
+        x, ax, ok = solve_loaded(a, b, loading)
+        rec.count("small system sent to LAPACK", ~ok)
+        return x, ax, ok
+
     def solve_2x2_rec(a, b, shift):
         x, ok = solve_2x2(a, b, shift)
         if ok.size % rec.n_bins == 0:  # whole stacks of bins, not a fallback subset
@@ -172,17 +174,8 @@ def wrapped(separators, numerics, rec: Recorder):
                (numerics, "scaled_inverse"): scaled_inverse_rec,
                (numerics, "congruence"): congruence_rec,
                (numerics, "solve_with_inverse"): solve_with_inverse_rec,
-               (numerics, "_solve_2x2"): solve_2x2_rec}
-    if hasattr(numerics, "solve_loaded"):
-        solve_loaded = numerics.solve_loaded
-
-        def solve_loaded_rec(a, b, loading):
-            x, ax, ok = solve_loaded(a, b, loading)
-            if a.shape[-1] <= numerics._SMALL_MAX:
-                rec.count("small system sent to LAPACK", ~ok)
-            return x, ax, ok
-
-        patches[numerics, "solve_loaded"] = solve_loaded_rec
+               (numerics, "_solve_2x2"): solve_2x2_rec,
+               (numerics, "solve_loaded"): solve_loaded_rec}
     originals = {key: getattr(*key) for key in patches}
     try:
         for (module, name), fn in patches.items():

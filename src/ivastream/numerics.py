@@ -15,18 +15,18 @@ Conventions
   step for all bins at once: :func:`_solve_2x2` the general 2 x 2 systems
   of :func:`solve_column` and :func:`solve_general`, and
   :func:`solve_loaded` the loaded Hermitian systems of the IP step's first
-  pass up to ``_SMALL_MAX`` x ``_SMALL_MAX``.  Both copy the systems into
-  bins-last rows, one contiguous row over the bins per matrix entry, with
-  one strided copy of each stack with its batch axes flattened and moved
-  last (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight copy when a
+  pass, at every K.  Both copy the systems into bins-last rows, one
+  contiguous row over the bins per matrix entry, with one strided copy of
+  each stack with its batch axes flattened and moved last
+  (``a.reshape(n, K, K).transpose(1, 2, 0)``): a straight copy when a
   caller's stack is itself a bins-first view of bins-last data, as the
   engines' N x N source block is.  A 2 x 2 system is solved on its four
   entries: Cramer's rule, the residual and its test, with a unit
-  right-hand side ``e_n`` (:func:`solve_column`) never formed.  All other
-  systems, and any 2 x 2 one that fails the residual test, go to LAPACK
-  one matrix at a time, held to the same residual test: the checked
-  :func:`hermitian_solve`, and so :func:`scaled_inverse`, solves every
-  system there
+  right-hand side ``e_n`` (:func:`solve_column`) never formed.  General
+  systems with K != 2, and any 2 x 2 one that fails the residual test, go
+  to LAPACK one matrix at a time, held to the same residual test, as do
+  the checked :func:`hermitian_solve`, which re-solves the IP step's
+  rejected systems, and :func:`scaled_inverse`, which refreshes ``P``
 * a solve that cannot produce a trustworthy solution raises
   :class:`SingularMatrixError`, never returns garbage;
   :func:`solve_with_inverse`, which factors nothing, and its exact
@@ -51,28 +51,6 @@ _SOLVE_RTOL = 1e-8
 # expansion fails where the residual test cannot see it.  Tuned for the engines'
 # separators.LOADING: at 0.01 the desk DC bin fell back in half of overiva's frames
 _FIRST_ORDER_MAX = 0.1
-
-# largest K whose loaded Hermitian positive definite K x K systems
-# solve_loaded solves elementwise over the batch, by _eliminate, instead of
-# by LAPACK one matrix at a time: auxiva's are N x N, biiva's sub-filter
-# systems 3 x 3 at the desk, 4 x 4 at M = 16 and 6 x 6 at M = 36.  For 513
-# systems with one right-hand side the elementwise solve measured cheaper
-# than LAPACK with its residual check up to K = 6 (0.28 vs 0.45 ms at K = 5,
-# 0.39 vs 0.52 ms at K = 6); at K = 8 they tie (0.72 vs 0.73 ms), from
-# K ~ 9 LAPACK wins (0.86 vs 0.89 ms).  With K right-hand sides, as in
-# overiva's refresh of its tracked inverse (scaled_inverse), LAPACK wins by
-# far at K = 9 (2.33 vs 3.76 ms) and ties at K = 4 (1.94 vs 1.99 ms for 2 x
-# 513 systems); only below M = 4, which no shipped config has, would an
-# elementwise refresh pay (0.73 vs 1.26 ms at K = 2).  So hermitian_solve,
-# which does that refresh and repairs the bins the IP step rejects, is
-# LAPACK at every K.  General systems, which would need pivots, are solved
-# elementwise only at K = 2, in closed form, by _solve_2x2: every general
-# solve of the shipped configs is on the 2 x 2 source block.  Its rows are
-# the four entries, B unless it is a unit column, X and the residual, and
-# each step pairs rows; working on strided views of the entries instead,
-# with no row copy, was slower (84 against 53 us for the unit-column kernel
-# alone on 513 bins, 2-core Xeon)
-_SMALL_MAX = 6
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -262,7 +240,13 @@ def _solve_2x2(
     accepted.  An integer ``b`` is the unit column ``e_b`` (R = 1), which
     is never formed: ``X`` is column ``b`` of the adjugate over the
     determinant and ``||B|| = 1``.  Returns ``X`` and, per system, whether
-    it passed the residual test of :func:`_check_solution`."""
+    it passed the residual test of :func:`_check_solution`.
+
+    General systems, which would need pivots, are solved elementwise only
+    here, in closed form: every general solve of the shipped configs is on
+    the 2 x 2 source block.  Working on strided views of the entries
+    instead of the row copy was slower (84 against 53 us for the
+    unit-column kernel alone on 513 bins, 2-core Xeon)."""
     batch = a.shape[:-2]
     n = math.prod(batch)
     unit = isinstance(b, int)
@@ -361,6 +345,13 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, loading: float = 0.0) -> np.nd
     that re-solves the systems :func:`solve_loaded` and
     :func:`solve_with_inverse` reject.
 
+    It stays on LAPACK at every K because LAPACK wins with K right-hand
+    sides, as in overiva's refresh of its tracked inverse
+    (:func:`scaled_inverse`): by far at K = 9 (2.33 vs 3.76 ms for 2 x 513
+    systems against elimination over the batch), a tie at K = 4 (1.94 vs
+    1.99 ms); only below M = 4, which no shipped config has, would an
+    elementwise refresh pay (0.73 vs 1.26 ms at K = 2).
+
     Parameters
     ----------
     a : (..., K, K) Hermitian matrix (stack)
@@ -426,24 +417,13 @@ def solve_with_inverse(
     pb = np.matmul(p, b[..., None])
     x = ((pb - loading * np.matmul(p, pb)) * (k / tr)[..., None, None])[..., 0]
     ax = np.matmul(a, x[..., None])[..., 0]
-    ok = _loaded_accepted(a, x, ax, b, tr, d)
-    ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
-    return x, ax, ok
-
-
-def _loaded_accepted(
-    a: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray, tr: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Per system, whether ``x`` passes the residual test of a checked
-    solve against ``A + d I``, from the unloaded ``A x`` and ``tr = trace
-    A``, for (..., K, K) ``a`` and (..., K) ``x``, ``ax`` and contiguous
-    ``b``."""
-    k = a.shape[-1]
     resid = ax + d[..., None] * x - b
     # ||A + dI||_F^2 without forming A + dI: one dot over A's K^2 entries
     a_flat = np.ascontiguousarray(a).reshape(a.shape[:-2] + (k * k,))
     a_sq = real_dot(a_flat, a_flat) + d * (2.0 * tr + k * d)
-    return _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
+    ok = _accepted(real_dot(resid, resid), a_sq, real_dot(x, x), real_dot(b, b))
+    ok &= loading * np.einsum("...ii->...", p).real <= _FIRST_ORDER_MAX
+    return x, ax, ok
 
 
 def solve_loaded(
@@ -458,28 +438,21 @@ def solve_loaded(
     acceptance, for Hermitian positive definite (..., K, K) ``a`` and
     (..., K) ``b``.
 
-    Up to ``_SMALL_MAX`` the systems are solved elementwise over the batch
-    in one bins-last copy of ``A`` and ``b``: Cramer's rule on the entries
-    at K = 2, as in :func:`_solve_2x2`, and :func:`_eliminate` on ``[A +
-    d I | b]`` otherwise.  ``A x`` is the product with the unshifted rows:
-    ``b - d x`` would cancel along weak directions of ``A``, where ``d`` is
-    far above the smallest eigenvalue.  Larger systems go to LAPACK, ``A
-    x`` a batched product.
+    The systems are solved elementwise over the batch, at every K, in one
+    bins-last copy of ``A`` and ``b``: Cramer's rule on the entries at K =
+    2, as in :func:`_solve_2x2`, and :func:`_eliminate` on ``[A + d I |
+    b]`` otherwise.  ``A x`` is the product with the unshifted rows: ``b -
+    d x`` would cancel along weak directions of ``A``, where ``d`` is far
+    above the smallest eigenvalue.  Against LAPACK one matrix at a time
+    with the same residual test, for 513 systems on one BLAS thread (two
+    runs, 2-core Xeon), the elimination took 0.59-0.93 of its time at K =
+    7-10, 0.82-1.14 at K = 12, 1.10-1.47 at 16 and 1.86-2.61 at 36; only a
+    biiva sub-filter of 12 or more taps gets there, which no shipped config
+    has.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
     batch, k = a.shape[:-2], a.shape[-1]
-    if k > _SMALL_MAX:
-        tr = np.trace(a, axis1=-2, axis2=-1).real
-        d = loading * tr / k
-        try:
-            x = np.linalg.solve(_shifted(a, d), b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular system: reject the whole stack, whose
-            # checked re-solve names it
-            x = np.full(b.shape, np.nan, dtype=np.complex128)
-        ax = np.matmul(a, x[..., None])[..., 0]
-        return x, ax, _loaded_accepted(a, x, ax, b, tr, d)
     n = math.prod(batch)
     kk = k * k
     # bins-last rows of A, b, the residual, x and A x, one block each

@@ -22,10 +22,9 @@ inverse of ``V``, which :func:`update_inverse` tracks by rank-1 updates
 (as in online AuxIVA, Taniguchi et al., HSCMA 2014).  AuxIVA's systems are
 N x N, and the bilinear engine's lifted covariance changes with the held
 sub-filter every frame, so both solve exactly, by
-:func:`numerics.solve_loaded`: elementwise over the bins up to
-``numerics._SMALL_MAX`` (biiva's sub-filter systems up to M = 36 with
-square splits), and like the tracked-inverse solve returning ``V w``, so
-the normalization takes no second pass over ``V``.
+:func:`numerics.solve_loaded`: elementwise over the bins at every K, and
+like the tracked-inverse solve returning ``V w``, so the normalization
+takes no second pass over ``V``.
 
 State layout per frequency bin ``i`` (states store all bins stacked):
 
@@ -176,14 +175,6 @@ def init_state(config: SeparatorConfig, n_bins: int) -> SeparatorState:
     return SeparatorState(config=config, n_bins=n_bins, W=w_mat, V=v, P=p, C=c, w1=w1, w2=w2)
 
 
-def _quadratic_form(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real part of ``w^H V w`` over leading batch axes."""
-    t = np.matmul(v, w[..., None])[..., 0]
-    return np.einsum("...m,...m->...", w.real, t.real) + np.einsum(
-        "...m,...m->...", w.imag, t.imag
-    )
-
-
 def contrast_weight(state: SeparatorState, x: np.ndarray, n: int) -> float:
     """Contrast weight of source ``n`` for the current frame.
 
@@ -261,13 +252,13 @@ def ip_update(
     bad = ~(ok & np.isfinite(q) & (q > 0.0))
     if np.any(bad):
         try:
-            w[bad] = numerics.hermitian_solve(v[bad], u[bad], loading)
+            w_bad = w[bad] = numerics.hermitian_solve(v[bad], u[bad], loading)
         except SingularMatrixError as exc:
             if exc.index is None:
                 raise
             # name the bin of v, not its place among the rejected ones
             raise SingularMatrixError(exc.reason, np.argwhere(bad)[exc.index[0]]) from exc
-        q_bad = q[bad] = _quadratic_form(w[bad], v[bad])
+        q_bad = q[bad] = numerics.real_dot(w_bad, np.matmul(v[bad], w_bad[..., None])[..., 0])
         if p is not None:
             p[bad] = numerics.scaled_inverse(v[bad], loading)
         if not np.all(np.isfinite(q_bad) & (q_bad > 0.0)):
