@@ -2,7 +2,7 @@
 equivalence from one stream.
 
     python3 bench/engine_ab.py --parent ../parent --change . [--seed 1] \
-        [--out BENCH.json --key engine_ab]
+        [--cpu N] [--out BENCH.json --key engine_ab]
 
 Each checkout's ``src/ivastream`` is imported into this one process under its
 own module name (``ivastream_parent``, ``ivastream_change``), with BLAS pinned
@@ -39,7 +39,9 @@ kernels (``SOLVE_KERNELS``): ``numerics._solve_2x2`` and
 ``numerics.solve_loaded``.
 
 Prints, per input and engine, each side's median ms/frame, their ratio
-(change / parent) and the share of frames the change ran faster; and per
+(change / parent) and the share of frames the change ran faster, with each
+side's median process CPU ms/frame (``time.process_time``, all threads)
+beside it, so a gain bought with a second core shows as one; and per
 output (raw, projection back) the largest difference between the two sides,
 beside the parent's differences under the two perturbations, each relative
 to the parent's largest entry.  A change whose difference stays at the
@@ -49,7 +51,9 @@ their perturbation gives those engines a reference in the solves.  For the
 curve it also prints, per M and side, biiva's median ms/frame over
 overiva's: both engines of a side ran the same frames in the same process,
 interleaved, so the ratio is free of the drift between processes.  With
-``--out`` the table is stored under ``--key``.
+``--cpu N`` the process is pinned to CPU ``N`` (``os.sched_setaffinity``)
+before anything runs, for the one-CPU figures.  With ``--out`` the table is
+stored under ``--key``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -135,7 +140,7 @@ def random_bins(seed: int, shape: tuple) -> np.ndarray:
 def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
     """Stream ``bins`` through every engine of ``configs`` on each side of
     ``packages``, the sides taking turns frame by frame; returns {engine:
-    {side: (ms per frame, {output: spectra})}}."""
+    {side: (wall ms per frame, CPU ms per frame, {output: spectra})}}."""
     order = list(packages)
     engines = list(configs[order[0]])
     n_frames, n_bins = bins.shape[:2]
@@ -148,15 +153,17 @@ def interleaved(bins: np.ndarray, packages: dict, configs: dict) -> dict:
                       for t in range(n_frames)]
             out = {o: np.empty((n_frames, cfg.n_sources, n_bins), dtype=np.complex128)
                    for o in OUTPUTS}
-            runs[engine, side] = (pkg.separators, state, frames, np.empty(n_frames), out)
+            runs[engine, side] = (pkg.separators, state, frames, np.empty(n_frames),
+                                  np.empty(n_frames), out)
     for t in range(n_frames):
         for engine in engines:
             for side in order:
-                sep, state, frames, ms, out = runs[engine, side]
-                t0 = time.perf_counter()
+                sep, state, frames, ms, cpu, out = runs[engine, side]
+                t0, c0 = time.perf_counter(), time.process_time()
                 est = sep.process_frame(state, frames[t])
                 out["projection back"][t] = sep.projection_back(state, est.y, REFERENCE_CHANNEL)
                 ms[t] = (time.perf_counter() - t0) * 1e3
+                cpu[t] = (time.process_time() - c0) * 1e3
                 out["raw"][t] = est.y
         order.reverse()
     return {engine: {side: runs[engine, side][3:] for side in packages} for engine in engines}
@@ -192,23 +199,26 @@ def one_ulp(bins: np.ndarray, parent, configs: dict, seed: int) -> dict:
 
 
 def compare(result: dict, refs: dict) -> dict:
-    """Per engine: each side's median ms/frame, the ratio, the change's
-    share of faster frames, and per output the change's largest difference
-    and the parent's under one ulp, relative to the parent's largest entry."""
+    """Per engine: each side's median wall and CPU ms/frame, the ratio of
+    the wall medians, the change's share of faster frames, and per output
+    the change's largest difference and the parent's under one ulp, relative
+    to the parent's largest entry."""
     table = {}
     for engine, sides in result.items():
-        (ms_p, y_p), (ms_c, y_c) = sides["parent"], sides["change"]
+        (ms_p, cpu_p, y_p), (ms_c, cpu_c, y_c) = sides["parent"], sides["change"]
         med_p, med_c = statistics.median(ms_p), statistics.median(ms_c)
         row = table[engine] = {
             "parent_ms_per_frame": round(med_p, 4),
             "change_ms_per_frame": round(med_c, 4),
             "ratio": round(med_c / med_p, 4),
             "change_faster_frames": round(float(np.mean(ms_c < ms_p)), 3),
+            "parent_cpu_ms_per_frame": round(statistics.median(cpu_p), 4),
+            "change_cpu_ms_per_frame": round(statistics.median(cpu_c), 4),
             "frames": len(ms_p),
         }
         for o in OUTPUTS:
             ref, scale = y_p[o], np.max(np.abs(y_p[o]))
-            ys = {"change": y_c[o], **{f"parent_one_ulp_{k}": r[engine]["parent"][1][o]
+            ys = {"change": y_c[o], **{f"parent_one_ulp_{k}": r[engine]["parent"][-1][o]
                                       for k, r in refs.items()}}
             row[o] = {k: float(np.max(np.abs(y - ref)) / scale) for k, y in ys.items()}
     return table
@@ -225,6 +235,8 @@ def run_scene(scene: str, bins: np.ndarray, packages: dict, configs: dict, seed:
         print(f"{scene:5s} {engine:8s} parent {row['parent_ms_per_frame']:7.3f} ms/frame "
               f"change {row['change_ms_per_frame']:7.3f} ratio {row['ratio']:.3f} "
               f"change faster in {row['change_faster_frames']:.0%} of {row['frames']} frames; "
+              f"CPU parent {row['parent_cpu_ms_per_frame']:.3f} change "
+              f"{row['change_cpu_ms_per_frame']:.3f} ms/frame; "
               f"output diff {diffs}", flush=True)
     return table
 
@@ -234,7 +246,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cpu", type=int, help="pin this process to CPU N")
     args = parse_args(parser, argv)
+    if args.cpu is not None:
+        os.sched_setaffinity(0, {args.cpu})
     start = time.perf_counter()
 
     sys.path.insert(0, str(args.change.resolve() / "src"))
@@ -246,8 +261,8 @@ def main(argv=None) -> int:
         "m16": (inputs.far_field_grid(args.seed, M16_FRAMES).x, True),
         "noise": (random_bins(args.seed, desk.shape), False),
     }
-    block = {"seed": args.seed, "desk_frames": len(desk), "m16_frames": M16_FRAMES,
-             "curve_frames": CURVE_FRAMES, "curve_bins": CURVE_BINS}
+    block = {"seed": args.seed, "cpu": args.cpu, "desk_frames": len(desk),
+             "m16_frames": M16_FRAMES, "curve_frames": CURVE_FRAMES, "curve_bins": CURVE_BINS}
     for scene, (bins, m16) in scenes.items():
         configs = {side: side_configs(pkg, m16) for side, pkg in packages.items()}
         block[scene] = run_scene(scene, bins, packages, configs, args.seed)
@@ -264,8 +279,9 @@ def main(argv=None) -> int:
     block["wall_s"] = round(time.perf_counter() - start, 1)
     print(f"wall time {block['wall_s']} s")
     if args.out:
+        pin = "" if args.cpu is None else f"--cpu {args.cpu} "
         block["command"] = (f"python3 bench/engine_ab.py --parent <parent checkout> "
-                            f"--change <change checkout> --seed {args.seed} "
+                            f"--change <change checkout> --seed {args.seed} {pin}"
                             f"--out {args.out.name} --key {args.key}")
         store(args.out, args.key, block)
     return 0

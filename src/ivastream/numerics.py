@@ -289,24 +289,22 @@ def _checked_solve(
     a: np.ndarray, b: np.ndarray | int, context: str, shift: np.ndarray | None = None
 ) -> np.ndarray:
     """Residual-checked solve of ``(A + shift I) X = B`` for (..., K, K)
-    ``A``, (..., K, R) ``B`` and a per-system diagonal ``shift`` (None for
-    none); an integer ``b`` is the unit column ``e_b``, which only LAPACK
-    gets as an array.  2 x 2 systems go through :func:`_solve_2x2`, and
-    only those it leaves unsolved through LAPACK; all others go through
-    LAPACK."""
+    ``A``, (..., K, R) ``B`` with the same batch axes and a per-system
+    diagonal ``shift`` (None for none); an integer ``b`` is the unit column
+    ``e_b``, which only LAPACK gets as an array.  2 x 2 systems go through
+    :func:`_solve_2x2`, and only those it leaves unsolved through LAPACK;
+    all others go through LAPACK."""
     k = a.shape[-1]
     unit = isinstance(b, int)
     rows = k if unit else b.shape[-2]
     if a.shape[-2] != k or rows != k:
         raise ValueError(f"{context}: A is {a.shape[-2]}x{k}, B has {rows} rows")
+    if not unit and b.shape[:-2] != a.shape[:-2]:
+        raise ValueError(f"{context}: A of shape {a.shape} and B of shape {b.shape} "
+                         f"have different batch axes")
     if k != 2:
         b = _unit_columns(b, k, a.shape[:-2]) if unit else b
         return _lapack_solve(_shifted(a, shift), b, context)
-    if not unit and a.shape[:-2] != b.shape[:-2]:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        a = np.broadcast_to(a, batch + (k, k))
-        b = np.broadcast_to(b, batch + b.shape[-2:])
-        shift = None if shift is None else np.broadcast_to(shift, batch)
     x, ok = _solve_2x2(a, b, shift)
     if not np.all(ok):
         bad = ~ok

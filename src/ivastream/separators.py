@@ -37,12 +37,23 @@ State layout per frequency bin ``i`` (states store all bins stacked):
   mean eigenvalue (OverIVA)
 * separated spectra are ``y[n, i] = W[i, n, :] @ x[i]``
 
+A frame runs in order: every source's contrast weight, then the
+statistics (``V``, ``P`` and ``C``), then the per-source filter updates, then
+the orthogonal constraint.  With a noise block, the statistics of sources
+after the first and ``C`` run on one worker thread per process while source
+0's filter update runs (see :func:`process_frame`).
+
 ``process_frame`` mutates one state and must be serialized per state;
-states for different streams are independent.
+states for different streams are independent, and may stream from
+different threads at once.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
 
@@ -358,22 +369,68 @@ def _inverse_column(w: np.ndarray, n: int, n_src: int, loading: float) -> np.nda
     return col
 
 
+def _statistics(state: SeparatorState, x: np.ndarray, xxh: np.ndarray, weights: list,
+                sources: range, refresh: bool) -> None:
+    """Step the recursions of ``sources``: each one's ``V`` and, but on a
+    refresh frame, overiva's tracked inverse ``P``."""
+    alpha = state.config.forgetting
+    for n in sources:
+        update_weighted_cov(state.V[n], xxh, weights[n], alpha)
+        if state.P is not None and not refresh:
+            update_inverse(state.P[n], state.V[n], x, weights[n], alpha)
+
+
+def _new_worker() -> None:
+    """Give this process its own statistics worker; its thread starts with
+    the first job and is joined at interpreter exit."""
+    global _worker
+    _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="ivastream-statistics")
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no thread behind its parent's worker
+    os.register_at_fork(after_in_child=_new_worker)
+
+
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
     """Advance one stream by one frame and return the separated spectra.
 
-    Per source in ascending order: compute the contrast weight from the
-    carried-over filter, refresh that source's weighted covariance and run
-    the algorithm's filter update, writing the source's demixing row so
-    later sources see it.  overiva's update first brings its tracked
-    inverse in step (from a checked solve every ``INVERSE_REFRESH``
-    frames); auxiva and biiva solve exactly.  Then, if there is a noise
-    block, refresh the spatial covariance and the noise block from the
-    orthogonal constraint.  Finally emit ``y = W x``.  Real, integer and
-    single-precision bins are cast to complex128 first, so they stream as
-    their complex128 values do.
+    The frame runs in four steps.  (1) Every source's contrast weight, from
+    the carried-over filters: source ``n``'s weight reads row ``n`` of
+    ``W``, which no earlier source's update writes.  (2) The statistics:
+    each source's weighted covariance and overiva's tracked inverse in step
+    with it, and the spatial covariance ``C`` if there is a noise block.
+    (3) Per source in ascending order, the algorithm's filter update,
+    writing the source's demixing row so later sources see it.  overiva's
+    first refreshes its tracked inverse from a checked solve every
+    ``INVERSE_REFRESH`` frames; auxiva and biiva solve exactly.  (4) With a
+    noise block, its update from the orthogonal constraint.  Finally emit
+    ``y = W x``.  Real, integer and single-precision bins are cast to
+    complex128 first, so they stream as their complex128 values do.
+
+    With a noise block and more than one CPU to run on, the statistics of
+    sources 1..N-1 and ``C`` overlap source 0's: they are handed to the
+    process's one statistics worker thread (shared by all states) before
+    source 0's statistics and filter update run on the caller's thread.  The
+    worker runs :func:`update_weighted_cov` and :func:`update_inverse` and
+    nothing else, in two jobs: the later sources' ``V`` and ``P``, joined
+    before source 1's filter update, then ``C``, joined before the
+    noise-block update.  Nothing on the caller's thread reads what the jobs
+    write before joining them, so the outputs are those of the serial order.
+    auxiva, and a process bound to one CPU, step every statistic inline.
+    No job on the state is left running when this returns or raises, and an
+    error in a job re-raises here.
     """
     cfg = state.config
-    x = np.asarray(frame.bins, dtype=np.complex128)
+    x = np.ascontiguousarray(frame.bins, dtype=np.complex128)
     if x.shape != (state.n_bins, cfg.n_channels):
         raise ValueError(
             f"frame {frame.index}: got {x.shape}, state expects "
@@ -384,41 +441,56 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
 
     alpha = cfg.forgetting
     n_src = cfg.n_sources
+    weights = [contrast_weight(state, x, n) for n in range(n_src)]
     xxh = x[:, :, None] * x[:, None, :].conj()
-
-    for n in range(n_src):
-        weight = contrast_weight(state, x, n)
-        update_weighted_cov(state.V[n], xxh, weight, alpha)
-        try:
-            u = _inverse_column(state.W, n, n_src, LOADING)
-            if cfg.algorithm is Algorithm.AUXIVA:
-                state.W[:, n, :] = ip_update(u, state.V[n], LOADING).conj()
-            elif cfg.algorithm is Algorithm.OVERIVA:
-                if state.frame_index % INVERSE_REFRESH == 0:
-                    state.P[n] = numerics.scaled_inverse(state.V[n], LOADING)
-                else:
-                    update_inverse(state.P[n], state.V[n], x, weight, alpha)
-                state.W[:, n, :] = ip_update(u, state.V[n], LOADING, state.P[n]).conj()
+    refresh = state.frame_index % INVERSE_REFRESH == 0
+    later = [functools.partial(_statistics, state, x, xxh, weights, range(1, n_src), refresh)]
+    if state.C is not None:
+        later.append(functools.partial(update_weighted_cov, state.C, xxh, 1.0, alpha))
+    overlap = state.C is not None and _cpus() > 1
+    jobs = []
+    try:
+        for job in later:
+            if overlap:
+                # in the caller's context, so under its np.errstate
+                jobs.append(_worker.submit(contextvars.copy_context().run, job))
             else:
-                # both sub-updates read the same pre-update W, hence one u
-                w1 = bilinear_update(u, state.V[n], state.w2[n], "left", LOADING)
-                w2 = bilinear_update(u, state.V[n], w1, "right", LOADING)
-                # move the scale into w2 so w1 stays unit-norm
-                scale = np.sqrt(numerics.real_dot(w1, w1))[..., None]
-                state.w1[n] = w1 / scale
-                state.w2[n] = w2 * scale
-                state.W[:, n, :] = numerics.kron(state.w1[n].conj(), state.w2[n].conj())
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"frame {state.frame_index}, source {n}: {exc}"
-            ) from exc
+                job()
+        _statistics(state, x, xxh, weights, range(1), refresh)
+        for n in range(n_src):
+            if n == 1 and jobs:
+                jobs[0].result()
+            try:
+                u = _inverse_column(state.W, n, n_src, LOADING)
+                if cfg.algorithm is Algorithm.AUXIVA:
+                    state.W[:, n, :] = ip_update(u, state.V[n], LOADING).conj()
+                elif cfg.algorithm is Algorithm.OVERIVA:
+                    if refresh:
+                        state.P[n] = numerics.scaled_inverse(state.V[n], LOADING)
+                    state.W[:, n, :] = ip_update(u, state.V[n], LOADING, state.P[n]).conj()
+                else:
+                    # both sub-updates read the same pre-update W, hence one u
+                    w1 = bilinear_update(u, state.V[n], state.w2[n], "left", LOADING)
+                    w2 = bilinear_update(u, state.V[n], w1, "right", LOADING)
+                    # move the scale into w2 so w1 stays unit-norm
+                    scale = np.sqrt(numerics.real_dot(w1, w1))[..., None]
+                    state.w1[n] = w1 / scale
+                    state.w2[n] = w2 * scale
+                    state.W[:, n, :] = numerics.kron(state.w1[n].conj(), state.w2[n].conj())
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"frame {state.frame_index}, source {n}: {exc}"
+                ) from exc
 
-    if n_src < cfg.n_channels:
-        update_weighted_cov(state.C, xxh, 1.0, alpha)
-        try:
-            state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], LOADING)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"frame {state.frame_index}, noise block: {exc}") from exc
+        if state.C is not None:
+            if jobs:
+                jobs[-1].result()
+            try:
+                state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], LOADING)
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"frame {state.frame_index}, noise block: {exc}") from exc
+    finally:
+        futures.wait(jobs)
 
     y = np.einsum("inm,im->ni", state.W[:, :n_src, :], x)
     estimate = SourceEstimate(y=y, frame_index=state.frame_index)

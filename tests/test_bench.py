@@ -4,6 +4,7 @@ and ``bench/pairs.py``'s verdict arithmetic."""
 
 import importlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,27 +25,52 @@ def _bench_module(monkeypatch, name):
     return importlib.import_module(name)
 
 
-def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
+def _engine_ab_block(tmp_path, monkeypatch, *options):
+    """``bench/engine_ab.py`` of this checkout against itself, cut to a few
+    frames, with ``options``; returns its stored block."""
     engine_ab = _bench_module(monkeypatch, "engine_ab")
     monkeypatch.setattr(importlib.import_module("record"), "DESK_SECONDS", 0.1)
     for name, value in (("M16_FRAMES", 3), ("CURVE_FRAMES", 3), ("CURVE_BINS", 5),
                         ("CURVE_CHANNELS", (4, 9))):
         monkeypatch.setattr(engine_ab, name, value)
     out = tmp_path / "bench.json"
-    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--out", str(out), "--key", "k"]
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), *options, "--out", str(out), "--key", "k"]
     assert engine_ab.main(argv) == 0
+    return json.loads(out.read_text())["k"]
 
-    block = json.loads(out.read_text())["k"]
+
+def _engine_ab_rows(block):
     tables = [block[scene] for scene in ("desk", "m16", "noise")]
     tables += [{e: point[e] for e in ("overiva", "biiva")} for point in block["curve"]]
     assert len(tables) == 5
-    for table in tables:
-        for row in table.values():
-            for output in ("raw", "projection back"):
-                diffs = row[output]
-                assert diffs["change"] == 0.0
-                refs = [diffs["parent_one_ulp_input"], diffs["parent_one_ulp_solves"]]
-                assert np.all(np.isfinite(refs)) and min(refs) >= 0.0
+    return [row for table in tables for row in table.values()]
+
+
+def test_engine_ab_of_a_checkout_against_itself(tmp_path, monkeypatch):
+    block = _engine_ab_block(tmp_path, monkeypatch)
+    assert block["cpu"] is None and block["host"]["cpus"] == len(os.sched_getaffinity(0))
+    for row in _engine_ab_rows(block):
+        for output in ("raw", "projection back"):
+            diffs = row[output]
+            assert diffs["change"] == 0.0
+            refs = [diffs["parent_one_ulp_input"], diffs["parent_one_ulp_solves"]]
+            assert np.all(np.isfinite(refs)) and min(refs) >= 0.0
+        for side in ("parent", "change"):
+            assert row[f"{side}_cpu_ms_per_frame"] >= 0.0
+
+
+def test_engine_ab_pinned_to_one_cpu(tmp_path, monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    cpu = max(cpus)
+    try:
+        block = _engine_ab_block(tmp_path, monkeypatch, "--cpu", str(cpu))
+        assert os.sched_getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert block["cpu"] == cpu and block["host"]["cpus"] == 1
+    assert f"--cpu {cpu} " in block["command"]
+    for row in _engine_ab_rows(block):
+        assert row["raw"]["change"] == 0.0 and row["change_cpu_ms_per_frame"] >= 0.0
 
 
 def test_hard_streams_rows_and_restored_package(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Batched complex linear algebra primitives."""
 
+import re
 import warnings
 
 import numpy as np
@@ -360,13 +361,14 @@ class TestSmallSystems:
             assert _rel_err(nx.solve_column(w, n), np.linalg.inv(w)[..., n]) <= 1e-12
         assert _rel_err(nx.solve_general(w, eye), np.linalg.inv(w)) <= 1e-12
 
-    def test_shared_right_hand_side_broadcasts_over_the_batch(self, monkeypatch):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_right_hand_sides_of_another_batch_are_refused(self, k):
         rng = np.random.default_rng(99)
-        w = _conditioned(rng, 2, 10.0, False)
-        b = _cplx(rng, 2, 1)
-        _no_lapack(monkeypatch)
-        shared = nx.solve_general(w, b)
-        np.testing.assert_array_equal(shared, nx.solve_general(w, np.broadcast_to(b, (_BINS, 2, 1))))
+        w = _conditioned(rng, k, 10.0, False)
+        for b in (_cplx(rng, k, 1), _cplx(rng, 2, _BINS, k, 1)):
+            message = re.escape(f"A of shape {w.shape} and B of shape {b.shape}")
+            with pytest.raises(ValueError, match=message):
+                nx.solve_general(w, b)
 
     def test_rejected_systems_alone_go_to_lapack_loaded(self, monkeypatch):
         rng = np.random.default_rng(97)
