@@ -444,7 +444,9 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     weights = [contrast_weight(state, x, n) for n in range(n_src)]
     xxh = x[:, :, None] * x[:, None, :].conj()
     refresh = state.frame_index % INVERSE_REFRESH == 0
-    later = [functools.partial(_statistics, state, x, xxh, weights, range(1, n_src), refresh)]
+    later = []
+    if n_src > 1:
+        later.append(functools.partial(_statistics, state, x, xxh, weights, range(1, n_src), refresh))
     if state.C is not None:
         later.append(functools.partial(update_weighted_cov, state.C, xxh, 1.0, alpha))
     overlap = state.C is not None and _cpus() > 1

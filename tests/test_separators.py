@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import sys
 import threading
 import time
 import warnings
@@ -981,26 +982,34 @@ class TestStatisticsWorker:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             sep.process_frame(st, _mixture_frames(41, 1, 8, 9)[0])
 
-    def test_two_threads_streaming_at_once_give_their_serial_outputs(self, monkeypatch):
+    def test_states_streamed_from_three_threads_at_once_give_their_serial_outputs(self, monkeypatch):
+        # more streaming threads than the two CPUs, switching threads often,
+        # all handing jobs to the one worker
         _cpus(monkeypatch, {0, 1})
-        cfgs = [SeparatorConfig(9, 2, "overiva"), SeparatorConfig(9, 3, "biiva", 3, 3)]
-        streams = [_mixture_frames(38 + k, 40, 16, 9) for k in range(2)]
+        cfgs = [SeparatorConfig(9, 2, "overiva"), SeparatorConfig(9, 3, "biiva", 3, 3),
+                SeparatorConfig(4, 1, "overiva")]
+        streams = [_mixture_frames(38 + k, 40, 16, cfg.n_channels) for k, cfg in enumerate(cfgs)]
         serial = [cli.separate_stream(frames, cfg)[0] for frames, cfg in zip(streams, cfgs)]
-        got = [None, None]
-        start = threading.Barrier(2)
+        got = [None] * len(cfgs)
+        start = threading.Barrier(len(cfgs))
 
         def stream(k):
             st = sep.init_state(cfgs[k], 16)
-            start.wait()
+            start.wait(timeout=60)
             got[k] = np.array([sep.process_frame(st, frame).y for frame in streams[k]])
 
-        threads = [threading.Thread(target=stream, args=(k,)) for k in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        threads = [threading.Thread(target=stream, args=(k,)) for k in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for k in range(2):
+        for k in range(len(cfgs)):
             assert got[k] is not None
             np.testing.assert_array_equal(got[k], serial[k])
 
@@ -1016,11 +1025,16 @@ class TestStatisticsWorker:
             for frame in _spectral_frames(rng, 3, 6, cfg.n_channels):
                 sep.process_frame(st, frame)
         assert worker.jobs == 0
-        # two CPUs: each frame hands over the later sources' job and C's
+        # two CPUs: each frame hands over the later sources' job and C's, or
+        # C's alone with one source
         _cpus(monkeypatch, {0, 1})
         for frame in _spectral_frames(rng, 3, 6, 9):
             sep.process_frame(st, frame)
         assert worker.jobs == 6
+        st = sep.init_state(SeparatorConfig(3, 1, "overiva"), 6)
+        for frame in _spectral_frames(rng, 3, 6, 3):
+            sep.process_frame(st, frame)
+        assert worker.jobs == 9
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_streams_on_its_own_worker(self, monkeypatch):
