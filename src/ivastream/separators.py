@@ -37,11 +37,11 @@ State layout per frequency bin ``i`` (states store all bins stacked):
   mean eigenvalue (OverIVA)
 * separated spectra are ``y[n, i] = W[i, n, :] @ x[i]``
 
-A frame runs in order: every source's contrast weight, then the
-statistics (``V``, ``P`` and ``C``), then the per-source filter updates, then
-the orthogonal constraint.  With a noise block, the statistics of sources
-after the first and ``C`` run on one worker thread per process while source
-0's filter update runs (see :func:`process_frame`).
+A frame computes every source's contrast weight first, from the
+carried-over filters, so no statistic (``V``, ``P``, ``C``) reads a filter
+update's result.  With a noise block, the statistics of the sources after
+the first and ``C`` run on one worker thread per process while source 0's
+filter update runs (see :func:`process_frame`).
 
 ``process_frame`` mutates one state and must be serialized per state;
 states for different streams are independent, and may stream from
@@ -403,31 +403,29 @@ if hasattr(os, "register_at_fork"):
 def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate:
     """Advance one stream by one frame and return the separated spectra.
 
-    The frame runs in four steps.  (1) Every source's contrast weight, from
-    the carried-over filters: source ``n``'s weight reads row ``n`` of
-    ``W``, which no earlier source's update writes.  (2) The statistics:
-    each source's weighted covariance and overiva's tracked inverse in step
-    with it, and the spatial covariance ``C`` if there is a noise block.
-    (3) Per source in ascending order, the algorithm's filter update,
-    writing the source's demixing row so later sources see it.  overiva's
-    first refreshes its tracked inverse from a checked solve every
-    ``INVERSE_REFRESH`` frames; auxiva and biiva solve exactly.  (4) With a
-    noise block, its update from the orthogonal constraint.  Finally emit
-    ``y = W x``.  Real, integer and single-precision bins are cast to
-    complex128 first, so they stream as their complex128 values do.
+    First every source's contrast weight, from the carried-over filters:
+    source ``n``'s weight reads row ``n`` of ``W``, which no earlier
+    source's update writes.  Then per source in ascending order: step its
+    weighted covariance and overiva's tracked inverse with it (every
+    ``INVERSE_REFRESH`` frames from a checked solve instead), and run the
+    algorithm's filter update, writing the source's demixing row so later
+    sources see it; auxiva and biiva solve exactly.  Then, with a noise
+    block, step the spatial covariance ``C`` and update the noise block from
+    the orthogonal constraint.  Finally emit ``y = W x``.  Real, integer and
+    single-precision bins are cast to complex128 first, so they stream as
+    their complex128 values do.
 
-    With a noise block and more than one CPU to run on, the statistics of
-    sources 1..N-1 and ``C`` overlap source 0's: they are handed to the
-    process's one statistics worker thread (shared by all states) before
-    source 0's statistics and filter update run on the caller's thread.  The
-    worker runs :func:`update_weighted_cov` and :func:`update_inverse` and
-    nothing else, in two jobs: the later sources' ``V`` and ``P``, joined
-    before source 1's filter update, then ``C``, joined before the
-    noise-block update.  Nothing on the caller's thread reads what the jobs
-    write before joining them, so the outputs are those of the serial order.
-    auxiva, and a process bound to one CPU, step every statistic inline.
-    No job on the state is left running when this returns or raises, and an
-    error in a job re-raises here.
+    No statistic reads a filter update's result.  So with a noise block and
+    more than one CPU to run on, the statistics of sources 1..N-1 and ``C``
+    are handed up front to the process's one statistics worker thread,
+    shared by all states, and run while source 0's run on the caller's
+    thread, followed by its filter update.  The worker runs
+    :func:`update_weighted_cov` and :func:`update_inverse` and nothing else,
+    in two jobs: the later sources' ``V`` and ``P``, joined before source
+    1's filter update, then ``C``, joined before the noise-block update.
+    The outputs are those of the serial order, which auxiva, and a process
+    bound to one CPU, run.  No job on the state is left running when this
+    returns or raises, and an error in a job re-raises here.
     """
     cfg = state.config
     x = np.ascontiguousarray(frame.bins, dtype=np.complex128)
@@ -444,24 +442,24 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     weights = [contrast_weight(state, x, n) for n in range(n_src)]
     xxh = x[:, :, None] * x[:, None, :].conj()
     refresh = state.frame_index % INVERSE_REFRESH == 0
+    # each entry is called where its results are first read: it steps those
+    # statistics there, or, once handed to the worker, waits for them
     later = []
     if n_src > 1:
         later.append(functools.partial(_statistics, state, x, xxh, weights, range(1, n_src), refresh))
     if state.C is not None:
         later.append(functools.partial(update_weighted_cov, state.C, xxh, 1.0, alpha))
-    overlap = state.C is not None and _cpus() > 1
     jobs = []
     try:
-        for job in later:
-            if overlap:
+        if state.C is not None and _cpus() > 1:
+            for job in later:
                 # in the caller's context, so under its np.errstate
                 jobs.append(_worker.submit(contextvars.copy_context().run, job))
-            else:
-                job()
+            later = [job.result for job in jobs]
         _statistics(state, x, xxh, weights, range(1), refresh)
         for n in range(n_src):
-            if n == 1 and jobs:
-                jobs[0].result()
+            if n == 1:
+                later[0]()
             try:
                 u = _inverse_column(state.W, n, n_src, LOADING)
                 if cfg.algorithm is Algorithm.AUXIVA:
@@ -485,8 +483,7 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
                 ) from exc
 
         if state.C is not None:
-            if jobs:
-                jobs[-1].result()
+            later[-1]()
             try:
                 state.W[:, n_src:, :n_src] = oc_update(state.C, state.W[:, :n_src, :], LOADING)
             except SingularMatrixError as exc:
