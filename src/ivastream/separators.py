@@ -489,7 +489,8 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"frame {state.frame_index}, noise block: {exc}") from exc
     finally:
-        futures.wait(jobs)
+        if jobs:  # a wait on no futures costs 1% of auxiva's frame
+            futures.wait(jobs)
 
     y = np.einsum("inm,im->ni", state.W[:, :n_src, :], x)
     estimate = SourceEstimate(y=y, frame_index=state.frame_index)
