@@ -418,8 +418,8 @@ def process_frame(state: SeparatorState, frame: SpectralFrame) -> SourceEstimate
     No statistic reads a filter update's result.  So with a noise block and
     more than one CPU to run on, the statistics of sources 1..N-1 and ``C``
     are handed up front to the process's one statistics worker thread,
-    shared by all states, and run while source 0's run on the caller's
-    thread, followed by its filter update.  The worker runs
+    shared by all states, and run while the caller's thread steps source
+    0's statistics and runs its filter update.  The worker runs
     :func:`update_weighted_cov` and :func:`update_inverse` and nothing else,
     in two jobs: the later sources' ``V`` and ``P``, joined before source
     1's filter update, then ``C``, joined before the noise-block update.
