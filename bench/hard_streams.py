@@ -12,6 +12,9 @@ streams these inputs through the engines named:
   in ``configs/`` (auxiva on microphones 0 and 1);
 * ``desk30``: the five 30 s desk streams of the shipped manifest's sweep,
   seeds 0-4 (overiva);
+* ``desk_duplicated`` and ``desk_dead_mic``: the 30 s desk stream of seed
+  1 with channel 1 a copy of channel 0, or all zero, through every
+  engine's shipped config;
 * ``m16``: ``perfbench``'s 4x4 far-field grid scene, seed 1, 600 frames
   (the shipped overiva config, forgetting 0.98, widened to 16 channels as
   ``perfbench``'s ``scale_m16`` and ``bench/engine_ab.py`` widen it); they
@@ -257,12 +260,20 @@ def main(argv=None) -> int:
                     else f"{b} {c:g}" for b, c in v.items()))
 
     with wrapped(separators, numerics, rec):
+        configs = {engine: io.load_separator_config(CONFIGS / f"{engine}.json")
+                   for engine in ENGINES}
         desk = desk_bins(1)
-        for engine in ENGINES:
-            run("desk", engine, desk, io.load_separator_config(CONFIGS / f"{engine}.json"))
-        shipped = io.load_separator_config(CONFIGS / "overiva.json")
+        for engine, cfg in configs.items():
+            run("desk", engine, desk, cfg)
+        shipped = configs["overiva"]
         for seed in DESK_SEEDS:
             run(f"desk30_seed{seed}", "overiva", desk_bins(seed, DESK_SWEEP_SECONDS), shipped)
+        desk30 = desk_bins(1, DESK_SWEEP_SECONDS)
+        for name, channel_1 in (("desk_duplicated", desk30[..., 0]), ("desk_dead_mic", 0.0)):
+            x = desk30.copy()
+            x[..., 1] = channel_1
+            for engine, cfg in configs.items():
+                run(name, engine, x, cfg)
         rows, cols = inputs.GRID
         m16 = dataclasses.replace(shipped, n_channels=rows * cols)
         run("m16", "overiva", inputs.far_field_grid(1, M16_FRAMES).x, m16)

@@ -239,14 +239,16 @@ def run_separate(
     mixture_path,
     config_path,
     out,
-    fft_size: int = 1024,
-    hop: int = 256,
-    reference_channel: int = 0,
+    fft_size: int = StftConfig.fft_size,
+    hop: int = StftConfig.hop,
+    reference_channel: int = EvalConfig.reference_channel,
     timing_log=None,
-    overrides: dict | None = None,
+    forgetting: float | None = None,
 ) -> int:
     buf = read_wav(mixture_path)
-    config = load_separator_config(config_path, overrides)
+    config = load_separator_config(config_path)
+    if forgetting is not None:
+        config = replace(config, forgetting=forgetting)
     if buf.n_channels != config.n_channels:
         raise ValueError(
             f"mixture has {buf.n_channels} channels, config expects {config.n_channels}"
@@ -531,9 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("mixture")
     p.add_argument("config", help="separator JSON config")
     p.add_argument("--out", required=True)
-    p.add_argument("--fft-size", type=int, default=1024)
-    p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--reference-channel", type=int, default=0)
+    p.add_argument("--fft-size", type=int, default=StftConfig.fft_size)
+    p.add_argument("--hop", type=int, default=StftConfig.hop)
+    p.add_argument("--reference-channel", type=int, default=EvalConfig.reference_channel)
     p.add_argument("--timing-log", default=None, help="per-frame wall-time CSV")
     p.add_argument("--forgetting", type=float, default=None)
 
@@ -542,9 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("references", help="multichannel WAV of reference images")
     p.add_argument("--mixture", required=True, help="unprocessed mixture WAV")
     p.add_argument("--out", required=True)
-    p.add_argument("--segment-seconds", type=float, default=2.0)
-    p.add_argument("--filter-length", type=int, default=512)
-    p.add_argument("--reference-channel", type=int, default=0)
+    p.add_argument("--segment-seconds", type=float, default=EvalConfig.segment_seconds)
+    p.add_argument("--filter-length", type=int, default=EvalConfig.filter_length)
+    p.add_argument("--reference-channel", type=int, default=EvalConfig.reference_channel)
 
     p = sub.add_parser("benchmark", help="run an algorithm x seed sweep")
     p.add_argument("manifest", help="run manifest JSON")
@@ -570,7 +572,7 @@ def main(argv=None) -> int:
                 hop=args.hop,
                 reference_channel=args.reference_channel,
                 timing_log=args.timing_log,
-                overrides={"forgetting": args.forgetting},
+                forgetting=args.forgetting,
             )
         if args.command == "evaluate":
             cfg = EvalConfig(

@@ -6,7 +6,9 @@ read, integer PCM normalized by the full-scale convention (int16 / 32768,
 makes the file corrupt.  Every write is float32, which reads back
 losslessly.  Scenario and separator files are JSON documents validated
 against schemas shipped with the package, as are benchmark manifests;
-violations are reported with their JSON path.
+violations are reported with their JSON path.  Each loader takes a path
+alone: a caller that sets a field of what it loaded does so with
+``dataclasses.replace``, whose ``__post_init__`` checks the new value.
 """
 
 from __future__ import annotations
@@ -114,17 +116,6 @@ _Validator = jsonschema.validators.extend(
 )
 
 
-def _validate(doc, schema_name: str, context: str) -> None:
-    schema = json.loads(
-        resources.files("ivastream.schemas").joinpath(schema_name).read_text()
-    )
-    validator = _Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
-    if errors:
-        err = errors[0]
-        raise ConfigError(f"{context}: {err.json_path}: {err.message}")
-
-
 def _load_validated(path, schema_name: str) -> dict:
     try:
         with open(path) as fh:
@@ -133,7 +124,10 @@ def _load_validated(path, schema_name: str) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _validate(doc, schema_name, str(path))
+    schema = json.loads(resources.files("ivastream.schemas").joinpath(schema_name).read_text())
+    errors = sorted(_Validator(schema).iter_errors(doc), key=lambda e: e.json_path)
+    if errors:
+        raise ConfigError(f"{path}: {errors[0].json_path}: {errors[0].message}")
     return doc
 
 
@@ -192,18 +186,12 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_separator_config(path, overrides: dict | None = None) -> SeparatorConfig:
-    """Build a validated SeparatorConfig; domain constraints (channel
-    bounds, the biiva factor product) are reported as load errors.
-
-    ``overrides`` merges extra key/value pairs over the file contents (the
-    CLI's precedence: flags beat the file, the file beats defaults); the
-    merged document is re-validated.
+def load_separator_config(path) -> SeparatorConfig:
+    """Build a validated SeparatorConfig from a JSON file; domain
+    constraints (channel bounds, the biiva factor product) are reported as
+    load errors.  Keys the file omits take ``SeparatorConfig``'s defaults.
     """
     doc = _load_validated(path, "separator.schema.json")
-    if overrides:
-        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-        _validate(doc, "separator.schema.json", f"{path} (with overrides)")
     try:
         return SeparatorConfig(**doc)
     except (TypeError, ValueError) as exc:

@@ -189,13 +189,14 @@ def sir_sdr(decomposition: Decomposition):
 
 @dataclass
 class EvalReport:
-    """Per-segment ratios plus run-level summaries.
+    """Per-segment ratios and the run-level summaries derived from them.
 
     Arrays are (n_segments, n_sources), behind any leading axes of stacked
     estimate sets; baselines are the same ratios computed on the
     unprocessed mixture at the reference channel, so improvement = value -
-    baseline.  Converged values average the final quarter of the segments.
-    ``report[k]`` is the report of set ``k``.
+    baseline.  Converged values average the final quarter of the segments,
+    ``max(1, n_segments // 4)`` of them.  ``report[k]`` is the report of
+    set ``k``.
     """
 
     t_start_s: np.ndarray
@@ -203,10 +204,6 @@ class EvalReport:
     sdr_db: np.ndarray
     sir_baseline_db: np.ndarray
     sdr_baseline_db: np.ndarray
-    converged_sir_db: np.ndarray
-    converged_sdr_db: np.ndarray
-    converged_sir_improvement_db: np.ndarray
-    converged_sdr_improvement_db: np.ndarray
 
     @property
     def n_segments(self) -> int:
@@ -219,9 +216,7 @@ class EvalReport:
     def __getitem__(self, k) -> EvalReport:
         if self.sir_db.ndim < 3:
             raise TypeError("a report of one estimate set has no set axis to index")
-        per_set = ("sir_db", "sdr_db", "converged_sir_db", "converged_sdr_db",
-                   "converged_sir_improvement_db", "converged_sdr_improvement_db")
-        return replace(self, **{name: getattr(self, name)[k] for name in per_set})
+        return replace(self, sir_db=self.sir_db[k], sdr_db=self.sdr_db[k])
 
     @property
     def sir_improvement_db(self) -> np.ndarray:
@@ -232,6 +227,27 @@ class EvalReport:
     def sdr_improvement_db(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return self.sdr_db - self.sdr_baseline_db
+
+    def _converged(self, per_segment: np.ndarray) -> np.ndarray:
+        tail = max(1, self.n_segments // 4)
+        with np.errstate(invalid="ignore"):  # a mean over inf and -inf is a NaN, as above
+            return per_segment[..., -tail:, :].mean(axis=-2)
+
+    @property
+    def converged_sir_db(self) -> np.ndarray:
+        return self._converged(self.sir_db)
+
+    @property
+    def converged_sdr_db(self) -> np.ndarray:
+        return self._converged(self.sdr_db)
+
+    @property
+    def converged_sir_improvement_db(self) -> np.ndarray:
+        return self._converged(self.sir_improvement_db)
+
+    @property
+    def converged_sdr_improvement_db(self) -> np.ndarray:
+        return self._converged(self.sdr_improvement_db)
 
     def to_csv(self, path) -> None:
         """One row per (segment, source); non-finite ratios are clipped to
@@ -305,21 +321,10 @@ def convergence_curve(
     sir0, sdr0 = sir[-1], sdr[-1]
     sir = sir[:-1].reshape(est.shape[:-2] + sir0.shape)
     sdr = sdr[:-1].reshape(sir.shape)
-
-    tail = max(1, n_segments // 4)
-    t_start = np.arange(n_segments) * seg_len / float(sample_rate)
-
-    with np.errstate(invalid="ignore"):  # inf - inf is a flagged NaN, not a bug
-        conv_dsir = (sir[..., -tail:, :] - sir0[-tail:]).mean(axis=-2)
-        conv_dsdr = (sdr[..., -tail:, :] - sdr0[-tail:]).mean(axis=-2)
     return EvalReport(
-        t_start_s=t_start,
+        t_start_s=np.arange(n_segments) * seg_len / float(sample_rate),
         sir_db=sir,
         sdr_db=sdr,
         sir_baseline_db=sir0,
         sdr_baseline_db=sdr0,
-        converged_sir_db=sir[..., -tail:, :].mean(axis=-2),
-        converged_sdr_db=sdr[..., -tail:, :].mean(axis=-2),
-        converged_sir_improvement_db=conv_dsir,
-        converged_sdr_improvement_db=conv_dsdr,
     )

@@ -1,15 +1,37 @@
-"""Helpers shared by several test suites: random complex inputs and the
-reference forms (dense, one-shot or unbuffered) that fast kernels are
-checked against."""
+"""Helpers shared by several test suites: random complex inputs and
+frames, overiva's IP step from a fresh tracked inverse, and the reference
+forms (dense, one-shot or unbuffered) that fast kernels are checked
+against."""
 
 import numpy as np
 
-from ivastream import roomsim
+from ivastream import numerics, roomsim
+from ivastream import separators as sep
 from ivastream.metrics import Decomposition
+from ivastream.stft import SpectralFrame, StftConfig
 
 
 def _cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _spectral_frames(rng, n_frames, n_bins, n_channels, cfg=None):
+    cfg = cfg or StftConfig()
+    return [
+        SpectralFrame(bins=_cplx(rng, n_bins, n_channels), index=j, config=cfg)
+        for j in range(n_frames)
+    ]
+
+
+def _tracked_ip_update(u, v, loading=0.0):
+    """``ip_update`` as overiva runs it, from the inverse a refresh puts in
+    the tracked ``P``; checks that no bin needed the exact fallback
+    (which would have refreshed ``P`` in place)."""
+    p = numerics.scaled_inverse(v, loading)
+    p0 = p.copy()
+    w = sep.ip_update(u, v, loading, p)
+    np.testing.assert_array_equal(p, p0)
+    return w
 
 
 def _random_pd(rng, *shape):

@@ -19,9 +19,10 @@ from ivastream import separators as sep
 from ivastream.metrics import decompose, sir_sdr
 from ivastream.roomsim import ArrayGeometry, Room, Scenario
 from ivastream.separators import SeparatorConfig
-from ivastream.stft import SpectralFrame, StftConfig, analyze, synthesize
+from ivastream.stft import StftConfig, analyze, synthesize
 
-from oracles import _aux_objective, _cplx, _dense_congruence, _dense_decompose, _random_pd
+from oracles import (_aux_objective, _cplx, _dense_congruence, _dense_decompose, _random_pd,
+                     _spectral_frames, _tracked_ip_update)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,14 +35,6 @@ def _unit(rng, n):
 def _quad(w, v):
     """Real quadratic form w^H V w over leading batch axes."""
     return np.einsum("...m,...mk,...k->...", np.conj(w), v, w).real
-
-
-def _spectral_frames(rng, n_frames, n_bins, n_channels):
-    cfg = StftConfig()
-    return [
-        SpectralFrame(bins=_cplx(rng, n_bins, n_channels), index=j, config=cfg)
-        for j in range(n_frames)
-    ]
 
 
 def test_criterion_01_kronecker_and_lifting_identities():
@@ -65,17 +58,6 @@ def test_criterion_01_kronecker_and_lifting_identities():
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-15
     assert elapsed < 5.0
-
-
-def _tracked_ip_update(u, v):
-    """``ip_update`` as overiva runs it: from the inverse that a refresh
-    puts in its tracked ``P``, with no bin falling back to the exact solve
-    (which would refresh ``P`` in place)."""
-    p = numerics.scaled_inverse(v, 0.0)
-    p0 = p.copy()
-    w = sep.ip_update(u, v, 0.0, p)
-    np.testing.assert_array_equal(p, p0)
-    return w
 
 
 def test_criterion_02_update_normalization_contracts():

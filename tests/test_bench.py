@@ -86,7 +86,8 @@ def test_hard_streams_rows_and_restored_package(tmp_path, monkeypatch):
         assert [k for k, v in names.items() if getattr(module, k) is not v] == []
 
     table = json.loads(out.read_text())["k"]["table"]
-    every_engine = ("desk", "duplicated", "dead_mic", "silence2_a0.98", "silence2_a0.99")
+    every_engine = ("desk", "desk_duplicated", "desk_dead_mic", "duplicated", "dead_mic",
+                    "silence2_a0.98", "silence2_a0.99")
     assert set(table) == {*every_engine, "desk30_seed0", "m16"}
     low_bins = {"auxiva": {"cond V"},
                 "overiva": {"cond V", "cond S", "loading gate closed", "solution from P rejected"},

@@ -319,6 +319,22 @@ class TestSeparate:
         assert (tmp_path / "root" / "out" / "logs" / "frames.csv").exists()
         assert not (tmp_path / "out").exists()
 
+    def test_forgetting_flag_streams_at_that_factor(self, tmp_path, mixture_dir):
+        # the flag replaces the loaded config's value: its estimates are
+        # those of a file that sets forgetting 0.9, not the file's default
+        def estimates(name, *flags):
+            argv = ["separate", str(mixture_dir / "observations.wav"), cfg,
+                    "--out", str(tmp_path / name), *flags]
+            assert main(argv) == 0
+            return (tmp_path / name / "estimates.wav").read_bytes()
+
+        cfg = _auxiva_config(tmp_path)
+        flagged = estimates("flag", "--forgetting", "0.9")
+        default = estimates("default")
+        cfg = _auxiva_config(tmp_path, forgetting=0.9)
+        assert flagged == estimates("file")
+        assert flagged != default
+
     def test_invalid_override_is_rejected(self, tmp_path, mixture_dir, capsys):
         cfg = _auxiva_config(tmp_path)
         code = main(

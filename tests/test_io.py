@@ -1,6 +1,7 @@
 """I/O tests: WAV normalization and round trips, and schema-validated
 scenario, separator and manifest loading."""
 
+import dataclasses
 import json
 import re
 import wave
@@ -265,11 +266,11 @@ def test_separator_sub_filter_lengths_only_for_biiva(tmp_path, algo, m):
 
 
 def test_separator_algorithm_override_keeps_sub_filter_lengths(tmp_path):
-    # a biiva file cannot be run as overiva by overriding its algorithm alone
+    # a biiva config cannot be run as overiva by replacing its algorithm alone
     doc = {"algorithm": "biiva", "n_channels": 9, "n_sources": 2, "sub_len_1": 3, "sub_len_2": 3}
-    path = _write_json(tmp_path, "biiva.json", doc)
-    with pytest.raises(ConfigError, match="for biiva only"):
-        load_separator_config(path, {"algorithm": "overiva"})
+    cfg = load_separator_config(_write_json(tmp_path, "biiva.json", doc))
+    with pytest.raises(ValueError, match="for biiva only"):
+        dataclasses.replace(cfg, algorithm="overiva")
 
 
 def test_separator_schema_rejects_unknown_keys_and_bad_enum(tmp_path):

@@ -23,6 +23,9 @@ from ivastream.metrics import (
 
 from oracles import _dense_decompose
 
+CONVERGED = ["converged_sir_db", "converged_sdr_db", "converged_sir_improvement_db",
+             "converged_sdr_improvement_db"]
+
 
 def _refs(seed, n_sources=2, n_samples=4000, silent_tail=0):
     """Independent noise references; an optional silent tail keeps short
@@ -241,12 +244,30 @@ def test_stacked_sets_match_per_set_curves(n_samples):
     assert stacked.t_start_s.shape == (3,) and stacked.sir_baseline_db.shape == (3, 2)
     for k, est in enumerate(sets):
         alone = convergence_curve(est, refs, mix, cfg, sample_rate=1000)
-        for field in fields(EvalReport):
-            assert_array_equal(getattr(stacked[k], field.name), getattr(alone, field.name))
+        for name in [f.name for f in fields(EvalReport)] + CONVERGED:
+            assert_array_equal(getattr(stacked[k], name), getattr(alone, name))
     # any leading axes stack
     nested = convergence_curve(sets.reshape(3, 1, 2, n_samples), refs, mix, cfg, 1000)
     assert_array_equal(nested.sdr_db[:, 0], stacked.sdr_db)
     assert nested[2][0].n_segments == stacked.n_segments
+
+
+@pytest.mark.parametrize("n_segments, tail", [(1, 1), (3, 1), (8, 2), (11, 2)])
+def test_converged_values_average_the_final_quarter(n_segments, tail):
+    rng = np.random.default_rng(25)
+    sir, sdr = rng.standard_normal((2, 3, n_segments, 2))  # three stacked sets
+    sir0, sdr0 = rng.standard_normal((2, n_segments, 2))
+    report = EvalReport(np.arange(n_segments) * 2.0, sir, sdr, sir0, sdr0)
+    final = range(n_segments - tail, n_segments)
+    expected = {
+        "converged_sir_db": sum(sir[:, s] for s in final) / tail,
+        "converged_sdr_db": sum(sdr[:, s] for s in final) / tail,
+        "converged_sir_improvement_db": sum(sir[:, s] - sir0[s] for s in final) / tail,
+        "converged_sdr_improvement_db": sum(sdr[:, s] - sdr0[s] for s in final) / tail,
+    }
+    for name in CONVERGED:
+        assert_allclose(getattr(report, name), expected[name], rtol=1e-15, atol=0.0)
+        assert_array_equal(getattr(report[1], name), getattr(report, name)[1])
 
 
 def test_report_of_one_set_cannot_be_indexed():
@@ -299,10 +320,6 @@ def _toy_report():
         sdr_db=sdr,
         sir_baseline_db=zeros,
         sdr_baseline_db=zeros,
-        converged_sir_db=sir[-1],
-        converged_sdr_db=sdr[-1],
-        converged_sir_improvement_db=sir[-1],
-        converged_sdr_improvement_db=sdr[-1],
     )
 
 

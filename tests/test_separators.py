@@ -22,7 +22,8 @@ from ivastream import cli
 from ivastream.separators import Algorithm, SeparatorConfig
 from ivastream.stft import SpectralFrame, StftConfig
 
-from oracles import _aux_objective, _cplx, _dense_congruence, _random_pd
+from oracles import (_aux_objective, _cplx, _dense_congruence, _random_pd, _spectral_frames,
+                     _tracked_ip_update)
 
 
 def _assert_hermitian(a, rtol):
@@ -37,25 +38,6 @@ def _reachable_w(rng, n_bins, m, n_src):
     w = _cplx(rng, n_bins, m, m)
     w[:, n_src:, n_src:] = -np.eye(m - n_src)
     return w
-
-
-def _tracked_ip_update(u, v, loading=0.0):
-    """``ip_update`` as overiva runs it, from the inverse a refresh puts in
-    the tracked ``P``; checks that no bin needed the exact fallback
-    (which would have refreshed ``P`` in place)."""
-    p = nx.scaled_inverse(v, loading)
-    p0 = p.copy()
-    w = sep.ip_update(u, v, loading, p)
-    np.testing.assert_array_equal(p, p0)
-    return w
-
-
-def _spectral_frames(rng, n_frames, n_bins, n_channels, cfg=None):
-    cfg = cfg or StftConfig()
-    return [
-        SpectralFrame(bins=_cplx(rng, n_bins, n_channels), index=j, config=cfg)
-        for j in range(n_frames)
-    ]
 
 
 def _speechlike(rng, n_samples, sample_rate):
@@ -603,6 +585,12 @@ _DEGENERATE_CONFIGS = {
 }
 
 
+def _stream(config, bins, reference_channel):
+    """Outputs of a fresh ``config`` stream over (T, I, M) ``bins``."""
+    frames = [SpectralFrame(bins=v, index=t, config=StftConfig()) for t, v in enumerate(bins)]
+    return cli.separate_stream(frames, config, reference_channel)[0]
+
+
 @pytest.mark.parametrize(
     "engine, case",
     [
@@ -644,15 +632,31 @@ def test_bins_of_any_numeric_dtype_stream_as_complex128(engine, dtype):
     x = rng.integers(-8, 9, size=(40, 9, config.n_channels))
     if np.issubdtype(dtype, np.complexfloating):
         x = x + 1j * rng.integers(-8, 9, size=x.shape)
-
-    def stream(values, reference_channel):
-        frames = [SpectralFrame(bins=v, index=t, config=StftConfig()) for t, v in enumerate(values)]
-        return cli.separate_stream(frames, config, reference_channel)[0]
-
     for reference_channel in (None, 0):
-        expected = stream(x.astype(np.complex128), reference_channel)
-        got = stream(x.astype(dtype), reference_channel)
+        expected = _stream(config, x.astype(np.complex128), reference_channel)
+        got = _stream(config, x.astype(dtype), reference_channel)
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("engine", [
+    "auxiva",
+    # C starts at the identity, whose weight against the data scales with
+    # the input level (ROADMAP item 1)
+    pytest.param("overiva", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    pytest.param("biiva", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+])
+def test_outputs_follow_the_input_level(engine):
+    # a power-of-two gain scales every product exactly, so a level-free
+    # engine's outputs for g x are exactly g times those for x
+    config = _DEGENERATE_CONFIGS[engine]
+    rng = np.random.default_rng(26)
+    shape = (60, 33, config.n_channels)
+    levels = 10.0 ** rng.uniform(-2.0, 2.0, (60, 1, config.n_channels))
+    x = levels * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for reference_channel in (None, 0):
+        y = _stream(config, x, reference_channel)
+        for gain in (2.0**-7, 2.0**7):
+            np.testing.assert_array_equal(_stream(config, gain * x, reference_channel), gain * y)
 
 
 class TestDegeneracy:
