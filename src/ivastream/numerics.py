@@ -179,7 +179,8 @@ def _check_solution(a: np.ndarray, x: np.ndarray, b: np.ndarray, context: str, i
     """
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError(f"{context}: non-finite solution")
-    ok = _accepted(_sq_sum(np.matmul(a, x) - b, 2), _sq_sum(a, 2), _sq_sum(x, 2), _sq_sum(b, 2))
+    with np.errstate(all="ignore"):  # an overflowing residual is rejected, not warned of
+        ok = _accepted(_sq_sum(np.matmul(a, x) - b, 2), _sq_sum(a, 2), _sq_sum(x, 2), _sq_sum(b, 2))
     if not np.all(ok):
         idx = np.argwhere(~ok)[0]
         if index is not None:

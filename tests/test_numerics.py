@@ -192,6 +192,17 @@ class TestHermitianSolve:
         with pytest.raises(nx.SingularMatrixError):
             nx._check_solution(a, x_bad[:, None], b[:, None], "unit test")
 
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    def test_overflowing_residual_raises_typed_error_without_warnings(self, errstate):
+        # A X overflows to inf - inf: rejected, under any caller's errstate
+        a = np.array([[1e200, -1e200], [1.0, 1.0]])
+        x = np.array([[1e200], [1e200]])
+        b = np.ones((2, 1))
+        with warnings.catch_warnings(), np.errstate(all=errstate):
+            warnings.simplefilter("error")
+            with pytest.raises(nx.SingularMatrixError, match="unreliable solution"):
+                nx._check_solution(a, x, b, "overflow test")
+
 
 class TestSolveColumn:
     def test_returns_inverse_column(self):

@@ -3,14 +3,12 @@
 import copy
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import threading
-import time
 import warnings
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -827,55 +825,23 @@ class TestTrackedInverse:
         assert log.fallbacks() == []
 
 
-class _InlineWorker:
-    """Stands in for the statistics worker: runs each job as it is handed
-    over, and counts the jobs."""
-
-    def __init__(self):
-        self.jobs = 0
-
-    def submit(self, fn, *args):
-        self.jobs += 1
-        done = futures.Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def _cpus(monkeypatch, cpus):
-    """Make process_frame see ``cpus`` as the CPUs it may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
-
-def _spy_threads(monkeypatch, module, name, log):
-    """Record in ``log`` the thread each call of ``module.name`` runs on."""
-    fn = getattr(module, name)
-
-    def spy(*args, **kwargs):
-        log.append((name, threading.current_thread()))
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, spy)
-
-
 def _pipelined_config(algo, m, n_src):
     side = math.isqrt(m)
     subs = {"sub_len_1": side, "sub_len_2": side} if algo == "biiva" else {}
     return SeparatorConfig(m, n_src, algo, **subs)
 
 
-class TestStatisticsWorker:
-    """With a noise block and two CPUs, the statistics of the later sources
-    and ``C`` run on the process's one worker thread while source 0's
-    filter update runs."""
+class TestStatisticsPass:
+    """Each frame steps every ``V``, ``P`` and ``C`` in one pass over blocks
+    of bins on the caller's thread."""
 
     @pytest.mark.parametrize("m, n_src", [(9, 2), (9, 3), (16, 2), (16, 3)])
     @pytest.mark.parametrize("algo", ["overiva", "biiva"])
-    def test_pipelined_frames_equal_inline_ones(self, algo, m, n_src, monkeypatch):
+    def test_blocked_pass_equals_one_block(self, algo, m, n_src, monkeypatch):
         # 70 frames: overiva refreshes P at frames 0, 32 and 64; and every IP
         # step rejects bin 3's solution, which ip_update re-solves (refreshing
-        # that bin of overiva's P on the caller's thread).  The worker, a
-        # stand-in running each job as it is handed over, and one CPU, where
-        # each runs where it is joined, must give the same bytes
+        # that bin of overiva's P).  Blocks of 5 bins, the last one partial,
+        # and of 1 bin must give the bytes of one block over all 12 bins
         cfg = _pipelined_config(algo, m, n_src)
         frames = _mixture_frames(33, 70, 12, m)
         repaired = []
@@ -886,114 +852,73 @@ class TestStatisticsWorker:
                 return w, vw, ok
 
             monkeypatch.setattr(nx, name, rejecting)
-        _spy_threads(monkeypatch, nx, "hermitian_solve", repaired)
+        hermitian_solve = nx.hermitian_solve
+        monkeypatch.setattr(nx, "hermitian_solve",
+                            lambda *args: repaired.append(1) or hermitian_solve(*args))
+        update_cov = sep.update_weighted_cov
         runs = {}
-        for mode in ("worker", "inline", "one cpu"):
-            threads = []
-            _cpus(monkeypatch, {0} if mode == "one cpu" else {0, 1})
-            if mode == "inline":
-                monkeypatch.setattr(sep, "_worker", worker := _InlineWorker())
-            with monkeypatch.context() as mp:
-                _spy_threads(mp, sep, "update_weighted_cov", threads)
-                st = sep.init_state(cfg, 12)
-                y = np.array([sep.process_frame(st, frame).y for frame in frames])
-            runs[mode] = y, st, {t.name for _, t in threads} - {threading.current_thread().name}
-        assert worker.jobs == 2 * len(frames)
+        for block in (12, 5, 1):
+            lengths = set()
+
+            def logged(v, *args):
+                lengths.add(len(v))
+                update_cov(v, *args)
+
+            monkeypatch.setattr(sep, "STATISTICS_BLOCK_BYTES", block * 16 * m * m)
+            monkeypatch.setattr(sep, "update_weighted_cov", logged)
+            st = sep.init_state(cfg, 12)
+            y = np.array([sep.process_frame(st, frame).y for frame in frames])
+            assert lengths == {12 % block or block, block}
+            runs[block] = y, st
         assert len(repaired) >= 3 * 70 * n_src
-        (y_w, st_w, off_w), *others = runs.values()
-        assert len(off_w) == 1 and off_w.pop().startswith("ivastream-statistics")
-        for y, st, off in others:
-            assert off == set()
-            np.testing.assert_array_equal(y, y_w)
+        (y_one, st_one), *others = runs.values()
+        for y, st in others:
+            np.testing.assert_array_equal(y, y_one)
             for field in ("W", "V", "P", "C"):
                 if getattr(st, field) is not None:
-                    np.testing.assert_array_equal(getattr(st, field), getattr(st_w, field))
+                    np.testing.assert_array_equal(getattr(st, field), getattr(st_one, field))
 
-    def test_filter_updates_stay_on_the_callers_thread(self, monkeypatch):
-        # perfbench's tracer, which times these functions, is not thread-safe
-        _cpus(monkeypatch, {0, 1})
-        calls = []
-        traced = [(sep, name) for name in ("contrast_weight", "ip_update", "oc_update")]
-        traced += [(nx, name) for name in ("solve_column", "hermitian_solve", "solve_general",
-                                           "congruence", "lift_left", "lift_right")]
-        for module, name in traced + [(sep, "update_weighted_cov"), (sep, "update_inverse")]:
-            _spy_threads(monkeypatch, module, name, calls)
-        for algo in ("overiva", "biiva"):
-            st = sep.init_state(_pipelined_config(algo, 9, 3), 8)
-            for frame in _mixture_frames(36, 34, 8, 9):
-                sep.process_frame(st, frame)
-        caller = threading.current_thread()
-        assert {name for name, t in calls if t is not caller} == {"update_weighted_cov",
-                                                                  "update_inverse"}
-        assert {name for name, t in calls if t is caller} >= {name for _, name in traced}
+    @pytest.mark.parametrize("m, per_block", [(5, 513), (9, 202), (16, 64), (36, 12)])
+    def test_blocks_hold_256_kib_of_one_stack(self, m, per_block, monkeypatch):
+        # 513 bins (a 1024-point frame): one block up to M = 5, then full
+        # blocks of per_block bins and a partial last one, each stepping
+        # V_0, V_1 and C in turn
+        blocks = [per_block] * (513 // per_block) + [513 % per_block] * (513 % per_block > 0)
+        lengths = []
+        update_cov = sep.update_weighted_cov
 
-    def test_error_in_a_job_re_raises_after_every_job_ended(self, monkeypatch):
-        _cpus(monkeypatch, {0, 1})
-        caller = threading.current_thread()
-        st = sep.init_state(SeparatorConfig(9, 2, "overiva"), 8)
-        frames = _mixture_frames(37, 2, 8, 9)
-        update_inverse, update_cov = sep.update_inverse, sep.update_weighted_cov
-        c_steps = []
-
-        def failing(*args):
-            if threading.current_thread() is not caller:
-                raise RuntimeError("job failed")
-            update_inverse(*args)
-
-        def slow_c(v, *args):
+        def logged(v, *args):
+            lengths.append(len(v))
             update_cov(v, *args)
-            if v is st.C:
-                time.sleep(0.05)
-                c_steps.append(st.frame_index)
 
-        monkeypatch.setattr(sep, "update_inverse", failing)
-        monkeypatch.setattr(sep, "update_weighted_cov", slow_c)
-        sep.process_frame(st, frames[0])  # a refresh frame: no update_inverse
-        with pytest.raises(RuntimeError, match="job failed"):
-            sep.process_frame(st, frames[1])
-        assert c_steps == [0, 1]
+        monkeypatch.setattr(sep, "update_weighted_cov", logged)
+        st = sep.init_state(SeparatorConfig(m, 2, "overiva"), 513)
+        sep.process_frame(st, _mixture_frames(34, 1, 513, m)[0])
+        assert lengths == [b for b in blocks for _ in range(3)]
 
-    def test_failed_filter_update_waits_for_the_jobs(self, monkeypatch):
-        # as test_singular_error_carries_frame_and_source_context, with a noise block
-        _cpus(monkeypatch, {0, 1})
-        monkeypatch.setattr(sep, "LOADING", 0.0)
-        caller = threading.current_thread()
-        update_cov = sep.update_weighted_cov
-        ended = []
+    def test_streaming_starts_no_thread(self):
+        # in a fresh interpreter, where no earlier test started one
+        script = """if True:
+            import threading
+            import numpy as np
+            from ivastream import cli
+            from ivastream.separators import SeparatorConfig
+            from ivastream.stft import SpectralFrame, StftConfig
+            threads = threading.active_count()
+            rng = np.random.default_rng(34)
+            for cfg in (SeparatorConfig(2, 2, "auxiva"), SeparatorConfig(9, 2, "overiva"),
+                        SeparatorConfig(16, 2, "biiva", 4, 4)):
+                x = rng.standard_normal((3, 8, cfg.n_channels, 2)) @ [1, 1j]
+                cli.separate_stream([SpectralFrame(x[t], t, StftConfig()) for t in range(3)], cfg)
+            print(threads, threading.active_count())
+        """
+        src = os.path.dirname(os.path.dirname(sep.__file__))
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out.split() == ["1", "1"]
 
-        def slow(*args):
-            update_cov(*args)
-            if threading.current_thread() is not caller:
-                time.sleep(0.05)
-                ended.append(args[2])
-
-        monkeypatch.setattr(sep, "update_weighted_cov", slow)
-        st = sep.init_state(SeparatorConfig(4, 2, "overiva"), 3)
-        st.W[:, 1, :] = st.W[:, 0, :]  # collapse two rows
-        frame = SpectralFrame(bins=np.ones((3, 4), complex), index=0, config=StftConfig())
-        with pytest.raises(nx.SingularMatrixError, match=r"^frame 0, source 0: "):
-            sep.process_frame(st, frame)
-        assert len(ended) == 2 and ended[-1] == 1.0  # source 1's V, then C
-
-    def test_jobs_run_under_the_callers_errstate(self, monkeypatch):
-        _cpus(monkeypatch, {0, 1})
-        caller = threading.current_thread()
-        update_cov = sep.update_weighted_cov
-
-        def overflowing(*args):
-            update_cov(*args)
-            if threading.current_thread() is not caller:
-                np.array([1e308]) * 10.0
-
-        monkeypatch.setattr(sep, "update_weighted_cov", overflowing)
-        st = sep.init_state(SeparatorConfig(9, 2, "overiva"), 8)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            sep.process_frame(st, _mixture_frames(41, 1, 8, 9)[0])
-
-    def test_states_streamed_from_three_threads_at_once_give_their_serial_outputs(self, monkeypatch):
-        # more streaming threads than the two CPUs, switching threads often,
-        # all handing jobs to the one worker
-        _cpus(monkeypatch, {0, 1})
+    def test_states_streamed_from_three_threads_at_once_give_their_serial_outputs(self):
+        # more streaming threads than the two CPUs, switching threads often
         cfgs = [SeparatorConfig(9, 2, "overiva"), SeparatorConfig(9, 3, "biiva", 3, 3),
                 SeparatorConfig(4, 1, "overiva")]
         streams = [_mixture_frames(38 + k, 40, 16, cfg.n_channels) for k, cfg in enumerate(cfgs)]
@@ -1020,51 +945,6 @@ class TestStatisticsWorker:
         for k in range(len(cfgs)):
             assert got[k] is not None
             np.testing.assert_array_equal(got[k], serial[k])
-
-    def test_auxiva_and_one_cpu_hand_the_worker_nothing(self, monkeypatch):
-        worker = _InlineWorker()
-        monkeypatch.setattr(sep, "_worker", worker)
-        rng = np.random.default_rng(39)
-        for cfg, cpus in [(SeparatorConfig(2, 2, "auxiva"), {0, 1}),
-                          (SeparatorConfig(9, 2, "overiva"), {0}),
-                          (SeparatorConfig(9, 2, "biiva", 3, 3), {1})]:
-            _cpus(monkeypatch, cpus)
-            st = sep.init_state(cfg, 6)
-            for frame in _spectral_frames(rng, 3, 6, cfg.n_channels):
-                sep.process_frame(st, frame)
-        assert worker.jobs == 0
-        # two CPUs: each frame hands over the later sources' job and C's, or
-        # C's alone with one source
-        _cpus(monkeypatch, {0, 1})
-        for frame in _spectral_frames(rng, 3, 6, 9):
-            sep.process_frame(st, frame)
-        assert worker.jobs == 6
-        st = sep.init_state(SeparatorConfig(3, 1, "overiva"), 6)
-        for frame in _spectral_frames(rng, 3, 6, 3):
-            sep.process_frame(st, frame)
-        assert worker.jobs == 9
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_streams_on_its_own_worker(self, monkeypatch):
-        # the parent's worker thread is running when it forks; the child's
-        # jobs would wait on it forever, and its exit joins the child's own
-        _cpus(monkeypatch, {0, 1})
-        cfg = SeparatorConfig(9, 2, "overiva")
-        frames = _mixture_frames(40, 5, 16, 9)
-        expected = cli.separate_stream(frames, cfg)[0]
-        parent_worker = sep._worker
-
-        def child():
-            assert sep._worker is not parent_worker
-            np.testing.assert_array_equal(cli.separate_stream(frames, cfg)[0], expected)
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(timeout=60)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        assert proc.exitcode == 0
 
 
 # (M, N) of the source-block tests: N = 3 takes LAPACK's general path
